@@ -1,8 +1,8 @@
 """Worst error of the default 64-node geometric mean against the oracle.
 
-    python3 benchmarks/accuracy.py [--pairs 20] [--seed 0]
+    python3 benchmarks/accuracy.py
 
-Seeded dim-3 accretive pairs (condition cap 100) at each sector half-angle,
+PAIRS seeded dim-3 accretive pairs (condition cap 100) at each sector half-angle,
 weights 0.1, 0.5 and 0.9; prints one markdown table row per angle with the
 worst relative Frobenius error of `sectorlab.geometric_mean` against
 A (A^-1 B)^lam.
@@ -10,7 +10,6 @@ A (A^-1 B)^lam.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -26,19 +25,17 @@ import oracle  # noqa: E402
 
 ANGLES = (0.4, 0.8, 0.95, 0.97, 0.99)
 LAMBDAS = (0.1, 0.5, 0.9)
+PAIRS = 20
+SEED = 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+def main() -> int:
     print("| angle / (pi/2) | worst rel. error, 64 nodes | median rel. error |")
     print("| --- | --- | --- |")
     for frac in ANGLES:
         errs = []
-        for k in range(args.pairs):
-            a, b = inputs.sector_pair(inputs.stream(args.seed, 6, k), 3, frac * math.pi / 2, 100.0)
+        for k in range(PAIRS):
+            a, b = inputs.sector_pair(inputs.stream(SEED, 6, k), 3, frac * math.pi / 2, 100.0)
             for lam in LAMBDAS:
                 errs.append(oracle.rel_err(sectorlab.geometric_mean(a, b, lam),
                                            oracle.geometric_mean(a, b, lam)))

@@ -2,11 +2,12 @@
 
     python3 benchmarks/run.py --workload pair-default --seed 1 --seconds 10 --trace 0
 
-Runs in one process on one thread (BLAS pinned to one thread).  With
-``--trace 0`` it sets sectorlab up three times (fresh import plus the calls
-that fill the rule cache), then runs whole rounds of the workload's
-operations for ``--seconds`` seconds, checks every result against the
-oracle, and prints the end-to-end metrics.  With ``--trace 1`` it runs the
+Runs on one thread (BLAS pinned to one thread).  With ``--trace 0`` it
+times three set-ups of sectorlab (fresh import plus the calls that fill the
+rule cache), each in a fresh process started from setup_once.py, then sets
+up in this process and runs whole rounds of the workload's operations for
+``--seconds`` seconds, checks every result against the oracle, and prints
+the end-to-end metrics.  With ``--trace 1`` it runs the
 workload untraced for half the time, sets up afresh, runs the same rounds
 again under the per-layer tracer, and prints the per-layer metrics with the
 tracing overhead.  Every time is converted to reference seconds with the
@@ -24,53 +25,48 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 sys.path.insert(0, str(SRC))
 
 import kernel  # noqa: E402
+from setup_once import import_and_warm  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SETUP_REPS = 3
 
 
-def fresh_import():
-    """Import sectorlab from scratch, so its rule cache starts empty."""
-    for name in [n for n in sys.modules if n == "sectorlab" or n.startswith("sectorlab.")]:
-        del sys.modules[name]
-    importlib.invalidate_caches()
-    sl = importlib.import_module("sectorlab")
-    return SimpleNamespace(sl=sl, cli=importlib.import_module("sectorlab.cli"))
+def fresh_setup(workload) -> tuple[float, float]:
+    """One set-up timed in a fresh process; (raw s, reference s)."""
+    proc = subprocess.run([sys.executable, str(HERE / "setup_once.py"), "--workload", workload.name],
+                          stdout=subprocess.PIPE, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out["raw_s"], out["ref_s"]
 
 
-def _import_and_warm(workload):
-    lib = fresh_import()
-    workload.warm(lib)
-    return lib
-
-
-def setup(workload, meter):
-    """One set-up: import plus the cache-filling calls; (lib, raw s, reference s)."""
-    lib, t0, t1, work = meter.timed(_import_and_warm, workload)
-    meter.settle(2)
-    return lib, work, work * meter.factor(t0, t1)
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class Phase:
-    """Operations of one measured phase: spans, failures and check errors."""
+    """Operations of one measured phase: spans, failures and check errors.
+
+    Each round's operations run first and are checked after the round.
+    ``rss_mb`` is the peak resident set before the first check: the oracle
+    loads scipy, which the program itself may not.
+    """
 
     def __init__(self):
         self.spans: list[list[tuple[float, float, float]]] = []
@@ -79,12 +75,14 @@ class Phase:
         self.bad_checks = 0
         self.worst_err = 0.0
         self.rounds = 0
+        self.rss_mb = math.nan
         self.raw: list[float] = []
         self.ref: list[float] = []
 
     def run(self, workload, lib, seed, meter, *, deadline=None, rounds=None):
         r = 0
         while (r < rounds) if rounds is not None else (time.perf_counter() < deadline):
+            done = []
             for op in workload.round(seed, r):
                 self.attempted += 1
                 outs, steps = [], []
@@ -99,7 +97,15 @@ class Phase:
                         traceback.print_exc(file=sys.stderr)
                     continue
                 self.spans.append(steps)
-                err = op.check(*outs)
+                done.append((op, outs))
+            if r == 0:
+                self.rss_mb = peak_rss_mb()
+            for op, outs in done:
+                try:
+                    err = op.check(*outs)
+                except Exception:  # a result of the wrong form fails its check
+                    traceback.print_exc(file=sys.stderr)
+                    err = math.inf
                 self.worst_err = max(self.worst_err, err)
                 if not err <= op.tol:
                     self.bad_checks += 1
@@ -128,7 +134,7 @@ def end_to_end(phase: Phase, setups: list[tuple[float, float]], ref=True) -> dic
         "ops_per_s": (phase.ops_per_s(ref), "1/s"),
         "latency_ms_p50": (percentile_ms(lat, 50), "ms"),
         "setup_s": (statistics.median(s[1 if ref else 0] for s in setups), "s"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
+        "peak_rss_mb": (phase.rss_mb, "MB"),
     }
 
 
@@ -144,11 +150,9 @@ def tails(phase: Phase) -> dict:
 
 
 def measure_plain(workload, args, meter, detail):
-    """Set up SETUP_REPS times, then run the workload for --seconds."""
-    setups = []
-    for _ in range(SETUP_REPS):
-        lib, raw, ref = setup(workload, meter)
-        setups.append((raw, ref))
+    """Time SETUP_REPS fresh set-ups, then set up here and run the workload for --seconds."""
+    setups = [fresh_setup(workload) for _ in range(SETUP_REPS)]
+    lib = import_and_warm(workload)
     phase = Phase().run(workload, lib, args.seed, meter,
                         deadline=time.perf_counter() + args.seconds)
     detail["raw"] = {k: v for k, (v, _) in end_to_end(phase, setups, ref=False).items()}
@@ -159,10 +163,10 @@ def measure_plain(workload, args, meter, detail):
 
 def measure_traced(workload, args, meter, detail):
     """Run half the time untraced, then the same rounds traced from a fresh set-up."""
-    lib, *_ = setup(workload, meter)
+    lib = import_and_warm(workload)
     plain = Phase().run(workload, lib, args.seed, meter,
                         deadline=time.perf_counter() + args.seconds / 2)
-    lib, *_ = setup(workload, meter)
+    lib = import_and_warm(workload)
     tracer = Tracer(clock=lambda: time.perf_counter() - meter.stolen)
     tracer.install()
     try:

@@ -33,6 +33,7 @@ def test_mean_and_tsallis_match_hpd_closed_form(seed, dim, lam):
     iroot = _hpd_fn(a, lambda w: w**-0.5)
     mean = root @ _hpd_fn(iroot @ b @ iroot, lambda w: w**lam) @ root
     assert oracle.rel_err(oracle.geometric_mean(a, b, lam), mean) < 1e-12
+    assert oracle.rel_err(oracle.geometric_mean_hpd(a, b, lam), mean) < 1e-12
     assert oracle.rel_err(oracle.tsallis_entropy(a, b, lam), (mean - a) / lam) < 1e-11
 
 

@@ -43,11 +43,6 @@ LAYERS = {
 _RULE_KEYS = ("quadrature.gauss_jacobi", "quadrature.gauss_legendre")
 
 
-def _node_count(rule) -> int:
-    nodes = getattr(rule, "nodes", None)
-    return 0 if nodes is None else len(nodes)
-
-
 class Tracer:
     """``clock`` gives the time spans are measured with; the benchmark passes
     one that stops while the reference kernel samples."""
@@ -68,17 +63,14 @@ class Tracer:
 
     def _observe(self, key, args, result) -> None:
         if key == "quadrature.integrate_matrix" and args:
-            n = _node_count(args[0])
+            n = len(args[0].nodes)
             self.nodes += n
             if self._active["quadrature.integrate_adaptive"]:
                 self.adaptive_evaluated += n
         elif key == "quadrature.integrate_adaptive":
             self.adaptive_used += getattr(result, "nodes_used", 0)
         elif key == "ensemble.random_accretive" and args:
-            try:
-                self.specs.add(args[0])
-            except TypeError:
-                self.specs.add(id(args[0]))
+            self.specs.add(args[0])
 
     def _wrap(self, key, fn):
         @functools.wraps(fn)
