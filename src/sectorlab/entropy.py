@@ -29,10 +29,10 @@ from .means import GeometricMeanConfig, _pair, check_weight, geometric_mean
 from .quadrature import (
     MAX_NODES,
     IntegralResult,
+    _integrate,
+    _integrate_doubling,
     gauss_jacobi,
     gauss_legendre,
-    integrate_adaptive,
-    integrate_matrix,
 )
 
 DEFAULT_NODES = 64
@@ -57,20 +57,39 @@ DEFAULT_CONFIG = EntropyConfig()
 
 
 def _entropy_path(a: np.ndarray, b: np.ndarray):
-    # t -> (A !_t B - A)/t; bounded on (0, 1), limit A - A B^-1 A at t -> 0.
+    # t -> (A !_t B - A)/t over a node array (or a scalar t), one batched
+    # inverse for all nodes; bounded on (0, 1), limit A - A B^-1 A at t -> 0.
     ia = inverse(a)
     ib = inverse(b)
 
-    def path(t: float) -> np.ndarray:
+    def path(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None, None]
         return (inverse((1.0 - t) * ia + t * ib) - a) / t
 
     return path
 
 
+def _gauged_doubling(am: np.ndarray, bm: np.ndarray, factory, tol: float,
+                     max_nodes: int) -> IntegralResult:
+    # Both entropies are homogeneous: S(sA|sB) = s S(A|B), and likewise T_lam.
+    # Integrating the pair scaled by s = ||A||_F makes ``tol`` relative to
+    # ||A||_F, so results of large norm do not stall at the rounding floor.
+    s = frob(am)
+    if s <= 0.0:
+        s = 1.0
+    res = _integrate_doubling(_entropy_path(am / s, bm / s), factory, tol, max_nodes)
+    return IntegralResult(value=s * res.value, error_estimate=s * res.error_estimate,
+                          nodes_used=res.nodes_used)
+
+
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the relative-entropy integral."""
+    """Node-doubling evaluation of the relative-entropy integral.
+
+    ``tol`` is relative to ||A||_F: doubling stops when successive results
+    agree to ``tol * ||A||_F`` in the Frobenius norm.
+    """
     am, bm = _pair(a, b)
-    return integrate_adaptive(_entropy_path(am, bm), gauss_legendre, tol=tol, max_nodes=max_nodes)
+    return _gauged_doubling(am, bm, gauss_legendre, tol, max_nodes)
 
 
 def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -78,7 +97,7 @@ def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     if cfg.adaptive:
         return relative_entropy_adaptive(a, b, tol=cfg.tol).value
     am, bm = _pair(a, b)
-    return integrate_matrix(gauss_legendre(cfg.rule_nodes), _entropy_path(am, bm))
+    return _integrate(gauss_legendre(cfg.rule_nodes), _entropy_path(am, bm))
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -91,11 +110,13 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
 
 def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
                              max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the Tsallis-entropy integral."""
+    """Node-doubling evaluation of the Tsallis-entropy integral.
+
+    ``tol`` is relative to ||A||_F, as in :func:`relative_entropy_adaptive`.
+    """
     lam = check_weight(lam)
     am, bm = _pair(a, b)
-    factory = partial(gauss_jacobi, alpha=-lam, beta=lam)
-    res = integrate_adaptive(_entropy_path(am, bm), factory, tol=tol, max_nodes=max_nodes)
+    res = _gauged_doubling(am, bm, partial(gauss_jacobi, alpha=-lam, beta=lam), tol, max_nodes)
     scale = math.sin(lam * math.pi) / (lam * math.pi)
     return IntegralResult(value=scale * res.value,
                           error_estimate=scale * res.error_estimate,
@@ -110,7 +131,7 @@ def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np
     am, bm = _pair(a, b)
     rule = gauss_jacobi(cfg.rule_nodes, alpha=-lam, beta=lam)
     scale = math.sin(lam * math.pi) / (lam * math.pi)
-    return scale * integrate_matrix(rule, _entropy_path(am, bm))
+    return scale * _integrate(rule, _entropy_path(am, bm))
 
 
 def tsallis_from_mean(a, b, lam: float,

@@ -10,7 +10,7 @@ class DimensionMismatch(SectorlabError):
 
 
 class SingularMatrix(SectorlabError):
-    """A pivot underflowed during factorization."""
+    """LU factorization met an exactly zero pivot."""
 
 
 class IllConditioned(SectorlabError):

@@ -3,8 +3,9 @@
 Everything here works on square ``complex128`` arrays.  Hermitian inputs and
 outputs are Hermitian *bitwise* (constructed by symmetrization), so downstream
 code may rely on ``H == H.conj().T`` exactly rather than approximately.  The
-eigensolver is a cyclic Jacobi iteration: unconditionally stable and accurate
-at the matrix sizes this package targets (n <= 64).
+inverse and the Hermitian eigensolver are LAPACK's, through ``np.linalg``;
+``inverse`` also takes a stack of matrices, so a quadrature rule's nodes are
+inverted in one call.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from .errors import (
 
 #: Hard cap on matrix dimension for validated inputs.
 MAX_DIM = 64
-
-#: Pivot magnitudes below this are treated as exact singularity.
-PIVOT_FLOOR = 1e-300
 
 #: Default cap for the condition estimate of `inverse`.
 DEFAULT_COND_CAP = 1e14
@@ -74,81 +72,42 @@ def frob(a) -> float:
 
 
 def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
-    """Invert a square complex matrix by partial-pivoted LU.
+    """Invert a square complex matrix, or every slice of a stack ``(n, d, d)``.
 
-    One Newton refinement step (X <- X(2I - AX)) keeps the residual
-    ||AX - I|| at rounding level on well-conditioned inputs.
+    One LAPACK call (``np.linalg.inv``) covers the whole stack.
 
     Raises:
-        SingularMatrix: a pivot magnitude fell below 1e-300.
-        IllConditioned: the estimate ||A||_F * ||X||_F exceeded ``cond_cap``.
+        SingularMatrix: LAPACK met an exactly zero pivot in some slice.
+        IllConditioned: in some slice the estimate ||A||_F * ||X||_F exceeded
+            ``cond_cap``.
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    lu = m.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) < PIVOT_FLOOR:
-            raise SingularMatrix(f"pivot {abs(lu[piv, k]):.3e} below {PIVOT_FLOOR:g}")
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    # Solve L U X = P I for X = A^-1, all right-hand sides at once.
-    x = np.eye(n, dtype=np.complex128)[perm]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    x = x @ (2 * np.eye(n) - m @ x)
-    cond_est = frob(m) * frob(x)
+    if np.ndim(a) == 3:
+        m = np.asarray(a, dtype=np.complex128)
+        if m.shape[1] != m.shape[2]:
+            raise DimensionMismatch(f"expected a stack of square matrices, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix stack has non-finite entries")
+    else:
+        m = as_matrix(a)
+    try:
+        x = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"LAPACK inversion failed: {exc}") from exc
+    # np.max propagates a NaN estimate, which then fails the finiteness test.
+    cond_est = float(np.max(np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))))
     if not math.isfinite(cond_est) or cond_est > cond_cap:
         raise IllConditioned(f"condition estimate {cond_est:.3e} exceeds cap {cond_cap:g}")
     return x
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Summed directly over the off-diagonal entries; the difference
-    # ||A||_F^2 - sum |a_ii|^2 cancels catastrophically near convergence.
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
-def _eig2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Closed form for the 2x2 Hermitian case; the cyclic sweep is overkill there.
-    a = h[0, 0].real
-    d = h[1, 1].real
-    b = h[0, 1]
-    mid = 0.5 * (a + d)
-    rad = math.hypot(0.5 * (a - d), abs(b))
-    lo, hi = mid - rad, mid + rad
-    if abs(b) == 0.0:
-        if a <= d:
-            return np.array([a, d]), np.eye(2, dtype=np.complex128)
-        return np.array([d, a]), np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    v_hi = np.array([b, hi - a], dtype=np.complex128)
-    v_hi /= np.linalg.norm(v_hi)
-    v_lo = np.array([-np.conj(v_hi[1]), np.conj(v_hi[0])], dtype=np.complex128)
-    vecs = np.column_stack([v_lo, v_hi])
-    return np.array([lo, hi]), vecs
-
-
-def herm_eig(h, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Parameters
     ----------
     h : array_like
         Hermitian matrix (symmetrized on entry, so near-Hermitian input is
         tolerated).
-    max_sweeps : int
-        Cap on the number of full cyclic sweeps.
 
     Returns
     -------
@@ -159,64 +118,12 @@ def herm_eig(h, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NoConvergence
-        If the off-diagonal mass has not collapsed after ``max_sweeps``.
+        If LAPACK reports that the eigenvalues did not converge.
     """
-    a = symmetrize(h)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-    if n == 2:
-        return _eig2x2(a)
-    v = np.eye(n, dtype=np.complex128)
-    scale = frob(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    stop = scale * n * 1e-16
-    converged = False
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(a)
-        if off <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / n:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                mag = abs(apq)
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Plane rotation G: columns (p,q) mix with a phase on q.
-                g_pp, g_pq = c, s
-                g_qp, g_qq = -s * np.conj(phase), c * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p * g_pp + col_q * g_qp
-                a[:, q] = col_p * g_pq + col_q * g_qq
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = row_p * np.conj(g_pp) + row_q * np.conj(g_qp)
-                a[q, :] = row_p * np.conj(g_pq) + row_q * np.conj(g_qq)
-                a[p, p] = app - t * mag
-                a[q, q] = aqq + t * mag
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = vcol_p * g_pp + vcol_q * g_qp
-                v[:, q] = vcol_p * g_pq + vcol_q * g_qq
-    if not converged:
-        off = _offdiag_norm(a)
-        if off > stop:
-            raise NoConvergence(f"Jacobi sweep cap {max_sweeps} hit, off-diagonal {off:.3e}")
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    try:
+        return np.linalg.eigh(symmetrize(h))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
 
 
 def _hpd_map(h, fn, what: str) -> np.ndarray:

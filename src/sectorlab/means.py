@@ -25,9 +25,9 @@ from .linalg import as_matrix, frob, hpd_power, inverse, symmetrize
 from .quadrature import (
     MAX_NODES,
     IntegralResult,
+    _integrate,
+    _integrate_doubling,
     gauss_jacobi,
-    integrate_adaptive,
-    integrate_matrix,
 )
 
 DEFAULT_NODES = 64
@@ -92,11 +92,13 @@ def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
 
 
 def _harmonic_path(a: np.ndarray, b: np.ndarray):
-    # t -> A !_t B with the two fixed inverses hoisted out of the node loop.
+    # t -> A !_t B over a node array (or a scalar t), one batched inverse for
+    # all nodes; the two fixed inverses are hoisted out of the path.
     ia = inverse(a)
     ib = inverse(b)
 
-    def path(t: float) -> np.ndarray:
+    def path(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None, None]
         return inverse((1.0 - t) * ia + t * ib)
 
     return path
@@ -120,9 +122,8 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
     lam = check_weight(lam)
     am, bm = _pair(a, b)
     am, bm, gauge = _gauges(am, bm, lam)
-    f = _harmonic_path(am, bm)
     factory = partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0)
-    res = integrate_adaptive(f, factory, tol=tol, max_nodes=max_nodes)
+    res = _integrate_doubling(_harmonic_path(am, bm), factory, tol, max_nodes)
     scale = gauge * math.sin(lam * math.pi) / math.pi
     return IntegralResult(value=scale * res.value,
                           error_estimate=scale * res.error_estimate,
@@ -138,23 +139,24 @@ def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) 
     am, bm, gauge = _gauges(am, bm, lam)
     rule = gauss_jacobi(cfg.rule_nodes, alpha=-lam, beta=lam - 1.0)
     scale = gauge * math.sin(lam * math.pi) / math.pi
-    return scale * integrate_matrix(rule, _harmonic_path(am, bm))
+    return scale * _integrate(rule, _harmonic_path(am, bm))
 
 
 def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the Drury half-weight mean."""
     am, bm = _pair(a, b)
     am, bm, gauge = _gauges(am, bm, 0.5)
-    res = integrate_adaptive(_convex_inverse_path(am, bm),
-                             partial(gauss_jacobi, alpha=-0.5, beta=-0.5),
-                             tol=tol, max_nodes=max_nodes)
+    res = _integrate_doubling(_convex_inverse_path(am, bm),
+                              partial(gauss_jacobi, alpha=-0.5, beta=-0.5), tol, max_nodes)
     value = gauge * inverse(res.value / math.pi)
     return IntegralResult(value=value, error_estimate=gauge * res.error_estimate / math.pi,
                           nodes_used=res.nodes_used)
 
 
 def _convex_inverse_path(a: np.ndarray, b: np.ndarray):
-    def path(u: float) -> np.ndarray:
+    # u -> (uA + (1-u)B)^-1 over a node array (or a scalar u), one batched inverse.
+    def path(u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)[..., None, None]
         return inverse(u * a + (1.0 - u) * b)
 
     return path
@@ -174,7 +176,7 @@ def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
     am, bm = _pair(a, b)
     am, bm, gauge = _gauges(am, bm, 0.5)
     rule = gauss_jacobi(cfg.rule_nodes, alpha=-0.5, beta=-0.5)
-    inner = integrate_matrix(rule, _convex_inverse_path(am, bm)) / math.pi
+    inner = _integrate(rule, _convex_inverse_path(am, bm)) / math.pi
     return gauge * inverse(inner)
 
 

@@ -7,6 +7,12 @@ components give the weights.  Jacobi rules integrate against the weight
 ``t^beta * (1-t)^alpha``, which absorbs the endpoint singularities of the
 Beta-type kernels used throughout this package, so smooth factors converge
 spectrally.
+
+One engine evaluates every integral: the integrand takes the whole node
+array and returns the stack ``(n, d, d)`` of its values, so the library's
+paths invert all nodes of a rule in one LAPACK call.  The public
+``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
+stack its values node by node onto the same engine.
 """
 
 from __future__ import annotations
@@ -24,13 +30,17 @@ from .errors import (
     InvalidParameters,
     InvalidWeight,
     NoConvergence,
+    SectorlabError,
 )
 from .linalg import frob, herm_eig
 
 MAX_NODES = 4096
 
-#: largest rule size solved with the in-package Jacobi eigensolver; larger
-#: tridiagonal problems go to numpy's LAPACK backend.
+#: Rules of up to this many nodes are built by ``herm_eig`` (LAPACK
+#: ``zheevd``) on the complex tridiagonal, code the ensembles already page in;
+#: scipy's ``eigh_tridiagonal`` would load scipy on the default path, and a
+#: real-dtype ``eigh`` would page in more LAPACK code.  Above this size, up to
+#: MAX_NODES, a dense eigensolver is too slow, so larger rules load scipy.
 _OWN_EIG_LIMIT = 64
 
 
@@ -144,25 +154,83 @@ class IntegralResult:
             raise ValueError(f"error estimate must be finite and >= 0, got {self.error_estimate}")
 
 
+#: An integrand over the whole node array: nodes (n,) -> values (n, d, d).
+StackedIntegrand = Callable[[np.ndarray], np.ndarray]
+
+
+def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
+    # Sum w_k * f(t)_k over the stacked values f(nodes), in ascending node order.
+    try:
+        vals = np.asarray(f(rule.nodes), dtype=np.complex128)
+    except EvaluationFailure:
+        raise
+    except SectorlabError:
+        # A stacked LAPACK failure does not say which slice failed: evaluate
+        # the nodes one at a time and report the first that raises.
+        for t in rule.nodes:
+            try:
+                f(np.array([t]))
+            except SectorlabError as exc:
+                raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
+                                        node=float(t)) from exc
+        raise
+    finite = np.isfinite(vals).reshape(rule.count, -1).all(axis=1)
+    if not finite.all():
+        t = float(rule.nodes[np.argmin(finite)])
+        raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
+    return np.sum(vals * rule.weights.reshape((-1,) + (1,) * (vals.ndim - 1)), axis=0)
+
+
+def _integrate_doubling(
+    f: StackedIntegrand,
+    rule_factory: Callable[[int], QuadratureRule],
+    tol: float,
+    max_nodes: int,
+) -> IntegralResult:
+    # Node doubling on the stacked engine; see integrate_adaptive.
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_nodes < 32:
+        raise ValueError("max_nodes must allow at least one doubling (>= 32)")
+    n = 16
+    prev = _integrate(rule_factory(n), f)
+    while 2 * n <= max_nodes:
+        n *= 2
+        cur = _integrate(rule_factory(n), f)
+        err = frob(cur - prev)
+        if err <= tol:
+            return IntegralResult(value=cur, error_estimate=err, nodes_used=n)
+        prev = cur
+    raise NoConvergence(
+        f"adaptive integration did not reach tol={tol:g} within {max_nodes} nodes",
+        payload=IntegralResult(value=prev, error_estimate=err, nodes_used=n),
+    )
+
+
+def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:
+    # Adapt a per-node integrand to the engine, reporting the node it fails at.
+    def stacked(nodes: np.ndarray) -> np.ndarray:
+        vals = []
+        for t in nodes:
+            t = float(t)
+            try:
+                vals.append(np.asarray(f(t), dtype=np.complex128))
+            except EvaluationFailure:
+                raise
+            except Exception as exc:
+                raise EvaluationFailure(f"integrand raised at node t={t!r}: {exc}", node=t) from exc
+        return np.stack(vals)
+
+    return stacked
+
+
 def integrate_matrix(rule: QuadratureRule, f: Callable[[float], np.ndarray]) -> np.ndarray:
     """Sum w_k * f(t_k) over the rule's nodes, in ascending node order.
 
     The reduction uses numpy's pairwise summation over the fixed node order,
     so results are deterministic and rounding stays near machine level.
     """
-    vals = []
-    for t in rule.nodes:
-        try:
-            val = np.asarray(f(float(t)), dtype=np.complex128)
-        except EvaluationFailure:
-            raise
-        except Exception as exc:
-            raise EvaluationFailure(f"integrand raised at node t={t!r}: {exc}", node=float(t)) from exc
-        if not np.all(np.isfinite(val.real)) or not np.all(np.isfinite(val.imag)):
-            raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=float(t))
-        vals.append(val)
-    stacked = np.stack(vals)
-    return np.sum(stacked * rule.weights.reshape((-1,) + (1,) * vals[0].ndim), axis=0)
+    return _integrate(rule, _stacked(f))
 
 
 def integrate_adaptive(
@@ -177,20 +245,4 @@ def integrate_adaptive(
     results drops to ``tol``.  Raises :class:`NoConvergence` if ``max_nodes``
     is reached first; the best result rides along as the error's ``payload``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_nodes < 32:
-        raise ValueError("max_nodes must allow at least one doubling (>= 32)")
-    n = 16
-    prev = integrate_matrix(rule_factory(n), f)
-    while 2 * n <= max_nodes:
-        n *= 2
-        cur = integrate_matrix(rule_factory(n), f)
-        err = frob(cur - prev)
-        if err <= tol:
-            return IntegralResult(value=cur, error_estimate=err, nodes_used=n)
-        prev = cur
-    raise NoConvergence(
-        f"adaptive integration did not reach tol={tol:g} within {max_nodes} nodes",
-        payload=IntegralResult(value=prev, error_estimate=err, nodes_used=n),
-    )
+    return _integrate_doubling(_stacked(f), rule_factory, tol, max_nodes)

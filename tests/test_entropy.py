@@ -14,6 +14,7 @@ from sectorlab.entropy import (
     tsallis_from_mean,
     tsallis_limit_probe,
 )
+from sectorlab.ensemble import SectorSpec, random_accretive
 from sectorlab.errors import InvalidWeight, NotPositiveDefinite
 
 
@@ -109,6 +110,31 @@ def test_tsallis_adaptive_routes():
     res = relative_entropy_adaptive(PAIR_A, PAIR_B, tol=1e-12)
     fixed = relative_entropy(PAIR_A, PAIR_B)
     assert np.linalg.norm(res.value - fixed) <= 1e-10
+
+
+def test_adaptive_entropies_converge_at_large_norm():
+    # A 0.95*pi/2 pair scaled by 60 (||S||_F ~ 4e3): an absolute tol of 1e-12
+    # lies below the rounding floor there, so doubling must stop on a
+    # tolerance relative to ||A||_F, under any unitary similarity.
+    from scipy.linalg import fractional_matrix_power, logm
+
+    angle = 0.95 * math.pi / 2
+    a0 = 60.0 * random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=100.0, seed=0)).mat
+    b0 = 60.0 * random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=100.0, seed=1)).mat
+    rng = np.random.default_rng(67)
+    for _ in range(8):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u, _ = np.linalg.qr(g)
+        a = u @ a0 @ u.conj().T
+        b = u @ b0 @ u.conj().T
+        quotient = np.linalg.solve(a, b)
+        res = relative_entropy_adaptive(a, b)
+        assert rel_frob(res.value, a @ logm(quotient)) <= 1e-13
+        assert res.error_estimate <= 1e-12 * np.linalg.norm(a)
+        lam = 0.5
+        res = tsallis_entropy_adaptive(a, b, lam)
+        want = (a @ fractional_matrix_power(quotient, lam) - a) / lam
+        assert rel_frob(res.value, want) <= 1e-13
 
 
 def test_tsallis_rejects_bad_weight():

@@ -10,7 +10,6 @@ import sectorlab.linalg as la
 from sectorlab.errors import (
     DimensionMismatch,
     IllConditioned,
-    NoConvergence,
     NotAccretive,
     NotPositiveDefinite,
     SingularMatrix,
@@ -113,6 +112,45 @@ def test_inverse_ill_conditioned():
         la.inverse(np.diag([1.0, 1e-7]), cond_cap=1e6)
 
 
+def test_inverse_accepts_accretive_matrix():
+    expected = np.array([[2, -1j], [-1j, 2]], dtype=complex) / 5
+    np.testing.assert_allclose(la.inverse(la.AccretiveMatrix.from_matrix(A_CANON)), expected, atol=1e-15)
+
+
+def test_inverse_stack_matches_slices():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    x = la.inverse(stack)
+    assert x.shape == (5, 4, 4)
+    for k in range(5):
+        np.testing.assert_allclose(x[k], la.inverse(stack[k]), rtol=0, atol=1e-13)
+
+
+def test_inverse_stack_fails_on_one_bad_slice():
+    stack = np.stack([np.eye(3) * (k + 1.0) for k in range(6)]).astype(complex)
+    singular = stack.copy()
+    singular[3] = np.ones((3, 3))
+    with pytest.raises(SingularMatrix):
+        la.inverse(singular)
+    ill = stack.copy()
+    ill[4] = np.diag([1.0, 1.0, 1e-15])
+    with pytest.raises(IllConditioned):
+        la.inverse(ill)
+    ill[4] = np.diag([1.0, 1.0, 1e-7])
+    la.inverse(ill)
+    with pytest.raises(IllConditioned):
+        la.inverse(ill, cond_cap=1e6)
+
+
+def test_inverse_stack_validation():
+    with pytest.raises(DimensionMismatch):
+        la.inverse(np.ones((2, 3, 4)))
+    bad = np.stack([np.eye(2), np.eye(2)])
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        la.inverse(bad)
+
+
 # ----------------------------------------------------------------- herm_eig
 
 
@@ -144,13 +182,6 @@ def test_herm_eig_matches_numpy_eigenvalues():
         h = _rand_herm(rng, d)
         w, _ = la.herm_eig(h)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12 * np.linalg.norm(h))
-
-
-def test_herm_eig_sweep_cap():
-    rng = np.random.default_rng(13)
-    h = _rand_herm(rng, 6)
-    with pytest.raises(NoConvergence):
-        la.herm_eig(h, max_sweeps=1)
 
 
 # --------------------------------------------------------- hpd power / log

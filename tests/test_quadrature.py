@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as scipy_special
 
-from conftest import PAIR_A, PAIR_B, PAIR_GEOMETRIC_03
+from conftest import PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs
 from sectorlab.errors import (
     EvaluationFailure,
     InvalidNodeCount,
@@ -270,3 +270,99 @@ def test_frozen_adaptive_baseline_for_canonical_pair():
     m1024 = geometric_mean(PAIR_A, PAIR_B, 0.3, GeometricMeanConfig(rule_nodes=1024))
     assert np.linalg.norm(m1024 - m512) <= 1e-11
     np.testing.assert_allclose(m1024, PAIR_GEOMETRIC_03, atol=1e-13)
+
+
+# ------------------------------------------------------------ stacked engine
+
+
+def _per_node_harmonic(x, y):
+    # reference path: t -> ((1-t) X^-1 + t Y^-1)^-1, one inverse per node
+    from sectorlab.linalg import inverse
+
+    ix = inverse(x)
+    iy = inverse(y)
+    return lambda t: inverse((1.0 - t) * ix + t * iy)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_library_integrals_match_per_node_engine(dim):
+    # Every library integral evaluates all nodes of its rule in one stacked
+    # call; the public per-node integrate_matrix over the same rule is the
+    # reference it must reproduce.
+    from sectorlab.entropy import relative_entropy, tsallis_entropy
+    from sectorlab.linalg import inverse
+    from sectorlab.means import drury_mean, geometric_mean
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    a, b = accretive_pairs(1, (dim,), 0.6, seed=71)[0]
+    sa = np.linalg.norm(a)
+    sb = np.linalg.norm(b)
+    for lam in (0.1, 0.5, 0.9):
+        rule = gauss_jacobi(64, -lam, lam - 1.0)
+        gauge = sa ** (1.0 - lam) * sb**lam * math.sin(lam * math.pi) / math.pi
+        want = gauge * integrate_matrix(rule, _per_node_harmonic(a / sa, b / sb))
+        close(geometric_mean(a, b, lam), want)
+
+        h = _per_node_harmonic(a, b)
+        rule = gauss_jacobi(64, -lam, lam)
+        want = math.sin(lam * math.pi) / (lam * math.pi) * integrate_matrix(rule, lambda t: (h(t) - a) / t)
+        close(tsallis_entropy(a, b, lam), want)
+
+    rule = gauss_jacobi(64, -0.5, -0.5)
+    inner = integrate_matrix(rule, lambda u: inverse(u * a / sa + (1.0 - u) * b / sb))
+    close(drury_mean(a, b), math.sqrt(sa * sb) * inverse(inner / math.pi))
+
+    h = _per_node_harmonic(a, b)
+    want = integrate_matrix(gauss_legendre(64), lambda t: (h(t) - a) / t)
+    close(relative_entropy(a, b), want)
+
+
+def test_adaptive_library_integrals_match_per_node_engine():
+    from sectorlab.entropy import relative_entropy_adaptive
+    from sectorlab.means import geometric_mean_adaptive
+
+    a, b = accretive_pairs(1, (3,), 1.2, seed=73)[0]
+    lam = 0.3
+    sa = np.linalg.norm(a)
+    sb = np.linalg.norm(b)
+    got = geometric_mean_adaptive(a, b, lam)
+    ref = integrate_adaptive(_per_node_harmonic(a / sa, b / sb),
+                             lambda n: gauss_jacobi(n, -lam, lam - 1.0), tol=1e-12)
+    gauge = sa ** (1.0 - lam) * sb**lam * math.sin(lam * math.pi) / math.pi
+    assert got.nodes_used == ref.nodes_used
+    assert np.linalg.norm(got.value - gauge * ref.value) <= 1e-14 * np.linalg.norm(got.value)
+
+    # the entropy integrates the pair scaled by ||A||_F
+    h = _per_node_harmonic(a / sa, b / sa)
+    got = relative_entropy_adaptive(a, b)
+    ref = integrate_adaptive(lambda t: (h(t) - a / sa) / t, gauss_legendre, tol=1e-12)
+    assert got.nodes_used == ref.nodes_used
+    assert np.linalg.norm(got.value - sa * ref.value) <= 1e-14 * np.linalg.norm(got.value)
+
+
+def test_singular_interior_node_is_reported():
+    # (1-t) A^-1 + t B^-1 with A = I, B = diag(1, -c) is singular at
+    # t = c/(1+c); put that on an interior node of the 64-node rule.
+    from sectorlab.entropy import relative_entropy, tsallis_entropy
+
+    rule = gauss_legendre(64)
+    t_bad = float(rule.nodes[20])
+    a = np.eye(2, dtype=complex)
+    b = np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)
+    with pytest.raises(EvaluationFailure) as stacked:
+        relative_entropy(a, b)
+    assert stacked.value.node == t_bad
+
+    h = _per_node_harmonic(a, b)
+    with pytest.raises(EvaluationFailure) as per_node:
+        integrate_matrix(rule, lambda t: (h(t) - a) / t)
+    assert per_node.value.node == t_bad
+
+    rule = gauss_jacobi(64, -0.5, 0.5)
+    t_bad = float(rule.nodes[40])
+    b = np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)
+    with pytest.raises(EvaluationFailure) as stacked:
+        tsallis_entropy(a, b, 0.5)
+    assert stacked.value.node == t_bad
