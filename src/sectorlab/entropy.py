@@ -31,6 +31,7 @@ from .quadrature import (
     IntegralResult,
     _integrate,
     _integrate_doubling,
+    _scaled,
     gauss_jacobi,
     gauss_legendre,
 )
@@ -70,23 +71,26 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
 
 
 def _gauged_doubling(am: np.ndarray, bm: np.ndarray, factory, tol: float,
-                     max_nodes: int) -> IntegralResult:
+                     max_nodes: int, finish=lambda res: res) -> IntegralResult:
     # Both entropies are homogeneous: S(sA|sB) = s S(A|B), and likewise T_lam.
     # Integrating the pair scaled by s = ||A||_F makes ``tol`` relative to
     # ||A||_F, so results of large norm do not stall at the rounding floor.
+    # The result, and a NoConvergence payload alike, is scaled back by s
+    # before ``finish`` applies the caller's own factor.
     s = frob(am)
     if s <= 0.0:
         s = 1.0
-    res = _integrate_doubling(_entropy_path(am / s, bm / s), factory, tol, max_nodes)
-    return IntegralResult(value=s * res.value, error_estimate=s * res.error_estimate,
-                          nodes_used=res.nodes_used)
+    return _integrate_doubling(_entropy_path(am / s, bm / s), factory, tol, max_nodes,
+                               lambda res: finish(_scaled(s)(res)))
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the relative-entropy integral.
 
     ``tol`` is relative to ||A||_F: doubling stops when successive results
-    agree to ``tol * ||A||_F`` in the Frobenius norm.
+    agree to ``tol * ||A||_F`` in the Frobenius norm.  On
+    :class:`NoConvergence` the payload is the entropy at the last node count,
+    with its error estimate, scaled like a converged result.
     """
     am, bm = _pair(a, b)
     return _gauged_doubling(am, bm, gauss_legendre, tol, max_nodes)
@@ -112,15 +116,13 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
                              max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the Tsallis-entropy integral.
 
-    ``tol`` is relative to ||A||_F, as in :func:`relative_entropy_adaptive`.
+    ``tol`` is relative to ||A||_F, and the :class:`NoConvergence` payload
+    is scaled like a converged result, as in :func:`relative_entropy_adaptive`.
     """
     lam = check_weight(lam)
     am, bm = _pair(a, b)
-    res = _gauged_doubling(am, bm, partial(gauss_jacobi, alpha=-lam, beta=lam), tol, max_nodes)
-    scale = math.sin(lam * math.pi) / (lam * math.pi)
-    return IntegralResult(value=scale * res.value,
-                          error_estimate=scale * res.error_estimate,
-                          nodes_used=res.nodes_used)
+    return _gauged_doubling(am, bm, partial(gauss_jacobi, alpha=-lam, beta=lam), tol, max_nodes,
+                            _scaled(math.sin(lam * math.pi) / (lam * math.pi)))
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:

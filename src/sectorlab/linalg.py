@@ -171,11 +171,12 @@ class LoewnerTolerance:
 DEFAULT_LOEWNER_TOL = LoewnerTolerance()
 
 
-def loewner_geq(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
-    """Test X >= Y in the Loewner order, within tolerance.
+def loewner_margin(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[bool, float, float]:
+    """Test X >= Y in the Loewner order and return both margins.
 
-    Returns ``(holds, margin)`` where margin is the smallest eigenvalue of
-    X - Y; the comparison passes when
+    Returns ``(holds, margin, normalized)``: ``margin`` is the smallest
+    eigenvalue of X - Y and ``normalized`` is margin over the larger operator
+    norm of X and Y; the comparison passes when
     ``margin >= -(tol.absolute + tol.relative * max(||X||, ||Y||))``.
     """
     xm = symmetrize(x)
@@ -186,7 +187,17 @@ def loewner_geq(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[bool
     wx, _ = herm_eig(xm)
     wy, _ = herm_eig(ym)
     big = max(abs(wx[0]), abs(wx[-1]), abs(wy[0]), abs(wy[-1]))
-    return margin >= -(tol.absolute + tol.relative * big), margin
+    return margin >= -(tol.absolute + tol.relative * big), margin, margin / max(big, 1e-30)
+
+
+def loewner_geq(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
+    """Test X >= Y in the Loewner order, within tolerance.
+
+    Returns ``(holds, margin)`` where margin is the smallest eigenvalue of
+    X - Y; see :func:`loewner_margin`.
+    """
+    holds, margin, _ = loewner_margin(x, y, tol)
+    return holds, margin
 
 
 @dataclass(frozen=True, eq=False)

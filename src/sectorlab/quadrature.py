@@ -10,9 +10,12 @@ spectrally.
 
 One engine evaluates every integral: the integrand takes the whole node
 array and returns the stack ``(n, d, d)`` of its values, so the library's
-paths invert all nodes of a rule in one LAPACK call.  The public
+paths invert all nodes of a rule in one LAPACK call.  A batch of integrands
+over one rule returns ``(jobs, n, d, d)`` and is still one LAPACK call; each
+job's sum is bitwise the one it would get alone.  The public
 ``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
-stack its values node by node onto the same engine.
+stack its values node by node onto the same engine.  Rules are cached as
+validated objects.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ def _beta_fn(a: float, b: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _rule_cached(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _rule_cached(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
     # Monic Jacobi recurrence on [-1, 1] with weight (1-x)^alpha (1+x)^beta,
-    # then the affine map to (0, 1).
+    # then the affine map to (0, 1).  The validated rule itself is cached, so
+    # a warm call skips the construction and the checks in __post_init__.
     ab = alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
@@ -113,15 +117,14 @@ def _rule_cached(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     weights = weights[order]
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return QuadratureRule(kind, alpha, beta, nodes, weights)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-node Gauss-Legendre rule on [0, 1] (weight 1)."""
     if not (isinstance(n, int) and 1 <= n <= MAX_NODES):
         raise InvalidNodeCount(f"node count must be an integer in [1, {MAX_NODES}], got {n!r}")
-    nodes, weights = _rule_cached(n, 0.0, 0.0)
-    return QuadratureRule("legendre", 0.0, 0.0, nodes, weights)
+    return _rule_cached("legendre", n, 0.0, 0.0)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
@@ -130,8 +133,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
         raise InvalidNodeCount(f"node count must be an integer in [1, {MAX_NODES}], got {n!r}")
     if not (alpha > -1.0 and beta > -1.0 and math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidParameters(f"Jacobi exponents must be > -1, got alpha={alpha}, beta={beta}")
-    nodes, weights = _rule_cached(n, float(alpha), float(beta))
-    return QuadratureRule("jacobi", float(alpha), float(beta), nodes, weights)
+    return _rule_cached("jacobi", n, float(alpha), float(beta))
 
 
 def beta_normalization(lam: float) -> float:
@@ -154,12 +156,22 @@ class IntegralResult:
             raise ValueError(f"error estimate must be finite and >= 0, got {self.error_estimate}")
 
 
+def _scaled(scale: float):
+    # Multiply an integral's value and error estimate by a constant factor.
+    return lambda res: IntegralResult(value=scale * res.value,
+                                      error_estimate=scale * res.error_estimate,
+                                      nodes_used=res.nodes_used)
+
+
 #: An integrand over the whole node array: nodes (n,) -> values (n, d, d).
+#: A batch of integrands returns (jobs, n, d, d), one stack per job.
 StackedIntegrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
+def _integrate(rule: QuadratureRule, f: StackedIntegrand, batched: bool = False) -> np.ndarray:
     # Sum w_k * f(t)_k over the stacked values f(nodes), in ascending node order.
+    # A batched integrand's jobs are summed one by one with the same reduction
+    # as a lone integrand, so batching leaves every job's bits unchanged.
     try:
         vals = np.asarray(f(rule.nodes), dtype=np.complex128)
     except EvaluationFailure:
@@ -174,11 +186,14 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
                 raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
                                         node=float(t)) from exc
         raise
-    finite = np.isfinite(vals).reshape(rule.count, -1).all(axis=1)
+    jobs = vals if batched else vals[None]
+    finite = np.isfinite(jobs).reshape(len(jobs), rule.count, -1).all(axis=(0, 2))
     if not finite.all():
         t = float(rule.nodes[np.argmin(finite)])
         raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
-    return np.sum(vals * rule.weights.reshape((-1,) + (1,) * (vals.ndim - 1)), axis=0)
+    w = rule.weights.reshape((-1,) + (1,) * (jobs.ndim - 2))
+    sums = [np.sum(job * w, axis=0) for job in jobs]
+    return np.stack(sums) if batched else sums[0]
 
 
 def _integrate_doubling(
@@ -186,8 +201,12 @@ def _integrate_doubling(
     rule_factory: Callable[[int], QuadratureRule],
     tol: float,
     max_nodes: int,
+    finish: Callable[[IntegralResult], IntegralResult] = lambda res: res,
 ) -> IntegralResult:
-    # Node doubling on the stacked engine; see integrate_adaptive.
+    # Node doubling on the stacked engine; see integrate_adaptive.  ``finish``
+    # turns the raw integral into the caller's result (scale factors, the
+    # Drury inverse); it is applied to the NoConvergence payload as well, so
+    # the payload is the caller's best result, not the raw integral.
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_nodes < 32:
@@ -199,11 +218,11 @@ def _integrate_doubling(
         cur = _integrate(rule_factory(n), f)
         err = frob(cur - prev)
         if err <= tol:
-            return IntegralResult(value=cur, error_estimate=err, nodes_used=n)
+            return finish(IntegralResult(value=cur, error_estimate=err, nodes_used=n))
         prev = cur
     raise NoConvergence(
         f"adaptive integration did not reach tol={tol:g} within {max_nodes} nodes",
-        payload=IntegralResult(value=prev, error_estimate=err, nodes_used=n),
+        payload=finish(IntegralResult(value=prev, error_estimate=err, nodes_used=n)),
     )
 
 

@@ -254,6 +254,18 @@ def test_loewner_mutual_implies_equal():
             assert np.linalg.norm(x - y, 2) <= d * 1e-12 * big
 
 
+def test_loewner_margin_normalizes_by_larger_norm():
+    tol = la.LoewnerTolerance(0.0, 0.0)
+    x = np.diag([4.0, 0.5])
+    y = np.eye(2)
+    holds, margin, normalized = la.loewner_margin(x, y, tol)
+    assert (holds, margin) == la.loewner_geq(x, y, tol)
+    assert not holds and margin == pytest.approx(-0.5)
+    assert normalized == pytest.approx(-0.5 / 4.0)
+    holds, margin, normalized = la.loewner_margin(np.zeros((2, 2)), np.zeros((2, 2)), tol)
+    assert holds and margin == 0.0 and normalized == 0.0
+
+
 def test_loewner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         la.loewner_geq(np.eye(2), np.eye(3))

@@ -205,6 +205,35 @@ def test_geometric_half_line_form_consistency():
 # -------------------------------------------------------------------- drury
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
+    # The batched path slices its pairs into batches of bounded size; each
+    # slice is bitwise the mean geometric_mean computes for the pair alone.
+    import sectorlab.means as means
+
+    pairs = accretive_pairs(5, (dim,), 0.9, seed=41)
+    a = np.stack([x for x, _ in pairs])
+    b = np.stack([y for _, y in pairs])
+
+    def lone(x, y, lam):
+        # one pair through the unbatched engine, the reference arithmetic
+        sx, sy = np.linalg.norm(x), np.linalg.norm(y)
+        scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi
+        path = means._harmonic_path(x / sx, y / sy)
+        return scale * means._integrate(gauss_jacobi(64, -lam, lam - 1.0), path)
+
+    monkeypatch.setattr(means, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
+    for lam in (0.1, 0.5, 0.9, 1.0 - 0.9):
+        got = means._geometric_means(a, b, lam)
+        for k, (x, y) in enumerate(pairs):
+            assert np.array_equal(got[k], lone(x, y, lam))
+            assert np.array_equal(got[k], geometric_mean(x, y, lam))
+    cfg = GeometricMeanConfig(adaptive=True)
+    got = means._geometric_means(a[:2], b[:2], 0.3, cfg)
+    for k in range(2):
+        assert np.array_equal(got[k], geometric_mean(a[k], b[k], 0.3, cfg))
+
+
 def test_drury_scalar_examples():
     np.testing.assert_allclose(drury_mean(np.eye(2), 4.0 * np.eye(2)), 2.0 * np.eye(2), atol=1e-9)
     got = drury_mean(PAIR_A, PAIR_A)

@@ -122,6 +122,21 @@ def test_large_rule_construction():
     assert float(np.sum(rule.weights)) == pytest.approx(1.0, abs=1e-13)
 
 
+def test_rules_are_cached_as_objects():
+    # a warm call returns the validated rule it built, keyed by kind as well
+    rule = gauss_jacobi(64, -0.3, -0.7)
+    assert gauss_jacobi(64, -0.3, -0.7) is rule
+    assert gauss_legendre(16) is gauss_legendre(16)
+    jacobi = gauss_jacobi(16, 0.0, 0.0)
+    assert jacobi.kind == "jacobi" and gauss_legendre(16).kind == "legendre"
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+    # argument checks still run on every call, before the cache is consulted
+    with pytest.raises(InvalidNodeCount):
+        gauss_jacobi(64.0, -0.3, -0.7)
+    with pytest.raises(InvalidParameters):
+        gauss_jacobi(64, -1.3, -0.7)
+
+
 def test_rule_constructor_rejects_malformed_data():
     from sectorlab.quadrature import IntegralResult, QuadratureRule
 
@@ -340,6 +355,36 @@ def test_adaptive_library_integrals_match_per_node_engine():
     ref = integrate_adaptive(lambda t: (h(t) - a / sa) / t, gauss_legendre, tol=1e-12)
     assert got.nodes_used == ref.nodes_used
     assert np.linalg.norm(got.value - sa * ref.value) <= 1e-14 * np.linalg.norm(got.value)
+
+
+def test_adaptive_payloads_are_scaled_like_results():
+    # A dim-3 pair at 0.97 pi/2 that cannot reach tol 1e-15 within 32 nodes:
+    # every NoConvergence payload is the function's own result, within its
+    # error estimate of the spectral value A (A^-1 B)^lam (scipy).
+    from scipy.linalg import fractional_matrix_power, logm
+
+    from sectorlab.ensemble import SectorSpec, random_accretive
+    from sectorlab.entropy import relative_entropy_adaptive, tsallis_entropy_adaptive
+    from sectorlab.means import drury_mean_adaptive, geometric_mean_adaptive
+
+    angle = 0.97 * (math.pi / 2)
+    a = random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=100.0, seed=5)).mat
+    b = random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=100.0, seed=6)).mat
+    lam = 0.5
+    ratio = np.linalg.solve(a, b)
+    mean = a @ fractional_matrix_power(ratio, lam)
+    cases = [
+        (lambda: geometric_mean_adaptive(a, b, lam, tol=1e-15, max_nodes=32), mean),
+        (lambda: drury_mean_adaptive(a, b, tol=1e-15, max_nodes=32), mean),
+        (lambda: tsallis_entropy_adaptive(a, b, lam, tol=1e-15, max_nodes=32), (mean - a) / lam),
+        (lambda: relative_entropy_adaptive(a, b, tol=1e-15, max_nodes=32), a @ logm(ratio)),
+    ]
+    for call, want in cases:
+        with pytest.raises(NoConvergence) as exc:
+            call()
+        payload = exc.value.payload
+        assert payload.nodes_used == 32
+        assert np.linalg.norm(payload.value - want) <= payload.error_estimate
 
 
 def test_singular_interior_node_is_reported():

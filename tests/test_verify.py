@@ -108,6 +108,43 @@ def test_run_all_deterministic_bytes():
     assert doc1 == doc2
 
 
+def test_run_all_equals_each_check_alone():
+    # run_all shares one evaluation between its checks; every report must be
+    # the one the check gives when it is called alone
+    from sectorlab.verify import CHECKS_BY_ID
+
+    spec = EnsembleSpec(dim=3, trials=3, seed=5, lambda_grid=(0.2, 0.5, 0.7, 0.9))
+    reports = run_all(spec)
+    for rep in reports:
+        alone = CHECKS_BY_ID[rep.property_id](spec)
+        assert to_json(rep.to_dict()) == to_json(alone.to_dict())
+    # a grid given as a list (unhashable spec) shares the evaluation as well
+    listed = EnsembleSpec(dim=3, trials=3, seed=5, lambda_grid=[0.2, 0.5, 0.7, 0.9])
+    assert [r.to_dict() for r in run_all(listed)] == [r.to_dict() for r in reports]
+
+
+def test_mean_failure_stays_with_the_mean_checks(monkeypatch):
+    import sectorlab.means as means
+    from sectorlab.errors import SingularMatrix
+
+    spec = EnsembleSpec(dim=3, trials=3, seed=5)
+    clean = {r.property_id: r for r in run_all(spec)}
+
+    def broken(a, b):
+        raise SingularMatrix("injected")
+
+    monkeypatch.setattr(means, "_harmonic_path", broken)
+    reports = run_all(spec)
+    assert len(reports) == 9
+    for rep in reports:
+        if rep.property_id in ("check_re_harmonic", "check_re_relative_entropy"):
+            assert rep == clean[rep.property_id]
+        else:
+            assert rep.status == "error"
+            assert rep.detail == "SingularMatrix: injected"
+    assert not all_theorem_checks_clean(reports)
+
+
 def test_report_json_schema():
     spec = EnsembleSpec(dim=2, trials=2, seed=3)
     doc = reports_to_dict(spec, run_all(spec))
