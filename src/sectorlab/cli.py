@@ -22,7 +22,7 @@ from . import entropy as entropy_mod
 from . import means as means_mod
 from .errors import NoConvergence, SectorlabError
 from .linalg import MAX_DIM, AccretiveMatrix
-from .quadrature import gauss_jacobi, gauss_legendre
+from .quadrature import QuadratureConfig, gauss_jacobi, gauss_legendre
 from .serialize import to_json
 from .verify import (
     CHECKS_BY_ID,
@@ -113,76 +113,54 @@ def _require_lambda(args) -> float:
     return args.lam
 
 
-def cmd_mean(args) -> int:
-    a, b = _load_pair(args)
-    nodes_used: int | None = args.nodes
-    error_estimate: float | None = None
-    lam: float | None = None
-    if args.kind == "drury":
-        if args.lam is not None and args.lam != 0.5:
-            raise UsageError("drury is the lambda = 1/2 mean; omit --lambda or pass 0.5")
-        lam = 0.5
-        if args.adaptive:
-            res = means_mod.drury_mean_adaptive(a, b, tol=args.tol)
-            result, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
-        else:
-            result = means_mod.drury_mean(a, b, means_mod.GeometricMeanConfig(rule_nodes=args.nodes))
-    else:
-        lam = _require_lambda(args)
-        if args.kind == "arith":
-            result = means_mod.arithmetic_mean(a, b, lam)
-            nodes_used = None
-        elif args.kind == "harm":
-            result = means_mod.harmonic_mean(a, b, lam)
-            nodes_used = None
-        elif args.kind == "geom":
-            if args.adaptive:
-                res = means_mod.geometric_mean_adaptive(a, b, lam, tol=args.tol)
-                result, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
-            else:
-                cfg = means_mod.GeometricMeanConfig(rule_nodes=args.nodes)
-                result = means_mod.geometric_mean(a, b, lam, cfg)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown kind {args.kind!r}")
+def _integral(args, fixed, adaptive, *operands) -> tuple[np.ndarray, int, float | None]:
+    # (value, nodes_used, error_estimate) of one integral under --nodes, or
+    # --adaptive/--tol; a fixed rule gives no error estimate.
+    if args.adaptive:
+        res = adaptive(*operands, tol=args.tol)
+        return res.value, res.nodes_used, res.error_estimate
+    return fixed(*operands, QuadratureConfig(rule_nodes=args.nodes)), args.nodes, None
+
+
+def _write_result(args, lam: float | None, result: np.ndarray, nodes_used: int | None,
+                  error_estimate: float | None) -> int:
     payload = matrix_to_payload(result)
     payload["meta"] = {"lambda": lam, "nodes_used": nodes_used, "error_estimate": error_estimate}
     _write_text(args.out, to_json(payload))
     return EXIT_OK
+
+
+def cmd_mean(args) -> int:
+    a, b = _load_pair(args)
+    if args.kind == "drury":
+        if args.lam is not None and args.lam != 0.5:
+            raise UsageError("drury is the lambda = 1/2 mean; omit --lambda or pass 0.5")
+        return _write_result(args, 0.5, *_integral(args, means_mod.drury_mean,
+                                                   means_mod.drury_mean_adaptive, a, b))
+    lam = _require_lambda(args)
+    if args.kind == "geom":
+        return _write_result(args, lam, *_integral(args, means_mod.geometric_mean,
+                                                   means_mod.geometric_mean_adaptive, a, b, lam))
+    mean = {"arith": means_mod.arithmetic_mean, "harm": means_mod.harmonic_mean}[args.kind]
+    return _write_result(args, lam, mean(a, b, lam), None, None)
 
 
 def cmd_entropy(args) -> int:
     a, b = _load_pair(args)
-    nodes_used: int | None = args.nodes
-    error_estimate: float | None = None
-    lam: float | None = None
     if args.kind == "relative":
-        if args.adaptive:
-            res = entropy_mod.relative_entropy_adaptive(a, b, tol=args.tol)
-            result, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
-        else:
-            result = entropy_mod.relative_entropy(a, b, entropy_mod.EntropyConfig(rule_nodes=args.nodes))
-    else:  # tsallis
-        lam = _require_lambda(args)
-        if args.adaptive:
-            res = entropy_mod.tsallis_entropy_adaptive(a, b, lam, tol=args.tol)
-            result, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
-        else:
-            result = entropy_mod.tsallis_entropy(a, b, lam, entropy_mod.EntropyConfig(rule_nodes=args.nodes))
-    payload = matrix_to_payload(result)
-    payload["meta"] = {"lambda": lam, "nodes_used": nodes_used, "error_estimate": error_estimate}
-    _write_text(args.out, to_json(payload))
-    return EXIT_OK
+        return _write_result(args, None, *_integral(args, entropy_mod.relative_entropy,
+                                                    entropy_mod.relative_entropy_adaptive, a, b))
+    lam = _require_lambda(args)
+    return _write_result(args, lam, *_integral(args, entropy_mod.tsallis_entropy,
+                                               entropy_mod.tsallis_entropy_adaptive, a, b, lam))
 
 
 def cmd_rule(args) -> int:
     if args.kind == "legendre":
         rule = gauss_legendre(args.nodes)
     else:
-        if args.lam is None:
-            raise UsageError("--lambda is required for jacobi rules")
-        if not (0.0 < args.lam < 1.0):
-            raise UsageError(f"--lambda must lie strictly inside (0, 1), got {args.lam}")
-        rule = gauss_jacobi(args.nodes, alpha=-args.lam, beta=args.lam - 1.0)
+        lam = _require_lambda(args)
+        rule = gauss_jacobi(args.nodes, alpha=-lam, beta=lam - 1.0)
     doc = {
         "kind": rule.kind,
         "nodes": [float(t) for t in rule.nodes],

@@ -12,13 +12,13 @@ and the bounded path factor, which keeps the quadrature spectral; the relative
 entropy integrand is analytic on [0, 1] (limit A - A B^-1 A at t = 0), so a
 plain Gauss-Legendre rule suffices.  (A #_lam B - A)/lam is the cheaper
 single-quadrature route to the Tsallis entropy and is what most callers want;
-the direct integral stays as an independent cross-check.
+the direct integral stays as an independent cross-check.  Both share one
+body; the ``*_adaptive`` functions are that body with node doubling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -27,34 +27,17 @@ from .errors import InvalidWeight
 from .linalg import frob, hpd_log, hpd_power, inverse, symmetrize
 from .means import GeometricMeanConfig, _pair, check_weight, geometric_mean
 from .quadrature import (
+    DEFAULT_CONFIG,
     MAX_NODES,
     IntegralResult,
-    _integrate,
-    _integrate_doubling,
+    QuadratureConfig,
+    _evaluate,
     _scaled,
     gauss_jacobi,
     gauss_legendre,
 )
 
-DEFAULT_NODES = 64
-
-
-@dataclass(frozen=True)
-class EntropyConfig:
-    """Quadrature settings for the entropy integrals."""
-
-    rule_nodes: int = DEFAULT_NODES
-    adaptive: bool = False
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rule_nodes < 1:
-            raise ValueError(f"rule_nodes must be >= 1, got {self.rule_nodes}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-
-
-DEFAULT_CONFIG = EntropyConfig()
+EntropyConfig = QuadratureConfig
 
 
 def _entropy_path(a: np.ndarray, b: np.ndarray):
@@ -70,18 +53,25 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
     return path
 
 
-def _gauged_doubling(am: np.ndarray, bm: np.ndarray, factory, tol: float,
-                     max_nodes: int, finish=lambda res: res) -> IntegralResult:
-    # Both entropies are homogeneous: S(sA|sB) = s S(A|B), and likewise T_lam.
-    # Integrating the pair scaled by s = ||A||_F makes ``tol`` relative to
-    # ||A||_F, so results of large norm do not stall at the rounding floor.
-    # The result, and a NoConvergence payload alike, is scaled back by s
-    # before ``finish`` applies the caller's own factor.
-    s = frob(am)
-    if s <= 0.0:
-        s = 1.0
-    return _integrate_doubling(_entropy_path(am / s, bm / s), factory, tol, max_nodes,
-                               lambda res: finish(_scaled(s)(res)))
+def _entropy(a, b, family, cfg: EntropyConfig, max_nodes: int = MAX_NODES,
+             finish=lambda res: res) -> IntegralResult:
+    am, bm = _pair(a, b)
+    if cfg.adaptive:
+        # S(sA|sB) = s S(A|B), likewise T_lam: doubling on the pair scaled by
+        # s = ||A||_F makes ``tol`` relative to ||A||_F, so results of large
+        # norm do not stall at the rounding floor.  The result (or payload) is
+        # scaled back before ``finish``.  A fixed rule keeps the pair's bits.
+        s = frob(am)
+        if s <= 0.0:
+            s = 1.0
+        am, bm, outer = am / s, bm / s, finish
+        finish = lambda res: outer(_scaled(s)(res))
+    return _evaluate(_entropy_path(am, bm), family, cfg, finish, max_nodes)
+
+
+def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Relative operator entropy S(A|B) by Gauss-Legendre quadrature."""
+    return _entropy(a, b, gauss_legendre, cfg).value
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
@@ -92,16 +82,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     :class:`NoConvergence` the payload is the entropy at the last node count,
     with its error estimate, scaled like a converged result.
     """
-    am, bm = _pair(a, b)
-    return _gauged_doubling(am, bm, gauss_legendre, tol, max_nodes)
-
-
-def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Relative operator entropy S(A|B) by Gauss-Legendre quadrature."""
-    if cfg.adaptive:
-        return relative_entropy_adaptive(a, b, tol=cfg.tol).value
-    am, bm = _pair(a, b)
-    return _integrate(gauss_legendre(cfg.rule_nodes), _entropy_path(am, bm))
+    return _entropy(a, b, gauss_legendre, EntropyConfig(adaptive=True, tol=tol), max_nodes)
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -112,6 +93,18 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
     return symmetrize(root @ hpd_log(symmetrize(iroot @ bm @ iroot)) @ root)
 
 
+def _tsallis_entropy(a, b, lam: float, cfg: EntropyConfig,
+                     max_nodes: int = MAX_NODES) -> IntegralResult:
+    lam = check_weight(lam)
+    return _entropy(a, b, partial(gauss_jacobi, alpha=-lam, beta=lam), cfg, max_nodes,
+                    _scaled(math.sin(lam * math.pi) / (lam * math.pi)))
+
+
+def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Tsallis relative operator entropy T_lam(A|B), direct integral form."""
+    return _tsallis_entropy(a, b, lam, cfg).value
+
+
 def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
                              max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the Tsallis-entropy integral.
@@ -119,21 +112,7 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
     ``tol`` is relative to ||A||_F, and the :class:`NoConvergence` payload
     is scaled like a converged result, as in :func:`relative_entropy_adaptive`.
     """
-    lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    return _gauged_doubling(am, bm, partial(gauss_jacobi, alpha=-lam, beta=lam), tol, max_nodes,
-                            _scaled(math.sin(lam * math.pi) / (lam * math.pi)))
-
-
-def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Tsallis relative operator entropy T_lam(A|B), direct integral form."""
-    lam = check_weight(lam)
-    if cfg.adaptive:
-        return tsallis_entropy_adaptive(a, b, lam, tol=cfg.tol).value
-    am, bm = _pair(a, b)
-    rule = gauss_jacobi(cfg.rule_nodes, alpha=-lam, beta=lam)
-    scale = math.sin(lam * math.pi) / (lam * math.pi)
-    return scale * _integrate(rule, _entropy_path(am, bm))
+    return _tsallis_entropy(a, b, lam, EntropyConfig(adaptive=True, tol=tol), max_nodes)
 
 
 def tsallis_from_mean(a, b, lam: float,

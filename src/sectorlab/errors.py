@@ -10,7 +10,7 @@ class DimensionMismatch(SectorlabError):
 
 
 class SingularMatrix(SectorlabError):
-    """LU factorization met an exactly zero pivot."""
+    """LAPACK could not invert a matrix: ``np.linalg.inv`` found it singular."""
 
 
 class IllConditioned(SectorlabError):

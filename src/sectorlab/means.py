@@ -9,13 +9,13 @@ here through its integral representation
 evaluated with a Gauss-Jacobi rule whose weight absorbs the Beta kernel.  For
 Hermitian positive definite inputs the classical closed form is available as
 an independent oracle, and the half-weight Drury mean gives a second integral
-route at lam = 1/2.
+route at lam = 1/2.  Each integral mean has one body; the ``*_adaptive``
+function is that body with node doubling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -23,15 +23,17 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidScalar, InvalidWeight
 from .linalg import as_matrix, frob, hpd_power, inverse, symmetrize
 from .quadrature import (
+    DEFAULT_CONFIG,
     MAX_NODES,
     IntegralResult,
+    QuadratureConfig,
+    _evaluate,
     _integrate,
-    _integrate_doubling,
     _scaled,
     gauss_jacobi,
 )
 
-DEFAULT_NODES = 64
+GeometricMeanConfig = QuadratureConfig
 
 #: Largest batch of means evaluated in one stack, in complex entries of the
 #: (jobs, nodes, d, d) node stack (4 MiB): batching saves per-call overhead on
@@ -46,24 +48,6 @@ def check_weight(lam: float) -> float:
     if not (math.isfinite(lam) and 0.0 < lam < 1.0):
         raise InvalidWeight(f"weight must lie strictly inside (0, 1), got {lam!r}")
     return lam
-
-
-@dataclass(frozen=True)
-class GeometricMeanConfig:
-    """Quadrature settings for the integral means."""
-
-    rule_nodes: int = DEFAULT_NODES
-    adaptive: bool = False
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rule_nodes < 1:
-            raise ValueError(f"rule_nodes must be >= 1, got {self.rule_nodes}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-
-
-DEFAULT_CONFIG = GeometricMeanConfig()
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +109,20 @@ def _gauges(am: np.ndarray, bm: np.ndarray, lam: float) -> tuple[np.ndarray, np.
     return am / sa, bm / sb, sa ** (1.0 - lam) * sb**lam
 
 
+def _geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig,
+                    max_nodes: int = MAX_NODES) -> IntegralResult:
+    lam = check_weight(lam)
+    am, bm = _pair(a, b)
+    am, bm, gauge = _gauges(am, bm, lam)
+    return _evaluate(_harmonic_path(am, bm), partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0),
+                     cfg, _scaled(gauge * math.sin(lam * math.pi) / math.pi), max_nodes)
+
+
+def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Weighted geometric mean of two accretive matrices (integral form)."""
+    return _geometric_mean(a, b, lam, cfg).value
+
+
 def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
                             max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the geometric-mean integral.
@@ -132,12 +130,7 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
     On :class:`NoConvergence` the payload is the mean at the last node count,
     with its error estimate, scaled like a converged result.
     """
-    lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    am, bm, gauge = _gauges(am, bm, lam)
-    factory = partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0)
-    return _integrate_doubling(_harmonic_path(am, bm), factory, tol, max_nodes,
-                               _scaled(gauge * math.sin(lam * math.pi) / math.pi))
+    return _geometric_mean(a, b, lam, GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)
 
 
 def _geometric_means(a: np.ndarray, b: np.ndarray, lam: float,
@@ -147,8 +140,7 @@ def _geometric_means(a: np.ndarray, b: np.ndarray, lam: float,
     # slice is bitwise the mean that geometric_mean gives for that pair alone.
     lam = check_weight(lam)
     if cfg.adaptive:
-        return np.stack([geometric_mean_adaptive(x, y, lam, tol=cfg.tol).value
-                         for x, y in zip(a, b)])
+        return np.stack([_geometric_mean(x, y, lam, cfg).value for x, y in zip(a, b)])
     rule = gauss_jacobi(cfg.rule_nodes, alpha=-lam, beta=lam - 1.0)
     step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
     out = []
@@ -160,32 +152,6 @@ def _geometric_means(a: np.ndarray, b: np.ndarray, lam: float,
     return np.concatenate(out)
 
 
-def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Weighted geometric mean of two accretive matrices (integral form)."""
-    lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    return _geometric_means(am[None], bm[None], lam, cfg)[0]
-
-
-def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the Drury half-weight mean.
-
-    On :class:`NoConvergence` the payload is the mean at the last node count,
-    with its error estimate, scaled like a converged result.
-    """
-    am, bm = _pair(a, b)
-    am, bm, gauge = _gauges(am, bm, 0.5)
-
-    def finish(res: IntegralResult) -> IntegralResult:
-        return IntegralResult(value=gauge * inverse(res.value / math.pi),
-                              error_estimate=gauge * res.error_estimate / math.pi,
-                              nodes_used=res.nodes_used)
-
-    return _integrate_doubling(_convex_inverse_path(am, bm),
-                               partial(gauss_jacobi, alpha=-0.5, beta=-0.5), tol, max_nodes,
-                               finish)
-
-
 def _convex_inverse_path(a: np.ndarray, b: np.ndarray):
     # u -> (uA + (1-u)B)^-1 over a node array (or a scalar u), one batched inverse.
     def path(u) -> np.ndarray:
@@ -193,6 +159,20 @@ def _convex_inverse_path(a: np.ndarray, b: np.ndarray):
         return inverse(u * a + (1.0 - u) * b)
 
     return path
+
+
+def _drury_mean(a, b, cfg: GeometricMeanConfig, max_nodes: int = MAX_NODES) -> IntegralResult:
+    am, bm = _pair(a, b)
+    am, bm, gauge = _gauges(am, bm, 0.5)
+
+    def finish(res: IntegralResult) -> IntegralResult:
+        # The mean inverts the integral; the estimate is the integral's, scaled.
+        return IntegralResult(value=gauge * inverse(res.value / math.pi),
+                              error_estimate=gauge * res.error_estimate / math.pi,
+                              nodes_used=res.nodes_used)
+
+    return _evaluate(_convex_inverse_path(am, bm), partial(gauss_jacobi, alpha=-0.5, beta=-0.5),
+                     cfg, finish, max_nodes)
 
 
 def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -204,13 +184,16 @@ def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
 
         A # B = ( 1/pi * integral_0^1 (uA + (1-u)B)^-1 [u(1-u)]^(-1/2) du )^-1.
     """
-    if cfg.adaptive:
-        return drury_mean_adaptive(a, b, tol=cfg.tol).value
-    am, bm = _pair(a, b)
-    am, bm, gauge = _gauges(am, bm, 0.5)
-    rule = gauss_jacobi(cfg.rule_nodes, alpha=-0.5, beta=-0.5)
-    inner = _integrate(rule, _convex_inverse_path(am, bm)) / math.pi
-    return gauge * inverse(inner)
+    return _drury_mean(a, b, cfg).value
+
+
+def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
+    """Node-doubling evaluation of the Drury half-weight mean.
+
+    On :class:`NoConvergence` the payload is the mean at the last node count,
+    with its error estimate, scaled like a converged result.
+    """
+    return _drury_mean(a, b, GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)
 
 
 def scalar_geometric(alpha: float, beta: float, lam: float) -> float:

@@ -15,13 +15,14 @@ over one rule returns ``(jobs, n, d, d)`` and is still one LAPACK call; each
 job's sum is bitwise the one it would get alone.  The public
 ``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
 stack its values node by node onto the same engine.  Rules are cached as
-validated objects.
+validated objects.  One :class:`QuadratureConfig` sets every library integral,
+and ``_evaluate`` alone reads its choice of a fixed rule or node doubling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -145,15 +146,16 @@ def beta_normalization(lam: float) -> float:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Adaptive integration outcome."""
+    """Integration outcome; a fixed rule gives no error estimate (``None``)."""
 
     value: np.ndarray
-    error_estimate: float
+    error_estimate: float | None
     nodes_used: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.error_estimate) and self.error_estimate >= 0.0):
-            raise ValueError(f"error estimate must be finite and >= 0, got {self.error_estimate}")
+        err = self.error_estimate
+        if err is not None and not (math.isfinite(err) and err >= 0.0):
+            raise ValueError(f"error estimate must be finite and >= 0, got {err}")
 
 
 def _scaled(scale: float):
@@ -224,6 +226,39 @@ def _integrate_doubling(
         f"adaptive integration did not reach tol={tol:g} within {max_nodes} nodes",
         payload=finish(IntegralResult(value=prev, error_estimate=err, nodes_used=n)),
     )
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Quadrature of every integral: a fixed ``rule_nodes``-node rule, or with
+    ``adaptive`` node doubling from 16 nodes until successive results agree to
+    ``tol``.  ``GeometricMeanConfig`` and ``EntropyConfig`` are this class.
+    """
+
+    rule_nodes: int = 64
+    adaptive: bool = False
+    tol: float = 1e-12
+
+    def __post_init__(self):
+        if self.rule_nodes < 1:
+            raise ValueError(f"rule_nodes must be >= 1, got {self.rule_nodes}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+
+
+DEFAULT_CONFIG = QuadratureConfig()
+
+
+def _evaluate(f: StackedIntegrand, family: Callable[[int], QuadratureRule], cfg: QuadratureConfig,
+              finish=lambda res: res, max_nodes: int = MAX_NODES) -> IntegralResult:
+    # Integrate f over the rule family(cfg.rule_nodes) or by node doubling;
+    # ``finish`` turns the raw integral into the caller's result.
+    if cfg.adaptive:
+        return _integrate_doubling(f, family, cfg.tol, max_nodes, finish)
+    n = cfg.rule_nodes
+    # finish scales an estimate as well, but a fixed rule has none to report.
+    res = finish(IntegralResult(value=_integrate(family(n), f), error_estimate=0.0, nodes_used=n))
+    return replace(res, error_estimate=None)
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

@@ -12,9 +12,10 @@ import math
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    s = f"{x:.17g}"
-    # Normalize "1e+05"-style exponents emitted by %g to plain JSON numbers.
-    return s
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        # "-0" is read back as the integer 0, which drops the sign of zero.
+        return "-0.0"
+    return f"{x:.17g}"
 
 
 def to_json(obj, indent: int = 0) -> str:

@@ -95,6 +95,27 @@ def test_mean_adaptive_metadata(diag_files, capsys):
     assert doc["meta"]["error_estimate"] <= 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["mean", "--kind", "geom", "--lambda", "0.3"],
+    ["mean", "--kind", "drury"],
+    ["entropy", "--kind", "relative"],
+    ["entropy", "--kind", "tsallis", "--lambda", "0.3"],
+])
+def test_integral_metadata_fixed_and_adaptive(diag_files, capsys, argv):
+    a, b = diag_files
+    argv = argv + ["--a", a, "--b", b]
+    assert main(argv + ["--nodes", "32"]) == 0
+    fixed, doc = read_stdout_matrix(capsys)
+    assert doc["meta"]["nodes_used"] == 32
+    assert doc["meta"]["error_estimate"] is None
+    assert main(argv + ["--adaptive", "--tol", "1e-10"]) == 0
+    adaptive, doc = read_stdout_matrix(capsys)
+    assert doc["meta"]["nodes_used"] >= 32
+    # tol is absolute for the means, relative to ||A||_F (here > 1) for the entropies
+    assert 0.0 <= doc["meta"]["error_estimate"] <= 1e-10 * math.hypot(1.0, 4.0)
+    np.testing.assert_allclose(adaptive, fixed, atol=1e-8)
+
+
 def test_mean_nonconvergent_adaptive_exits_3(diag_files, capsys):
     a, b = diag_files
     rc = main(["mean", "--kind", "geom", "--lambda", "0.5", "--a", a, "--b", b,
@@ -249,6 +270,12 @@ def test_matrix_round_trip_bit_exact(tmp_path):
     doc = json.loads(path.read_text())
     back = payload_to_matrix(doc)
     assert np.array_equal(back, mat)
+
+
+def test_floats_read_back_identically():
+    for x in (1e5, 1e-7, -0.0, 5e-324, -math.pi):
+        back = float(json.loads(to_json([x]))[0])
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 def test_matrix_file_validation(tmp_path):

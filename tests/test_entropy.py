@@ -16,6 +16,7 @@ from sectorlab.entropy import (
 )
 from sectorlab.ensemble import SectorSpec, random_accretive
 from sectorlab.errors import InvalidWeight, NotPositiveDefinite
+from sectorlab.means import GeometricMeanConfig, drury_mean, drury_mean_adaptive
 
 
 def rel_frob(x, y):
@@ -194,3 +195,18 @@ def test_entropy_config_validation():
     got = relative_entropy(PAIR_A, PAIR_B, cfg)
     want = relative_entropy(PAIR_A, PAIR_B)
     assert np.linalg.norm(got - want) <= 1e-10
+
+
+def test_one_config_routes_fixed_functions_to_node_doubling():
+    # One config class serves every integral, so a memo keyed on a config
+    # cannot split on which module built it.
+    assert EntropyConfig is GeometricMeanConfig
+    assert EntropyConfig() == GeometricMeanConfig()
+    cfg = EntropyConfig(adaptive=True, tol=1e-11)
+    for a, b in ((PAIR_A, PAIR_B), (60.0 * PAIR_A, 60.0 * PAIR_B)):
+        assert np.array_equal(drury_mean(a, b, cfg), drury_mean_adaptive(a, b, tol=1e-11).value)
+        assert np.array_equal(relative_entropy(a, b, cfg),
+                              relative_entropy_adaptive(a, b, tol=1e-11).value)
+        for lam in (0.3, 0.5):
+            assert np.array_equal(tsallis_entropy(a, b, lam, cfg),
+                                  tsallis_entropy_adaptive(a, b, lam, tol=1e-11).value)

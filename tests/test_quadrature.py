@@ -255,6 +255,28 @@ def test_adaptive_rejects_bad_arguments():
         integrate_adaptive(lambda t: np.eye(1), gauss_legendre, tol=1e-6, max_nodes=16)
 
 
+def test_evaluate_takes_the_rule_from_the_config():
+    # _evaluate alone chooses between a fixed rule, which reports no error
+    # estimate, and node doubling; finish applies to both.
+    from sectorlab.quadrature import QuadratureConfig, _evaluate, _scaled
+
+    def f(t):
+        return np.array([[math.exp(t), 1.0 / (2.0 - t)], [t * t, 1.0]], dtype=complex)
+
+    def stacked(nodes):
+        return np.stack([f(float(t)) for t in nodes])
+
+    fixed = _evaluate(stacked, gauss_legendre, QuadratureConfig(rule_nodes=8), _scaled(2.0))
+    assert fixed.nodes_used == 8 and fixed.error_estimate is None
+    assert np.array_equal(fixed.value, 2.0 * integrate_matrix(gauss_legendre(8), f))
+    cfg = QuadratureConfig(adaptive=True, tol=1e-13)
+    got = _evaluate(stacked, gauss_legendre, cfg, _scaled(2.0), max_nodes=256)
+    want = integrate_adaptive(f, gauss_legendre, tol=1e-13, max_nodes=256)
+    assert got.nodes_used == want.nodes_used
+    assert got.error_estimate == 2.0 * want.error_estimate
+    assert np.array_equal(got.value, 2.0 * want.value)
+
+
 def test_doubling_error_decreases_monotonically():
     # analytic integrand with a pole at t = -0.02, converging slowly enough
     # that successive doubling estimates stay above the rounding floor
