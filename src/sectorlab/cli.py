@@ -205,29 +205,24 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Operator means and entropies of accretive matrices")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mean = sub.add_parser("mean", help="weighted mean of two matrices")
-    mean.add_argument("--kind", required=True, choices=["arith", "harm", "geom", "drury"])
-    mean.add_argument("--lambda", dest="lam", type=float, default=None)
-    mean.add_argument("--a", required=True, help="path to the left matrix JSON file")
-    mean.add_argument("--b", required=True, help="path to the right matrix JSON file")
-    mean.add_argument("--nodes", type=int, default=64)
-    mean.add_argument("--adaptive", action="store_true")
-    mean.add_argument("--tol", type=float, default=1e-12)
-    mean.add_argument("--out", default="-")
-    mean.add_argument("--no-validate", action="store_true",
+    # the flags that mean and entropy share
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--lambda", dest="lam", type=float, default=None)
+    pair.add_argument("--a", required=True, help="path to the left matrix JSON file")
+    pair.add_argument("--b", required=True, help="path to the right matrix JSON file")
+    pair.add_argument("--nodes", type=int, default=64)
+    pair.add_argument("--adaptive", action="store_true")
+    pair.add_argument("--tol", type=float, default=1e-12)
+    pair.add_argument("--out", default="-")
+    pair.add_argument("--no-validate", action="store_true",
                       help="skip the accretivity check on inputs")
+
+    mean = sub.add_parser("mean", parents=[pair], help="weighted mean of two matrices")
+    mean.add_argument("--kind", required=True, choices=["arith", "harm", "geom", "drury"])
     mean.set_defaults(handler=cmd_mean)
 
-    ent = sub.add_parser("entropy", help="relative or Tsallis operator entropy")
+    ent = sub.add_parser("entropy", parents=[pair], help="relative or Tsallis operator entropy")
     ent.add_argument("--kind", required=True, choices=["relative", "tsallis"])
-    ent.add_argument("--lambda", dest="lam", type=float, default=None)
-    ent.add_argument("--a", required=True)
-    ent.add_argument("--b", required=True)
-    ent.add_argument("--nodes", type=int, default=64)
-    ent.add_argument("--adaptive", action="store_true")
-    ent.add_argument("--tol", type=float, default=1e-12)
-    ent.add_argument("--out", default="-")
-    ent.add_argument("--no-validate", action="store_true")
     ent.set_defaults(handler=cmd_entropy)
 
     rule = sub.add_parser("rule", help="dump quadrature nodes and weights")

@@ -7,6 +7,7 @@ singularity at t = 0:
     T_lam(A|B)  = sin(lam*pi)/(lam*pi)
                   * integral_0^1 t^lam (1-t)^(-lam) * (A !_t B - A)/t dt
 
+Both integrands are built on the mean's harmonic path ``means._harmonic_path``.
 The Tsallis kernel splits into a Gauss-Jacobi weight (singular Beta factor)
 and the bounded path factor, which keeps the quadrature spectral; the relative
 entropy integrand is analytic on [0, 1] (limit A - A B^-1 A at t = 0), so a
@@ -24,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidWeight
-from .linalg import frob, hpd_log, hpd_power, inverse, symmetrize
-from .means import GeometricMeanConfig, _pair, check_weight, geometric_mean
+from .linalg import frob, hpd_log
+from .means import _harmonic_path, _hpd_congruence, _pair, check_weight, geometric_mean
 from .quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
@@ -41,16 +42,10 @@ EntropyConfig = QuadratureConfig
 
 
 def _entropy_path(a: np.ndarray, b: np.ndarray):
-    # t -> (A !_t B - A)/t over a node array (or a scalar t), one batched
-    # inverse for all nodes; bounded on (0, 1), limit A - A B^-1 A at t -> 0.
-    ia = inverse(a)
-    ib = inverse(b)
-
-    def path(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return (inverse((1.0 - t) * ia + t * ib) - a) / t
-
-    return path
+    # t -> (A !_t B - A)/t over a node array; bounded on (0, 1), limit
+    # A - A B^-1 A at t -> 0.
+    harmonic = _harmonic_path(a, b)
+    return lambda t: (harmonic(t) - a) / np.reshape(t, (-1, 1, 1))
 
 
 def _entropy(a, b, family, cfg: EntropyConfig, max_nodes: int = MAX_NODES,
@@ -87,10 +82,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
     """Closed form A^(1/2) log(A^(-1/2) B A^(-1/2)) A^(1/2) for HPD inputs."""
-    am, bm = _pair(a, b)
-    root = hpd_power(am, 0.5)
-    iroot = hpd_power(am, -0.5)
-    return symmetrize(root @ hpd_log(symmetrize(iroot @ bm @ iroot)) @ root)
+    return _hpd_congruence(*_pair(a, b), hpd_log)
 
 
 def _tsallis_entropy(a, b, lam: float, cfg: EntropyConfig,
@@ -116,12 +108,10 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
 
 
 def tsallis_from_mean(a, b, lam: float,
-                      cfg: GeometricMeanConfig | None = None) -> np.ndarray:
+                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """T_lam(A|B) = (A #_lam B - A)/lam via the geometric mean."""
     lam = check_weight(lam)
     am, bm = _pair(a, b)
-    if cfg is None:
-        cfg = GeometricMeanConfig()
     return (geometric_mean(am, bm, lam, cfg) - am) / lam
 
 

@@ -6,7 +6,9 @@ here through its integral representation
 
     A #_lam B = sin(lam*pi)/pi * integral_0^1 t^(lam-1) (1-t)^(-lam) (A !_t B) dt,
 
-evaluated with a Gauss-Jacobi rule whose weight absorbs the Beta kernel.  For
+evaluated with a Gauss-Jacobi rule whose weight absorbs the Beta kernel.  The
+path t -> A !_t B is written once, in ``_harmonic_path``: the harmonic mean is
+it at one weight, and the geometric mean and the entropies integrate it.  For
 Hermitian positive definite inputs the classical closed form is available as
 an independent oracle, and the half-weight Drury mean gives a second integral
 route at lam = 1/2.  Each integral mean has one body; the ``*_adaptive``
@@ -68,29 +70,33 @@ def arithmetic_mean(a, b, lam: float) -> np.ndarray:
 def harmonic_mean(a, b, lam: float) -> np.ndarray:
     """((1-lam) A^-1 + lam B^-1)^-1."""
     lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    return inverse((1.0 - lam) * inverse(am) + lam * inverse(bm))
+    return _harmonic_path(*_pair(a, b))(lam)[0]
+
+
+def _hpd_congruence(a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
+    # A^(1/2) fn(A^(-1/2) B A^(-1/2)) A^(1/2) for HPD A, B, the closed form
+    # of the HPD geometric mean and relative entropy.
+    root = hpd_power(a, 0.5)
+    iroot = hpd_power(a, -0.5)
+    return symmetrize(root @ fn(symmetrize(iroot @ b @ iroot)) @ root)
 
 
 def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
     """Closed-form A^(1/2) (A^(-1/2) B A^(-1/2))^lam A^(1/2) for HPD inputs."""
     lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    root = hpd_power(am, 0.5)
-    iroot = hpd_power(am, -0.5)
-    mid = hpd_power(symmetrize(iroot @ bm @ iroot), lam)
-    return symmetrize(root @ mid @ root)
+    return _hpd_congruence(*_pair(a, b), partial(hpd_power, p=lam))
 
 
 def _harmonic_path(a: np.ndarray, b: np.ndarray):
-    # t -> A !_t B over a node array t (n,), one batched inverse for all
-    # nodes; the two fixed inverses are hoisted out of the path.  One pair
-    # (d, d) gives (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d).
+    # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1 over a 1-d array of weights t
+    # (a scalar is one weight), one batched inverse for all of them; the two
+    # fixed inverses are hoisted out of the path.  One pair (d, d) gives
+    # (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d).
     ia = inverse(a)[..., None, :, :]
     ib = inverse(b)[..., None, :, :]
 
     def path(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)[:, None, None]
+        t = np.asarray(t, dtype=float).reshape(-1, 1, 1)
         m = (1.0 - t) * ia + t * ib
         return inverse(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
 
@@ -148,7 +154,7 @@ def _geometric_means(a: np.ndarray, b: np.ndarray, lam: float,
         gauged = [_gauges(x, y, lam) for x, y in zip(a[k:k + step], b[k:k + step])]
         path = _harmonic_path(np.stack([g[0] for g in gauged]), np.stack([g[1] for g in gauged]))
         scale = np.array([g[2] * math.sin(lam * math.pi) / math.pi for g in gauged])
-        out.append(scale[:, None, None] * _integrate(rule, path, batched=True))
+        out.append(scale[:, None, None] * _integrate(rule, path))
     return np.concatenate(out)
 
 

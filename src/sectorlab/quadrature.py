@@ -11,8 +11,8 @@ spectrally.
 One engine evaluates every integral: the integrand takes the whole node
 array and returns the stack ``(n, d, d)`` of its values, so the library's
 paths invert all nodes of a rule in one LAPACK call.  A batch of integrands
-over one rule returns ``(jobs, n, d, d)`` and is still one LAPACK call; each
-job's sum is bitwise the one it would get alone.  The public
+over one rule returns ``(jobs, n, d, d)`` and is still one LAPACK call and one
+sum; each job's sum is bitwise the one it would get alone.  The public
 ``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
 stack its values node by node onto the same engine.  Rules are cached as
 validated objects.  One :class:`QuadratureConfig` sets every library integral,
@@ -170,10 +170,10 @@ def _scaled(scale: float):
 StackedIntegrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _integrate(rule: QuadratureRule, f: StackedIntegrand, batched: bool = False) -> np.ndarray:
+def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
     # Sum w_k * f(t)_k over the stacked values f(nodes), in ascending node order.
-    # A batched integrand's jobs are summed one by one with the same reduction
-    # as a lone integrand, so batching leaves every job's bits unchanged.
+    # A batch (jobs, n, d, d) reduces over its node axis in one sum, which
+    # leaves every job bitwise the sum it would get alone.
     try:
         vals = np.asarray(f(rule.nodes), dtype=np.complex128)
     except EvaluationFailure:
@@ -188,14 +188,11 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand, batched: bool = False)
                 raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
                                         node=float(t)) from exc
         raise
-    jobs = vals if batched else vals[None]
-    finite = np.isfinite(jobs).reshape(len(jobs), rule.count, -1).all(axis=(0, 2))
+    finite = np.isfinite(vals).all(axis=(-2, -1)).reshape(-1, rule.count).all(axis=0)
     if not finite.all():
         t = float(rule.nodes[np.argmin(finite)])
         raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
-    w = rule.weights.reshape((-1,) + (1,) * (jobs.ndim - 2))
-    sums = [np.sum(job * w, axis=0) for job in jobs]
-    return np.stack(sums) if batched else sums[0]
+    return np.sum(vals * rule.weights[:, None, None], axis=-3)
 
 
 def _integrate_doubling(
@@ -279,7 +276,8 @@ def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:
 
 
 def integrate_matrix(rule: QuadratureRule, f: Callable[[float], np.ndarray]) -> np.ndarray:
-    """Sum w_k * f(t_k) over the rule's nodes, in ascending node order.
+    """Sum w_k * f(t_k) over the rule's nodes, in ascending node order; each
+    f(t_k) is a (d, d) matrix.
 
     The reduction uses numpy's pairwise summation over the fixed node order,
     so results are deterministic and rounding stays near machine level.

@@ -10,8 +10,8 @@ deliberate exception is the arithmetic-geometric-harmonic chain search, which
 *expects* to find violations for strongly non-Hermitian inputs.
 
 The checks are small predicates over two evaluations of their ensemble.  The
-pair evaluation draws every trial pair once, with Re A, Re B and the inverses
-of all four.  The mean evaluation holds A #_lam B, B #_(1-lam) A, the
+pair evaluation draws every trial pair once, with Re A, Re B and their
+inverses.  The mean evaluation holds A #_lam B, B #_(1-lam) A, the
 homogeneity means and the HPD means (Re A) #_lam (Re B) for every weight of
 the grid; all means of one weight, over all trials, are one batch through the
 quadrature engine, one stacked inverse over every node.  The means are
@@ -19,7 +19,9 @@ bitwise those of ``geometric_mean``, so the reports do not depend on the
 batching.  ``run_all`` evaluates each once and shares it among its nine
 checks; a check called alone evaluates what it uses itself.  When the mean
 evaluation raises, the seven checks that use it report the error, and the
-harmonic and relative-entropy checks still run.
+harmonic and relative-entropy checks still run.  The AGH search reads the
+same trial pairs and batched means; it and the harmonic check take A !_lam B
+from the means module's harmonic path over their weights.
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ from .linalg import (
 from .means import (
     GeometricMeanConfig,
     _geometric_means,
+    _harmonic_path,
     arithmetic_mean,
-    geometric_mean,
     geometric_mean_hpd,
-    harmonic_mean,
     scalar_geometric,
 )
 
@@ -166,8 +167,6 @@ class _Pairs(NamedTuple):
     b: np.ndarray
     re_a: np.ndarray
     re_b: np.ndarray
-    inv_a: np.ndarray
-    inv_b: np.ndarray
     inv_re_a: np.ndarray
     inv_re_b: np.ndarray
 
@@ -178,8 +177,8 @@ def _evaluate_pairs(spec: EnsembleSpec) -> _Pairs:
     b = np.stack([y.mat for _, y in drawn])
     re_a = np.stack([real_part(x) for x in a])
     re_b = np.stack([real_part(y) for y in b])
-    inv_a, inv_b, inv_re_a, inv_re_b = np.split(inverse(np.concatenate([a, b, re_a, re_b])), 4)
-    return _Pairs(a, b, re_a, re_b, inv_a, inv_b, inv_re_a, inv_re_b)
+    inv_re_a, inv_re_b = np.split(inverse(np.concatenate([re_a, re_b])), 2)
+    return _Pairs(a, b, re_a, re_b, inv_re_a, inv_re_b)
 
 
 def _pairs(spec: EnsembleSpec) -> _Pairs:
@@ -239,14 +238,6 @@ def _means(spec: EnsembleSpec, cfg: GeometricMeanConfig,
            scales=HOMOGENEITY_SCALES) -> _Means:
     scales = tuple((float(alpha), float(beta)) for alpha, beta in scales)
     return _shared(spec, ("means", cfg, scales), lambda: _evaluate_means(spec, cfg, scales))
-
-
-def _harmonic_means(inv_x: np.ndarray, inv_y: np.ndarray, lams) -> np.ndarray:
-    # X_i !_lam Y_i = ((1-lam) X_i^-1 + lam Y_i^-1)^-1 for every trial and
-    # weight, indexed [trial, weight], from the stacked inverses in one call.
-    w = np.asarray(lams, dtype=float)[:, None, None]
-    m = (1.0 - w) * inv_x[:, None] + w * inv_y[:, None]
-    return inverse(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
 
 
 # ------------------------------------------------------------------ checks
@@ -309,8 +300,9 @@ def check_re_harmonic(spec: EnsembleSpec,
                       tol: LoewnerTolerance = DEFAULT_TOLERANCE) -> PropertyReport:
     """Re(A !_lam B) >= (Re A) !_lam (Re B)."""
     p = _pairs(spec)
-    lhs = _harmonic_means(p.inv_a, p.inv_b, spec.lambda_grid)
-    rhs = _harmonic_means(p.inv_re_a, p.inv_re_b, spec.lambda_grid)
+    # A_i !_lam B_i, indexed [trial, weight], one stacked inverse per side
+    lhs = _harmonic_path(p.a, p.b)(spec.lambda_grid)
+    rhs = _harmonic_path(p.re_a, p.re_b)(spec.lambda_grid)
     return _report("check_re_harmonic", spec, tol, lambda i: [
         _loewner(real_part(lhs[i, j]), symmetrize(rhs[i, j]), tol)
         for j in range(len(spec.lambda_grid))])
@@ -442,18 +434,19 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     at least one link broke.  Success of the search means violations >= 1.
     """
     lams = [0.5] + [l for l in spec.lambda_grid if l != 0.5]
+    p = _pairs(spec)
+    sharp = np.stack([_geometric_means(p.a, p.b, lam, cfg) for lam in lams], axis=1)
+    low = _harmonic_path(p.a, p.b)(lams)
     tally = _Tally()
     witness_detail = None
     for i in range(spec.trials):
-        a, b = trial_pair(spec, i)
         outcomes = []
         broke = None
-        for lam in lams:
-            sharp = real_part(geometric_mean(a, b, lam, cfg))
-            low = real_part(harmonic_mean(a, b, lam))
-            high = real_part(arithmetic_mean(a.mat, b.mat, lam))
-            ok_low, m_low = _loewner(sharp, low, tol)
-            ok_high, m_high = _loewner(high, sharp, tol)
+        for j, lam in enumerate(lams):
+            re_sharp = real_part(sharp[i, j])
+            high = real_part(arithmetic_mean(p.a[i], p.b[i], lam))
+            ok_low, m_low = _loewner(re_sharp, real_part(low[i, j]), tol)
+            ok_high, m_high = _loewner(high, re_sharp, tol)
             outcomes.extend([(ok_low, m_low), (ok_high, m_high)])
             if not ok_low and broke is None:
                 broke = (lam, "harmonic<=geometric")

@@ -328,7 +328,7 @@ def test_library_integrals_match_per_node_engine(dim):
     # reference it must reproduce.
     from sectorlab.entropy import relative_entropy, tsallis_entropy
     from sectorlab.linalg import inverse
-    from sectorlab.means import drury_mean, geometric_mean
+    from sectorlab.means import drury_mean, geometric_mean, harmonic_mean
 
     def close(got, want):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -354,6 +354,31 @@ def test_library_integrals_match_per_node_engine(dim):
     h = _per_node_harmonic(a, b)
     want = integrate_matrix(gauss_legendre(64), lambda t: (h(t) - a) / t)
     close(relative_entropy(a, b), want)
+
+    # the harmonic mean is the path at one weight, with the same arithmetic
+    for lam in (0.1, 0.5, 0.9):
+        assert np.array_equal(harmonic_mean(a, b, lam), h(lam))
+
+
+def test_integrate_sums_each_job_of_a_batch_alone():
+    # A batch (jobs, n, d, d) reduces every job with the lone integrand's
+    # arithmetic, and a non-finite value in any job reports its node.
+    from sectorlab.quadrature import _integrate
+
+    rng = np.random.default_rng(17)
+    for jobs, n, d in [(1, 1, 1), (2, 3, 1), (5, 16, 3), (3, 64, 2), (7, 33, 8), (2, 128, 4)]:
+        rule = gauss_jacobi(n, -0.3, -0.6)
+        vals = rng.standard_normal((jobs, n, d, d)) + 1j * rng.standard_normal((jobs, n, d, d))
+        got = _integrate(rule, lambda t: vals)
+        assert got.shape == (jobs, d, d)
+        for k in range(jobs):
+            assert np.array_equal(got[k], _integrate(rule, lambda t: vals[k]))
+            assert np.array_equal(got[k], np.sum(vals[k] * rule.weights[:, None, None], axis=0))
+        bad = vals.copy()
+        bad[jobs - 1, n // 2, d - 1, 0] = np.nan
+        with pytest.raises(EvaluationFailure) as info:
+            _integrate(rule, lambda t: bad)
+        assert info.value.node == float(rule.nodes[n // 2])
 
 
 def test_adaptive_library_integrals_match_per_node_engine():

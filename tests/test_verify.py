@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sectorlab.linalg import LoewnerTolerance, real_part
-from sectorlab.means import geometric_mean, geometric_mean_hpd, harmonic_mean
+from sectorlab.linalg import LoewnerTolerance, loewner_margin, real_part
+from sectorlab.means import arithmetic_mean, geometric_mean, geometric_mean_hpd, harmonic_mean
 from sectorlab.serialize import to_json
 from sectorlab.verify import (
     DEFAULT_TOLERANCE,
@@ -212,6 +212,51 @@ def test_frozen_witness_reproduces_deterministically():
     assert margin < -(tol.absolute + tol.relative * scale)
     rep = search_agh_counterexample(spec)
     assert rep.status == "found" and rep.violations >= 1
+
+
+def _per_trial_agh_search(spec: EnsembleSpec) -> PropertyReport:
+    # The search one trial at a time through the public means: each trial's
+    # pair drawn alone, each link's margin from loewner_margin.
+    lams = [0.5] + [l for l in spec.lambda_grid if l != 0.5]
+    worst, worst_seed, violations, detail = math.inf, 0, 0, None
+    for i in range(spec.trials):
+        a, b = trial_pair(spec, i)
+        margins, broke = [], None
+        for lam in lams:
+            sharp = real_part(geometric_mean(a, b, lam))
+            low = real_part(harmonic_mean(a, b, lam))
+            high = real_part(arithmetic_mean(a.mat, b.mat, lam))
+            for link, x, y in (("harmonic<=geometric", sharp, low),
+                               ("geometric<=arithmetic", high, sharp)):
+                holds, _, margin = loewner_margin(x, y, DEFAULT_TOLERANCE)
+                margins.append(margin)
+                if not holds and broke is None:
+                    broke = f"{link} fails at lambda={lam:g}"
+        if broke is not None:
+            violations += 1
+            if detail is None:
+                detail = f"trial {i}: {broke}"
+        if min(margins) < worst:
+            worst, worst_seed = min(margins), i
+    return PropertyReport(property_id="search_agh_counterexample", trials=spec.trials,
+                          violations=violations, worst_margin=worst, worst_seed=worst_seed,
+                          tolerance_used=DEFAULT_TOLERANCE,
+                          status="found" if violations else "warning", detail=detail)
+
+
+def test_search_equals_the_per_trial_search():
+    # The search reads the shared trial pairs and batched means; its report,
+    # margins and witness included, is the per-trial search's.
+    found = 0
+    for dim in (2, 3):
+        for angle in (0.49, 0.9):
+            for grid in ((0.5,), (0.2, 0.7), (0.1, 0.5, 0.9)):
+                spec = EnsembleSpec(dim=dim, trials=6, seed=5,
+                                    sector_angle=angle * (math.pi / 2), lambda_grid=grid)
+                want = _per_trial_agh_search(spec).to_dict()
+                assert search_agh_counterexample(spec).to_dict() == want
+                found += want["detail"] is not None
+    assert found >= 6
 
 
 def test_bilinear_inequality_direct_examples():
