@@ -4,11 +4,35 @@ import math
 import numpy as np
 import pytest
 
-from sectorlab.linalg import LoewnerTolerance, loewner_margin, real_part
-from sectorlab.means import arithmetic_mean, geometric_mean, geometric_mean_hpd, harmonic_mean
+from sectorlab.ensemble import derive_seed, random_unit_vectors
+from sectorlab.entropy import relative_entropy, relative_entropy_hpd
+from sectorlab.linalg import (
+    LoewnerTolerance,
+    frob,
+    inverse,
+    loewner_margin,
+    op_norm,
+    real_part,
+    symmetrize,
+)
+from sectorlab.means import (
+    GeometricMeanConfig,
+    arithmetic_mean,
+    geometric_mean,
+    geometric_mean_hpd,
+    harmonic_mean,
+    scalar_geometric,
+)
 from sectorlab.serialize import to_json
 from sectorlab.verify import (
+    _TAG_BILIN_X,
+    _TAG_BILIN_XSTAR,
+    _TAG_FAMILY,
     DEFAULT_TOLERANCE,
+    HOMOGENEITY_RTOL,
+    HOMOGENEITY_SCALES,
+    SYMMETRY_RTOL,
+    THEOREM_CHECKS,
     EnsembleSpec,
     PropertyReport,
     all_theorem_checks_clean,
@@ -298,3 +322,126 @@ def test_search_report_includes_status_key():
     doc = rep.to_dict()
     assert doc["status"] in ("found", "warning")
     assert "property_id" in doc and doc["property_id"] == "search_agh_counterexample"
+
+
+# ------------------------------------------------------ per-trial reference
+
+
+def _per_trial_reports(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_size=3,
+                       pairs_per_trial=8, scales=HOMOGENEITY_SCALES) -> dict:
+    # The nine checks one trial at a time through the public API: each
+    # trial's pair drawn alone, each mean and entropy computed alone, each
+    # Loewner margin from loewner_margin and each sum in Python's order.
+    tol = DEFAULT_TOLERANCE
+
+    def loewner(x, y):
+        holds, _, margin = loewner_margin(x, y, tol)
+        return holds, margin
+
+    def scalar(lhs, rhs):
+        gap = rhs - lhs
+        return gap >= -(tol.absolute + tol.relative * abs(rhs)), gap / max(abs(rhs), 1e-30)
+
+    def relative(dev, norm, rtol):
+        rel = dev / max(norm, 1e-30)
+        return not rel > rtol, -rel
+
+    outcomes = {fn.__name__: [] for fn in THEOREM_CHECKS}
+    for i in range(spec.trials):
+        a, b = (x.mat for x in trial_pair(spec, i))
+        re_a, re_b = real_part(a), real_part(b)
+        inv_a, inv_b = inverse(re_a), inverse(re_b)
+        family = random_unit_vectors(spec.dim, family_size, derive_seed(spec.seed, _TAG_FAMILY, i))
+        xs = random_unit_vectors(spec.dim, pairs_per_trial, derive_seed(spec.seed, _TAG_BILIN_X, i))
+        xstars = random_unit_vectors(spec.dim, pairs_per_trial,
+                                     derive_seed(spec.seed, _TAG_BILIN_XSTAR, i))
+        trial = {name: [] for name in outcomes}
+        trial["check_re_relative_entropy"].append(loewner(
+            real_part(relative_entropy(a, b, cfg)), relative_entropy_hpd(re_a, re_b)))
+        for lam in spec.lambda_grid:
+            sharp = geometric_mean(a, b, lam, cfg)
+            re_sharp = real_part(sharp)
+            inv_sharp = inverse(re_sharp)
+            hpd = geometric_mean_hpd(re_a, re_b, lam)
+            trial["check_re_geometric"].append(loewner(re_sharp, hpd))
+            trial["check_re_harmonic"].append(loewner(
+                real_part(harmonic_mean(a, b, lam)), harmonic_mean(re_a, re_b, lam)))
+            trial["check_re_tsallis"].append(loewner(
+                real_part((sharp - a) / lam), symmetrize((hpd - re_a) / lam)))
+            sum_a = sum(np.vdot(x, inv_a @ x).real for x in family)
+            sum_b = sum(np.vdot(x, inv_b @ x).real for x in family)
+            trial["check_vector_family"].append(scalar(
+                sum(np.vdot(x, inv_sharp @ x).real for x in family),
+                scalar_geometric(sum_a, sum_b, lam)))
+            trial["check_norm_inequality"].append(scalar(
+                op_norm(inv_sharp), scalar_geometric(op_norm(inv_a), op_norm(inv_b), lam)))
+            for x, xstar in zip(xs, xstars):
+                quad_ab = scalar_geometric(np.vdot(x, inv_a @ x).real,
+                                           np.vdot(x, inv_b @ x).real, lam)
+                trial["check_bilinear"].append(scalar(
+                    float(np.vdot(x, xstar).real) ** 2,
+                    np.vdot(xstar, re_sharp @ xstar).real * quad_ab))
+            for alpha, beta in scales:
+                dev = frob(geometric_mean(alpha * a, beta * b, lam, cfg)
+                           - scalar_geometric(alpha, beta, lam) * sharp)
+                trial["check_homogeneity"].append(relative(dev, frob(sharp), HOMOGENEITY_RTOL))
+            flip = geometric_mean(b, a, 1.0 - lam, cfg)
+            trial["check_symmetry"].append(
+                relative(frob(sharp - flip), frob(sharp), SYMMETRY_RTOL))
+        for name, got in trial.items():
+            outcomes[name].append(got)
+
+    tolerances = {
+        "check_homogeneity": LoewnerTolerance(absolute=0.0, relative=HOMOGENEITY_RTOL),
+        "check_symmetry": LoewnerTolerance(absolute=0.0, relative=SYMMETRY_RTOL),
+    }
+    reports = {}
+    for name, trials in outcomes.items():
+        worst, worst_seed, violations = math.inf, 0, 0
+        for i, got in enumerate(trials):
+            violations += not all(holds for holds, _ in got)
+            low = min(margin for _, margin in got)
+            if low < worst:
+                worst, worst_seed = low, i
+        reports[name] = PropertyReport(property_id=name, trials=spec.trials,
+                                       violations=violations, worst_margin=worst,
+                                       worst_seed=worst_seed,
+                                       tolerance_used=tolerances.get(name, tol))
+    return reports
+
+
+REFERENCE_SPECS = (
+    EnsembleSpec(dim=1, trials=5, seed=2),
+    EnsembleSpec(dim=2, trials=4, seed=9, sector_angle=0.9 * (math.pi / 2), lambda_grid=(0.3, 0.7)),
+    EnsembleSpec(dim=3, trials=4, seed=3),
+    EnsembleSpec(dim=3, trials=3, seed=1, sector_angle=0.0, lambda_grid=(0.2, 0.6)),
+    EnsembleSpec(dim=5, trials=3, seed=4, sector_angle=0.8 * (math.pi / 2),
+                 lambda_grid=(0.2, 0.5, 0.7, 0.9)),
+)
+
+
+def test_reports_equal_the_per_trial_reference():
+    # Every report, bytes included, is the one the checks give one trial at a
+    # time through the public API, in run_all and called alone with options.
+    for spec in REFERENCE_SPECS:
+        want = _per_trial_reports(spec)
+        assert [to_json(r.to_dict()) for r in run_all(spec)] == [
+            to_json(want[fn.__name__].to_dict()) for fn in THEOREM_CHECKS]
+    spec = EnsembleSpec(dim=3, trials=3, seed=6, sector_angle=0.9 * (math.pi / 2),
+                        lambda_grid=(0.25, 0.75))
+    cfg = GeometricMeanConfig(rule_nodes=24)
+    scales = ((2.0, 0.5), (1.0, 1.0), (3.0, 3.0))
+    want = _per_trial_reports(spec, cfg, family_size=5, pairs_per_trial=2, scales=scales)
+    alone = (
+        check_re_geometric(spec, cfg=cfg),
+        check_re_harmonic(spec),
+        check_re_relative_entropy(spec, cfg=cfg),
+        check_re_tsallis(spec, cfg=cfg),
+        check_vector_family(spec, family_size=5, cfg=cfg),
+        check_norm_inequality(spec, cfg=cfg),
+        check_bilinear(spec, pairs_per_trial=2, cfg=cfg),
+        check_homogeneity(spec, scales=scales, cfg=cfg),
+        check_symmetry(spec, cfg=cfg),
+    )
+    for rep in alone:
+        assert to_json(rep.to_dict()) == to_json(want[rep.property_id].to_dict())
