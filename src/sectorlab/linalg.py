@@ -3,9 +3,9 @@
 Everything here works on square ``complex128`` arrays.  Hermitian inputs and
 outputs are Hermitian *bitwise* (constructed by symmetrization), so downstream
 code may rely on ``H == H.conj().T`` exactly rather than approximately.  The
-inverse and the Hermitian eigensolver are LAPACK's, through ``np.linalg``;
-``inverse`` also takes a stack of matrices, so a quadrature rule's nodes are
-inverted in one call.
+inverse and the Hermitian eigensolver are LAPACK's, through ``np.linalg``.
+The functions that say so also take a stack ``(..., d, d)`` of matrices and
+treat each slice bitwise as they would treat it alone.
 """
 
 from __future__ import annotations
@@ -49,14 +49,26 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _as_stack(a) -> np.ndarray:
+    # as_matrix, extended to stacks (..., d, d) of square matrices
+    if np.ndim(a) <= 2:
+        return as_matrix(a)
+    m = np.asarray(a, dtype=np.complex128)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix stack has non-finite entries")
+    return m
+
+
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A*)/2, bitwise Hermitian."""
-    m = as_matrix(a)
-    return (m + m.conj().T) / 2
+    """Return (A + A*)/2, bitwise Hermitian; of each slice of a stack."""
+    m = _as_stack(a)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def real_part(a) -> np.ndarray:
-    """Hermitian real part (A + A*)/2 of the Cartesian decomposition."""
+    """Hermitian real part (A + A*)/2 of the Cartesian decomposition (per slice)."""
     return symmetrize(a)
 
 
@@ -72,7 +84,7 @@ def frob(a) -> float:
 
 
 def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
-    """Invert a square complex matrix, or every slice of a stack ``(n, d, d)``.
+    """Invert a square complex matrix, or every slice of a stack ``(..., d, d)``.
 
     One LAPACK call (``np.linalg.inv``) covers the whole stack.
 
@@ -81,14 +93,7 @@ def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
         IllConditioned: in some slice the estimate ||A||_F * ||X||_F exceeded
             ``cond_cap``.
     """
-    if np.ndim(a) == 3:
-        m = np.asarray(a, dtype=np.complex128)
-        if m.shape[1] != m.shape[2]:
-            raise DimensionMismatch(f"expected a stack of square matrices, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix stack has non-finite entries")
-    else:
-        m = as_matrix(a)
+    m = _as_stack(a)
     try:
         x = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
@@ -106,14 +111,14 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     h : array_like
-        Hermitian matrix (symmetrized on entry, so near-Hermitian input is
-        tolerated).
+        Hermitian matrix or stack of them (symmetrized on entry, so
+        near-Hermitian input is tolerated).
 
     Returns
     -------
     (w, v)
         ``w`` ascending real eigenvalues, ``v`` unitary with columns the
-        eigenvectors, so that ``h = v @ diag(w) @ v.conj().T``.
+        eigenvectors, so that ``h = v @ diag(w) @ v.conj().T`` (per slice).
 
     Raises
     ------
@@ -128,27 +133,32 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 def _hpd_map(h, fn, what: str) -> np.ndarray:
     w, v = herm_eig(h)
-    if w[0] <= 0.0:
+    if np.min(w) <= 0.0:
         raise NotPositiveDefinite(f"{what} needs a positive definite argument "
-                                  f"(smallest eigenvalue {w[0]:.3e})")
-    return symmetrize((v * fn(w)) @ v.conj().T)
+                                  f"(smallest eigenvalue {np.min(w):.3e})")
+    return symmetrize((v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def hpd_power(h, p: float) -> np.ndarray:
-    """Fractional power H^p of a Hermitian positive definite matrix."""
+    """Fractional power H^p of a Hermitian positive definite matrix (or stack)."""
     return _hpd_map(h, lambda w: w**p, f"hpd_power(p={p})")
 
 
 def hpd_log(h) -> np.ndarray:
-    """Matrix logarithm of a Hermitian positive definite matrix."""
+    """Matrix logarithm of a Hermitian positive definite matrix (or stack)."""
     return _hpd_map(h, np.log, "hpd_log")
 
 
-def op_norm(a) -> float:
-    """Operator (spectral) norm: largest singular value."""
-    m = as_matrix(a)
-    w, _ = herm_eig(m.conj().T @ m)
-    return math.sqrt(max(float(w[-1]), 0.0))
+def _item(x):
+    # A lone matrix's result as a Python scalar, a stack's as an array.
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def op_norm(a):
+    """Operator (spectral) norm: largest singular value (of each slice of a stack)."""
+    m = _as_stack(a)
+    w, _ = herm_eig(m.conj().swapaxes(-1, -2) @ m)
+    return _item(np.sqrt(np.maximum(w[..., -1], 0.0)))
 
 
 @dataclass(frozen=True)
@@ -177,17 +187,18 @@ def loewner_margin(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[b
     Returns ``(holds, margin, normalized)``: ``margin`` is the smallest
     eigenvalue of X - Y and ``normalized`` is margin over the larger operator
     norm of X and Y; the comparison passes when
-    ``margin >= -(tol.absolute + tol.relative * max(||X||, ||Y||))``.
+    ``margin >= -(tol.absolute + tol.relative * max(||X||, ||Y||))``.  For
+    stacks ``(..., d, d)`` each of the three is an array over the stack.
     """
     xm = symmetrize(x)
     ym = symmetrize(y)
     if xm.shape != ym.shape:
         raise DimensionMismatch(f"shape {xm.shape} vs {ym.shape}")
-    margin = float(herm_eig(xm - ym)[0][0])
-    wx, _ = herm_eig(xm)
-    wy, _ = herm_eig(ym)
-    big = max(abs(wx[0]), abs(wx[-1]), abs(wy[0]), abs(wy[-1]))
-    return margin >= -(tol.absolute + tol.relative * big), margin, margin / max(big, 1e-30)
+    w, _ = herm_eig(np.stack([xm - ym, xm, ym]))
+    margin = w[0, ..., 0]
+    big = np.max(np.abs(w[1:, ..., [0, -1]]), axis=(0, -1))
+    holds = margin >= -(tol.absolute + tol.relative * big)
+    return _item(holds), _item(margin), _item(margin / np.maximum(big, 1e-30))
 
 
 def loewner_geq(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
@@ -196,8 +207,7 @@ def loewner_geq(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[bool
     Returns ``(holds, margin)`` where margin is the smallest eigenvalue of
     X - Y; see :func:`loewner_margin`.
     """
-    holds, margin, _ = loewner_margin(x, y, tol)
-    return holds, margin
+    return loewner_margin(x, y, tol)[:2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,8 +97,7 @@ def _harmonic_path(a: np.ndarray, b: np.ndarray):
 
     def path(t) -> np.ndarray:
         t = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-        m = (1.0 - t) * ia + t * ib
-        return inverse(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
+        return inverse((1.0 - t) * ia + t * ib)
 
     return path
 
@@ -139,19 +138,25 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
     return _geometric_mean(a, b, lam, GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)
 
 
+def _batches(rule, a: np.ndarray) -> list[slice]:
+    # Slices of stacked pairs (jobs, d, d) whose node stacks under the rule
+    # hold at most _BATCH_ENTRIES matrix entries each.
+    step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
+    return [slice(k, k + step) for k in range(0, len(a), step)]
+
+
 def _geometric_means(a: np.ndarray, b: np.ndarray, lam: float,
                      cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
     # A_k #_lam B_k for stacked pairs (jobs, d, d): one rule and one stacked
-    # inverse per batch of at most _BATCH_ENTRIES node-matrix entries.  Every
-    # slice is bitwise the mean that geometric_mean gives for that pair alone.
+    # inverse per batch.  Every slice is bitwise the mean that geometric_mean
+    # gives for that pair alone.
     lam = check_weight(lam)
     if cfg.adaptive:
         return np.stack([_geometric_mean(x, y, lam, cfg).value for x, y in zip(a, b)])
     rule = gauss_jacobi(cfg.rule_nodes, alpha=-lam, beta=lam - 1.0)
-    step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
     out = []
-    for k in range(0, len(a), step):
-        gauged = [_gauges(x, y, lam) for x, y in zip(a[k:k + step], b[k:k + step])]
+    for k in _batches(rule, a):
+        gauged = [_gauges(x, y, lam) for x, y in zip(a[k], b[k])]
         path = _harmonic_path(np.stack([g[0] for g in gauged]), np.stack([g[1] for g in gauged]))
         scale = np.array([g[2] * math.sin(lam * math.pi) / math.pi for g in gauged])
         out.append(scale[:, None, None] * _integrate(rule, path))

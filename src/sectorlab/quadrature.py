@@ -279,8 +279,8 @@ def integrate_matrix(rule: QuadratureRule, f: Callable[[float], np.ndarray]) -> 
     """Sum w_k * f(t_k) over the rule's nodes, in ascending node order; each
     f(t_k) is a (d, d) matrix.
 
-    The reduction uses numpy's pairwise summation over the fixed node order,
-    so results are deterministic and rounding stays near machine level.
+    The reduction adds the node terms one after another in that fixed order,
+    so results are deterministic, and the rounding bound grows like n * eps.
     """
     return _integrate(rule, _stacked(f))
 

@@ -9,50 +9,49 @@ theorem-backed check is a numerical bug, not a math failure; the one
 deliberate exception is the arithmetic-geometric-harmonic chain search, which
 *expects* to find violations for strongly non-Hermitian inputs.
 
-The checks are small predicates over two evaluations of their ensemble.  The
-pair evaluation draws every trial pair once, with Re A, Re B and their
-inverses.  The mean evaluation holds A #_lam B, B #_(1-lam) A, the
-homogeneity means and the HPD means (Re A) #_lam (Re B) for every weight of
-the grid; all means of one weight, over all trials, are one batch through the
-quadrature engine, one stacked inverse over every node.  The means are
-bitwise those of ``geometric_mean``, so the reports do not depend on the
-batching.  ``run_all`` evaluates each once and shares it among its nine
-checks; a check called alone evaluates what it uses itself.  When the mean
-evaluation raises, the seven checks that use it report the error, and the
-harmonic and relative-entropy checks still run.  The AGH search reads the
-same trial pairs and batched means; it and the harmonic check take A !_lam B
-from the means module's harmonic path over their weights.
+The checks are small predicates over two evaluations of their ensemble,
+stacked over trials: the pairs (every trial pair drawn once, with Re A, Re B
+and their inverses) and the means (A #_lam B, B #_(1-lam) A, the homogeneity
+means and the HPD means (Re A) #_lam (Re B), each weight's means over all
+trials one batch through the quadrature engine).  A predicate returns whether
+each comparison holds and its margin as arrays indexed [trial, ...], and one
+reduction makes the report: a trial with a failed comparison is a violation,
+and the worst margin is the first minimum in trial order.  ``run_all`` makes
+both evaluations once for its nine predicates, and a check called alone makes
+its own.  When the means raise, the seven checks that read them report the
+error.  Every stacked value is bitwise what the public functions give for one
+trial alone, so a report does not depend on the stacking.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .ensemble import GENERATOR_NAME, SectorSpec, derive_seed, random_accretive, random_unit_vectors
-from .entropy import EntropyConfig, relative_entropy, relative_entropy_hpd
+from .entropy import EntropyConfig, _relative_entropies
 from .errors import SectorlabError
 from .linalg import (
     MAX_DIM,
     LoewnerTolerance,
     frob,
+    hpd_log,
+    hpd_power,
     inverse,
     loewner_margin,
     op_norm,
     real_part,
-    symmetrize,
 )
 from .means import (
     GeometricMeanConfig,
     _geometric_means,
     _harmonic_path,
-    arithmetic_mean,
-    geometric_mean_hpd,
+    _hpd_congruence,
     scalar_geometric,
 )
 
@@ -140,24 +139,7 @@ def trial_pair(spec: EnsembleSpec, trial: int):
     return a, b
 
 
-# ------------------------------------------------------- shared evaluations
-
-#: Inside run_all: (its spec, the evaluations made so far for its checks).
-_SHARED: ContextVar = ContextVar("sectorlab_verify_shared", default=None)
-
-
-def _shared(spec: EnsembleSpec, key, evaluate):
-    # Inside run_all, evaluate once per key and give every check the same
-    # result; a check called alone evaluates afresh, and so does each check
-    # after an evaluation raised.  The spec is matched by identity, so it
-    # need not be hashable.
-    scope = _SHARED.get()
-    if scope is None or scope[0] is not spec:
-        return evaluate()
-    memo = scope[1]
-    if key not in memo:
-        memo[key] = evaluate()
-    return memo[key]
+# --------------------------------------------------------------- evaluation
 
 
 class _Pairs(NamedTuple):
@@ -165,24 +147,14 @@ class _Pairs(NamedTuple):
 
     a: np.ndarray
     b: np.ndarray
-    re_a: np.ndarray
-    re_b: np.ndarray
-    inv_re_a: np.ndarray
-    inv_re_b: np.ndarray
+    re: np.ndarray  # Re A and Re B, indexed [side, trial]
+    inv_re: np.ndarray  # (Re A)^-1 and (Re B)^-1, indexed [side, trial]
 
 
 def _evaluate_pairs(spec: EnsembleSpec) -> _Pairs:
-    drawn = [trial_pair(spec, i) for i in range(spec.trials)]
-    a = np.stack([x.mat for x, _ in drawn])
-    b = np.stack([y.mat for _, y in drawn])
-    re_a = np.stack([real_part(x) for x in a])
-    re_b = np.stack([real_part(y) for y in b])
-    inv_re_a, inv_re_b = np.split(inverse(np.concatenate([re_a, re_b])), 2)
-    return _Pairs(a, b, re_a, re_b, inv_re_a, inv_re_b)
-
-
-def _pairs(spec: EnsembleSpec) -> _Pairs:
-    return _shared(spec, "pairs", lambda: _evaluate_pairs(spec))
+    pairs = np.stack([[x.mat for x in trial_pair(spec, i)] for i in range(spec.trials)], axis=1)
+    re = real_part(pairs)
+    return _Pairs(*pairs, re, inverse(re))
 
 
 class _Means(NamedTuple):
@@ -192,15 +164,17 @@ class _Means(NamedTuple):
     re_sharp: np.ndarray  # Re(A #_lam B)
     inv_re_sharp: np.ndarray  # (Re(A #_lam B))^-1
     flip: np.ndarray  # B #_(1-lam) A
+    scales: tuple  # the homogeneity scales (alpha, beta)
     scaled: np.ndarray  # (alpha A) #_lam (beta B), one per homogeneity scale
     hpd: np.ndarray  # (Re A) #_lam (Re B)
 
 
-def _evaluate_means(spec: EnsembleSpec, cfg: GeometricMeanConfig, scales) -> _Means:
+def _evaluate_means(spec: EnsembleSpec, p: _Pairs, cfg: GeometricMeanConfig,
+                    scales=HOMOGENEITY_SCALES) -> _Means:
     # Every mean of one weight, over all trials, is one batch; B #_(1-lam) A
     # joins the batch of 1-lam when that weight is also on the grid.  The
     # unit homogeneity scale is A #_lam B itself, bitwise, as 1.0 * A == A.
-    p = _pairs(spec)
+    scales = tuple((float(alpha), float(beta)) for alpha, beta in scales)
     batches = defaultdict(list)
     for j, lam in enumerate(spec.lambda_grid):
         batches[lam].append((("sharp", j), p.a, p.b))
@@ -222,110 +196,173 @@ def _evaluate_means(spec: EnsembleSpec, cfg: GeometricMeanConfig, scales) -> _Me
         return np.stack([got[(slot[0], j) + slot[1:]] for j in grid], axis=1)
 
     sharp = over_grid("sharp")
-    re_sharp = np.stack([real_part(x) for x in sharp.reshape((-1,) + sharp.shape[-2:])])
+    re_sharp = real_part(sharp)
     return _Means(
         sharp=sharp,
-        re_sharp=re_sharp.reshape(sharp.shape),
-        inv_re_sharp=inverse(re_sharp).reshape(sharp.shape),
+        re_sharp=re_sharp,
+        inv_re_sharp=inverse(re_sharp),
         flip=over_grid("flip"),
+        scales=scales,
         scaled=np.stack([over_grid("scaled", k) for k in range(len(scales))], axis=2),
-        hpd=np.stack([[geometric_mean_hpd(ra, rb, lam) for lam in spec.lambda_grid]
-                      for ra, rb in zip(p.re_a, p.re_b)]),
+        # geometric_mean_hpd of every trial: the closed form on the stack
+        hpd=np.stack([_hpd_congruence(*p.re, partial(hpd_power, p=lam))
+                      for lam in spec.lambda_grid], axis=1),
     )
 
 
-def _means(spec: EnsembleSpec, cfg: GeometricMeanConfig,
-           scales=HOMOGENEITY_SCALES) -> _Means:
-    scales = tuple((float(alpha), float(beta)) for alpha, beta in scales)
-    return _shared(spec, ("means", cfg, scales), lambda: _evaluate_means(spec, cfg, scales))
+# -------------------------------------------------------------- predicates
+#
+# A predicate takes the spec, the pair and mean evaluations and the tolerance,
+# and returns (holds, margin) arrays indexed [trial, comparison...], with a
+# trial's comparisons in the order a per-trial check makes them.  For Loewner
+# comparisons that is loewner_margin(...)[::2], its holds and normalized margin.
+
+
+def _scalar_margin(lhs, rhs, tol: LoewnerTolerance):
+    gap = rhs - lhs
+    holds = gap >= -(tol.absolute + tol.relative * np.abs(rhs))
+    return holds, gap / np.maximum(np.abs(rhs), 1e-30)
+
+
+def _relative_margin(dev, norm, tol: LoewnerTolerance):
+    rel = dev / np.maximum(norm, 1e-30)
+    return ~(rel > tol.relative), -rel
+
+
+# One call per element or matrix: numpy's vectorized power, its x * x and its
+# norm over the last two axes round differently from these scalar forms.
+_scalar_geometrics = np.vectorize(scalar_geometric, otypes=[float])
+_squares = np.vectorize(lambda x: x**2, otypes=[float])
+_frobs = np.vectorize(frob, signature="(n,n)->()", otypes=[float])
+
+
+def _unit_vectors(spec: EnsembleSpec, tag: int, count: int) -> np.ndarray:
+    # (trials, count, dim): each trial's vectors from its own seeded stream
+    return np.stack([random_unit_vectors(spec.dim, count, derive_seed(spec.seed, tag, i))
+                     for i in range(spec.trials)])
+
+
+def _quadratic_forms(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # np.vdot(x, M @ x).real for m (..., d, d) and the vectors xs (..., count, d)
+    return (xs.conj()[..., None, :] @ (m[..., None, :, :] @ xs[..., None]))[..., 0, 0].real
+
+
+def _sum(terms: np.ndarray) -> np.ndarray:
+    # Python's sum over the last axis, left to right from 0, on every element;
+    # numpy's sum pairs the terms of a long axis.
+    return sum(np.moveaxis(terms, -1, 0))
+
+
+def _re_geometric(spec, p: _Pairs, m: _Means, tol):
+    return loewner_margin(m.re_sharp, m.hpd, tol)[::2]
+
+
+def _re_harmonic(spec, p: _Pairs, m, tol):
+    # A !_lam B and (Re A) !_lam (Re B), indexed [side, trial, weight]
+    lhs, rhs = _harmonic_path(np.stack([p.a, p.re[0]]), np.stack([p.b, p.re[1]]))(spec.lambda_grid)
+    return loewner_margin(real_part(lhs), rhs, tol)[::2]
+
+
+def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
+    # relative_entropy_hpd of every trial: the closed form on the stack
+    return loewner_margin(real_part(_relative_entropies(p.a, p.b, cfg)),
+                          _hpd_congruence(*p.re, hpd_log), tol)[::2]
+
+
+def _re_tsallis(spec, p: _Pairs, m: _Means, tol):
+    lam = np.array(spec.lambda_grid)[:, None, None]
+    return loewner_margin(real_part((m.sharp - p.a[:, None]) / lam),
+                          (m.hpd - p.re[0][:, None]) / lam, tol)[::2]
+
+
+def _vector_family(spec, p: _Pairs, m: _Means, tol, family_size: int = 3):
+    xs = _unit_vectors(spec, _TAG_FAMILY, family_size)
+    sum_a, sum_b = _sum(_quadratic_forms(p.inv_re, xs))[..., None]
+    return _scalar_margin(_sum(_quadratic_forms(m.inv_re_sharp, xs[:, None])),
+                          _scalar_geometrics(sum_a, sum_b, spec.lambda_grid), tol)
+
+
+def _norm_inequality(spec, p: _Pairs, m: _Means, tol):
+    norm_a, norm_b = op_norm(p.inv_re)[..., None]
+    return _scalar_margin(op_norm(m.inv_re_sharp),
+                          _scalar_geometrics(norm_a, norm_b, spec.lambda_grid), tol)
+
+
+def _bilinear(spec, p: _Pairs, m: _Means, tol, pairs_per_trial: int = 8):
+    xs = _unit_vectors(spec, _TAG_BILIN_X, pairs_per_trial)
+    xstars = _unit_vectors(spec, _TAG_BILIN_XSTAR, pairs_per_trial)
+    lhs = _squares((xs.conj()[..., None, :] @ xstars[..., None])[:, None, :, 0, 0].real)
+    lam = np.array(spec.lambda_grid)[:, None]
+    quad_ab = _scalar_geometrics(*_quadratic_forms(p.inv_re, xs)[:, :, None], lam)
+    return _scalar_margin(lhs, _quadratic_forms(m.re_sharp, xstars[:, None]) * quad_ab, tol)
+
+
+def _homogeneity(spec, p, m: _Means, tol):
+    factor = _scalar_geometrics(*np.array(m.scales).T, np.array(spec.lambda_grid)[:, None])
+    dev = _frobs(m.scaled - factor[..., None, None] * m.sharp[:, :, None])
+    return _relative_margin(dev, _frobs(m.sharp)[..., None], tol)
+
+
+def _symmetry(spec, p, m: _Means, tol):
+    return _relative_margin(_frobs(m.sharp - m.flip), _frobs(m.sharp), tol)
+
+
+#: the predicates of THEOREM_CHECKS, in order; the pair predicates read no means
+_PREDICATES = (_re_geometric, _re_harmonic, _re_relative_entropy, _re_tsallis, _vector_family,
+               _norm_inequality, _bilinear, _homogeneity, _symmetry)
+_PAIR_PREDICATES = (_re_harmonic, _re_relative_entropy)
+_TOLERANCES = {_homogeneity: LoewnerTolerance(absolute=0.0, relative=HOMOGENEITY_RTOL),
+               _symmetry: LoewnerTolerance(absolute=0.0, relative=SYMMETRY_RTOL)}
+
+
+def _reduce(property_id: str, tol: LoewnerTolerance, holds, margins, **extra) -> PropertyReport:
+    # A trial with any failed comparison is a violation; the worst margin is
+    # the first minimum in trial and comparison order.
+    margins = np.reshape(margins, (len(margins), -1))
+    k = int(np.argmin(margins))
+    worst = float(margins.flat[k])
+    return PropertyReport(
+        property_id=property_id, trials=len(margins),
+        violations=int(np.count_nonzero(~np.reshape(holds, margins.shape).all(axis=1))),
+        worst_margin=worst if math.isfinite(worst) else 0.0,
+        worst_seed=k // margins.shape[1], tolerance_used=tol, **extra)
+
+
+def _alone(property_id: str, predicate, spec: EnsembleSpec, tol=DEFAULT_TOLERANCE,
+           means_cfg=None, scales=HOMOGENEITY_SCALES, **options) -> PropertyReport:
+    # A check called alone: its own evaluation (the means only when it reads
+    # them), its predicate, the reduction.
+    p = _evaluate_pairs(spec)
+    m = None if means_cfg is None else _evaluate_means(spec, p, means_cfg, scales)
+    tol = _TOLERANCES.get(predicate, tol)
+    return _reduce(property_id, tol, *predicate(spec, p, m, tol, **options))
 
 
 # ------------------------------------------------------------------ checks
 
 
-def _scalar_margin(lhs: float, rhs: float, tol: LoewnerTolerance) -> tuple[bool, float]:
-    gap = rhs - lhs
-    holds = gap >= -(tol.absolute + tol.relative * abs(rhs))
-    return holds, gap / max(abs(rhs), 1e-30)
-
-
-def _loewner(x, y, tol: LoewnerTolerance) -> tuple[bool, float]:
-    # X >= Y with the normalized margin, the one unit every report uses.
-    holds, _, margin = loewner_margin(x, y, tol)
-    return holds, margin
-
-
-class _Tally:
-    def __init__(self):
-        self.worst = math.inf
-        self.worst_seed = 0
-        self.violations = 0
-        self.trials = 0
-
-    def trial(self, trial_index: int, outcomes):
-        # outcomes: the (holds, margin) of every comparison in the trial
-        self.trials += 1
-        if not all(holds for holds, _ in outcomes):
-            self.violations += 1
-        low = min(margin for _, margin in outcomes)
-        if low < self.worst:
-            self.worst = low
-            self.worst_seed = trial_index
-
-    def report(self, property_id: str, tol: LoewnerTolerance, **extra) -> PropertyReport:
-        worst = self.worst if math.isfinite(self.worst) else 0.0
-        return PropertyReport(property_id=property_id, trials=self.trials,
-                              violations=self.violations, worst_margin=worst,
-                              worst_seed=self.worst_seed, tolerance_used=tol, **extra)
-
-
-def _report(property_id: str, spec: EnsembleSpec, tol: LoewnerTolerance,
-            outcomes) -> PropertyReport:
-    # outcomes(i) lists the (holds, margin) of trial i's comparisons.
-    tally = _Tally()
-    for i in range(spec.trials):
-        tally.trial(i, outcomes(i))
-    return tally.report(property_id, tol)
-
-
 def check_re_geometric(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAULT_TOLERANCE,
                        cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """Re(A #_lam B) >= (Re A) #_lam (Re B)."""
-    m = _means(spec, cfg)
-    return _report("check_re_geometric", spec, tol, lambda i: [
-        _loewner(m.re_sharp[i, j], m.hpd[i, j], tol) for j in range(len(spec.lambda_grid))])
+    return _alone("check_re_geometric", _re_geometric, spec, tol, cfg)
 
 
 def check_re_harmonic(spec: EnsembleSpec,
                       tol: LoewnerTolerance = DEFAULT_TOLERANCE) -> PropertyReport:
     """Re(A !_lam B) >= (Re A) !_lam (Re B)."""
-    p = _pairs(spec)
-    # A_i !_lam B_i, indexed [trial, weight], one stacked inverse per side
-    lhs = _harmonic_path(p.a, p.b)(spec.lambda_grid)
-    rhs = _harmonic_path(p.re_a, p.re_b)(spec.lambda_grid)
-    return _report("check_re_harmonic", spec, tol, lambda i: [
-        _loewner(real_part(lhs[i, j]), symmetrize(rhs[i, j]), tol)
-        for j in range(len(spec.lambda_grid))])
+    return _alone("check_re_harmonic", _re_harmonic, spec, tol)
 
 
 def check_re_relative_entropy(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAULT_TOLERANCE,
                               cfg: EntropyConfig = EntropyConfig()) -> PropertyReport:
     """Re(S(A|B)) >= S(Re A | Re B)."""
-    p = _pairs(spec)
-    return _report("check_re_relative_entropy", spec, tol, lambda i: [
-        _loewner(real_part(relative_entropy(p.a[i], p.b[i], cfg)),
-                 relative_entropy_hpd(p.re_a[i], p.re_b[i]), tol)])
+    return _alone("check_re_relative_entropy", _re_relative_entropy, spec, tol, cfg=cfg)
 
 
 def check_re_tsallis(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAULT_TOLERANCE,
                      cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """Re(T_lam(A|B)) >= T_lam(Re A | Re B), with T_lam(A|B) = (A #_lam B - A)/lam."""
-    p = _pairs(spec)
-    m = _means(spec, cfg)
-    return _report("check_re_tsallis", spec, tol, lambda i: [
-        _loewner(real_part((m.sharp[i, j] - p.a[i]) / lam),
-                 symmetrize((m.hpd[i, j] - p.re_a[i]) / lam), tol)
-        for j, lam in enumerate(spec.lambda_grid)])
+    return _alone("check_re_tsallis", _re_tsallis, spec, tol, cfg)
 
 
 def check_vector_family(spec: EnsembleSpec, family_size: int = 3,
@@ -334,34 +371,13 @@ def check_vector_family(spec: EnsembleSpec, family_size: int = 3,
     """sum_k <(Re(A #_lam B))^-1 x_k, x_k> <= geometric mean of the Re-part sums."""
     if family_size < 1:
         raise ValueError(f"family_size must be >= 1, got {family_size}")
-    p = _pairs(spec)
-    m = _means(spec, cfg)
-
-    def outcomes(i):
-        xs = random_unit_vectors(spec.dim, family_size, derive_seed(spec.seed, _TAG_FAMILY, i))
-        sum_a = sum(np.vdot(x, p.inv_re_a[i] @ x).real for x in xs)
-        sum_b = sum(np.vdot(x, p.inv_re_b[i] @ x).real for x in xs)
-        return [_scalar_margin(sum(np.vdot(x, m.inv_re_sharp[i, j] @ x).real for x in xs),
-                               scalar_geometric(sum_a, sum_b, lam), tol)
-                for j, lam in enumerate(spec.lambda_grid)]
-
-    return _report("check_vector_family", spec, tol, outcomes)
+    return _alone("check_vector_family", _vector_family, spec, tol, cfg, family_size=family_size)
 
 
 def check_norm_inequality(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAULT_TOLERANCE,
                           cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """||(Re(A #_lam B))^-1|| <= ||(Re A)^-1||^(1-lam) * ||(Re B)^-1||^lam."""
-    p = _pairs(spec)
-    m = _means(spec, cfg)
-
-    def outcomes(i):
-        norm_a = op_norm(p.inv_re_a[i])
-        norm_b = op_norm(p.inv_re_b[i])
-        return [_scalar_margin(op_norm(m.inv_re_sharp[i, j]),
-                               scalar_geometric(norm_a, norm_b, lam), tol)
-                for j, lam in enumerate(spec.lambda_grid)]
-
-    return _report("check_norm_inequality", spec, tol, outcomes)
+    return _alone("check_norm_inequality", _norm_inequality, spec, tol, cfg)
 
 
 def check_bilinear(spec: EnsembleSpec, pairs_per_trial: int = 8,
@@ -370,59 +386,19 @@ def check_bilinear(spec: EnsembleSpec, pairs_per_trial: int = 8,
     """(Re <x*, x>)^2 <= <Re(A #_lam B) x*, x*> * (<(Re A)^-1 x,x> #_lam <(Re B)^-1 x,x>)."""
     if pairs_per_trial < 1:
         raise ValueError(f"pairs_per_trial must be >= 1, got {pairs_per_trial}")
-    p = _pairs(spec)
-    m = _means(spec, cfg)
-
-    def outcomes(i):
-        xs = random_unit_vectors(spec.dim, pairs_per_trial,
-                                 derive_seed(spec.seed, _TAG_BILIN_X, i))
-        xstars = random_unit_vectors(spec.dim, pairs_per_trial,
-                                     derive_seed(spec.seed, _TAG_BILIN_XSTAR, i))
-        out = []
-        for j, lam in enumerate(spec.lambda_grid):
-            for x, xstar in zip(xs, xstars):
-                lhs = float(np.vdot(x, xstar).real) ** 2
-                quad_mean = np.vdot(xstar, m.re_sharp[i, j] @ xstar).real
-                quad_ab = scalar_geometric(np.vdot(x, p.inv_re_a[i] @ x).real,
-                                           np.vdot(x, p.inv_re_b[i] @ x).real, lam)
-                out.append(_scalar_margin(lhs, quad_mean * quad_ab, tol))
-        return out
-
-    return _report("check_bilinear", spec, tol, outcomes)
+    return _alone("check_bilinear", _bilinear, spec, tol, cfg, pairs_per_trial=pairs_per_trial)
 
 
 def check_homogeneity(spec: EnsembleSpec, scales=HOMOGENEITY_SCALES,
                       cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """(alpha A) #_lam (beta B) = alpha^(1-lam) beta^lam (A #_lam B)."""
-    tol = LoewnerTolerance(absolute=0.0, relative=HOMOGENEITY_RTOL)
-    m = _means(spec, cfg, scales)
-
-    def outcomes(i):
-        out = []
-        for j, lam in enumerate(spec.lambda_grid):
-            base = m.sharp[i, j]
-            scale_norm = frob(base)
-            for k, (alpha, beta) in enumerate(scales):
-                dev = frob(m.scaled[i, j, k] - scalar_geometric(alpha, beta, lam) * base)
-                rel = dev / max(scale_norm, 1e-30)
-                out.append((not rel > HOMOGENEITY_RTOL, -rel))
-        return out
-
-    return _report("check_homogeneity", spec, tol, outcomes)
+    return _alone("check_homogeneity", _homogeneity, spec, means_cfg=cfg, scales=scales)
 
 
 def check_symmetry(spec: EnsembleSpec,
                    cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """A #_lam B = B #_(1-lam) A."""
-    tol = LoewnerTolerance(absolute=0.0, relative=SYMMETRY_RTOL)
-    m = _means(spec, cfg)
-
-    def outcome(left, right):
-        rel = frob(left - right) / max(frob(left), 1e-30)
-        return not rel > SYMMETRY_RTOL, -rel
-
-    return _report("check_symmetry", spec, tol, lambda i: [
-        outcome(m.sharp[i, j], m.flip[i, j]) for j in range(len(spec.lambda_grid))])
+    return _alone("check_symmetry", _symmetry, spec, means_cfg=cfg)
 
 
 def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAULT_TOLERANCE,
@@ -434,29 +410,22 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     at least one link broke.  Success of the search means violations >= 1.
     """
     lams = [0.5] + [l for l in spec.lambda_grid if l != 0.5]
-    p = _pairs(spec)
-    sharp = np.stack([_geometric_means(p.a, p.b, lam, cfg) for lam in lams], axis=1)
+    p = _evaluate_pairs(spec)
+    # indexed [trial, weight]; the arithmetic mean is (1-lam) A + lam B
+    re_sharp = real_part(np.stack([_geometric_means(p.a, p.b, lam, cfg) for lam in lams], axis=1))
     low = _harmonic_path(p.a, p.b)(lams)
-    tally = _Tally()
-    witness_detail = None
-    for i in range(spec.trials):
-        outcomes = []
-        broke = None
-        for j, lam in enumerate(lams):
-            re_sharp = real_part(sharp[i, j])
-            high = real_part(arithmetic_mean(p.a[i], p.b[i], lam))
-            ok_low, m_low = _loewner(re_sharp, real_part(low[i, j]), tol)
-            ok_high, m_high = _loewner(high, re_sharp, tol)
-            outcomes.extend([(ok_low, m_low), (ok_high, m_high)])
-            if not ok_low and broke is None:
-                broke = (lam, "harmonic<=geometric")
-            if not ok_high and broke is None:
-                broke = (lam, "geometric<=arithmetic")
-        tally.trial(i, outcomes)
-        if broke is not None and witness_detail is None:
-            witness_detail = f"trial {i}: {broke[1]} fails at lambda={broke[0]:g}"
-    status = "found" if tally.violations >= 1 else "warning"
-    return tally.report("search_agh_counterexample", tol, status=status, detail=witness_detail)
+    lam = np.array(lams)[:, None, None]
+    high = (1.0 - lam) * p.a[:, None] + lam * p.b[:, None]
+    links = ("harmonic<=geometric", "geometric<=arithmetic")
+    holds, _, margins = loewner_margin(np.stack([re_sharp, real_part(high)], axis=2),
+                                       np.stack([real_part(low), re_sharp], axis=2), tol)
+    broken = np.flatnonzero(~holds)
+    detail = None
+    if broken.size:
+        i, j, link = np.unravel_index(broken[0], holds.shape)
+        detail = f"trial {i}: {links[link]} fails at lambda={lams[j]:g}"
+    return _reduce("search_agh_counterexample", tol, holds, margins,
+                   status="found" if broken.size else "warning", detail=detail)
 
 
 THEOREM_CHECKS = (
@@ -475,26 +444,31 @@ CHECKS_BY_ID = {fn.__name__: fn for fn in THEOREM_CHECKS + (search_agh_counterex
 
 
 def run_all(spec: EnsembleSpec) -> list[PropertyReport]:
-    """Run the nine theorem-backed checks on one shared evaluation.
+    """Run the nine theorem-backed checks on one evaluation of the ensemble.
 
-    The trial pairs and the means are evaluated once and shared by every
-    check.  Per-check errors become reports with status "error" instead of
-    aborting the remaining checks; an error of the means evaluation is
-    reported by each of the seven checks that use the means.
+    The trial pairs and the means are evaluated once and passed to every
+    check's predicate.  Per-check errors become reports with status "error"
+    instead of aborting the remaining checks; an error of the means
+    evaluation is reported by each of the seven checks that use the means.
     """
-    reports = []
-    token = _SHARED.set((spec, {}))
+    p = m = failure = None
     try:
-        for fn in THEOREM_CHECKS:
-            try:
-                reports.append(fn(spec))
-            except SectorlabError as exc:
-                reports.append(PropertyReport(
-                    property_id=fn.__name__, trials=0, violations=0, worst_margin=0.0,
-                    worst_seed=0, tolerance_used=DEFAULT_TOLERANCE,
-                    status="error", detail=f"{type(exc).__name__}: {exc}"))
-    finally:
-        _SHARED.reset(token)
+        p = _evaluate_pairs(spec)
+        m = _evaluate_means(spec, p, GeometricMeanConfig())
+    except SectorlabError as exc:
+        failure = exc
+    reports = []
+    for fn, predicate in zip(THEOREM_CHECKS, _PREDICATES):
+        tol = _TOLERANCES.get(predicate, DEFAULT_TOLERANCE)
+        try:
+            if (p if predicate in _PAIR_PREDICATES else m) is None:
+                raise failure
+            reports.append(_reduce(fn.__name__, tol, *predicate(spec, p, m, tol)))
+        except SectorlabError as exc:
+            reports.append(PropertyReport(
+                property_id=fn.__name__, trials=0, violations=0, worst_margin=0.0,
+                worst_seed=0, tolerance_used=DEFAULT_TOLERANCE,
+                status="error", detail=f"{type(exc).__name__}: {exc}"))
     return reports
 
 

@@ -294,6 +294,38 @@ def test_op_norm_psd_is_largest_eigenvalue():
         assert la.op_norm(psd) == pytest.approx(w[-1], rel=1e-12)
 
 
+def test_stacked_margins_and_hpd_maps_equal_each_slice_bitwise():
+    # A stack (..., d, d) gives, slice by slice, the bits of the lone call.
+    rng = np.random.default_rng(51)
+    tol = la.LoewnerTolerance()
+    for d in (1, 2, 3, 5):
+        x = np.stack([[_rand_herm(rng, d) for _ in range(3)] for _ in range(4)])
+        y = np.stack([[_rand_herm(rng, d) for _ in range(3)] for _ in range(4)])
+        hpd = la.symmetrize(x @ x + 0.5 * np.eye(d))
+        holds, margin, normalized = la.loewner_margin(x, y, tol)
+        assert holds.shape == margin.shape == normalized.shape == (4, 3)
+        norms = la.op_norm(x)
+        powers = la.hpd_power(hpd, 0.3)
+        logs = la.hpd_log(hpd)
+        for i in range(4):
+            for j in range(3):
+                lone = la.loewner_margin(x[i, j], y[i, j], tol)
+                assert (holds[i, j], margin[i, j], normalized[i, j]) == lone
+                assert norms[i, j] == la.op_norm(x[i, j])
+                assert powers[i, j].tobytes() == la.hpd_power(hpd[i, j], 0.3).tobytes()
+                assert logs[i, j].tobytes() == la.hpd_log(hpd[i, j]).tobytes()
+    with pytest.raises(NotPositiveDefinite, match="-2.000e"):
+        la.hpd_log(np.stack([np.eye(2), np.diag([-1.0, 1.0]), np.diag([-2.0, 1.0])]))
+
+
+def test_lone_margins_are_python_scalars():
+    holds, margin, normalized = la.loewner_margin(np.diag([2.0, 1.0]), np.eye(2))
+    assert type(holds) is bool and type(margin) is float and type(normalized) is float
+    holds, margin = la.loewner_geq(np.eye(2), np.diag([2.0, 1.0]))
+    assert type(holds) is bool and type(margin) is float
+    assert type(la.op_norm(np.eye(2))) is float
+
+
 # ------------------------------------------------------------- accretivity
 
 

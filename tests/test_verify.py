@@ -327,11 +327,12 @@ def test_search_report_includes_status_key():
 # ------------------------------------------------------ per-trial reference
 
 
-def _per_trial_reports(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_size=3,
-                       pairs_per_trial=8, scales=HOMOGENEITY_SCALES) -> dict:
+def _per_trial_outcomes(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_size=3,
+                        pairs_per_trial=8, scales=HOMOGENEITY_SCALES) -> dict:
     # The nine checks one trial at a time through the public API: each
     # trial's pair drawn alone, each mean and entropy computed alone, each
     # Loewner margin from loewner_margin and each sum in Python's order.
+    # Gives, per check, every trial's list of (holds, margin) comparisons.
     tol = DEFAULT_TOLERANCE
 
     def loewner(x, y):
@@ -390,13 +391,17 @@ def _per_trial_reports(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_siz
                 relative(frob(sharp - flip), frob(sharp), SYMMETRY_RTOL))
         for name, got in trial.items():
             outcomes[name].append(got)
+    return outcomes
 
+
+def _per_trial_reports(spec: EnsembleSpec, **options) -> dict:
+    tol = DEFAULT_TOLERANCE
     tolerances = {
         "check_homogeneity": LoewnerTolerance(absolute=0.0, relative=HOMOGENEITY_RTOL),
         "check_symmetry": LoewnerTolerance(absolute=0.0, relative=SYMMETRY_RTOL),
     }
     reports = {}
-    for name, trials in outcomes.items():
+    for name, trials in _per_trial_outcomes(spec, **options).items():
         worst, worst_seed, violations = math.inf, 0, 0
         for i, got in enumerate(trials):
             violations += not all(holds for holds, _ in got)
@@ -431,7 +436,7 @@ def test_reports_equal_the_per_trial_reference():
                         lambda_grid=(0.25, 0.75))
     cfg = GeometricMeanConfig(rule_nodes=24)
     scales = ((2.0, 0.5), (1.0, 1.0), (3.0, 3.0))
-    want = _per_trial_reports(spec, cfg, family_size=5, pairs_per_trial=2, scales=scales)
+    want = _per_trial_reports(spec, cfg=cfg, family_size=5, pairs_per_trial=2, scales=scales)
     alone = (
         check_re_geometric(spec, cfg=cfg),
         check_re_harmonic(spec),
@@ -445,3 +450,48 @@ def test_reports_equal_the_per_trial_reference():
     )
     for rep in alone:
         assert to_json(rep.to_dict()) == to_json(want[rep.property_id].to_dict())
+
+
+def test_predicate_margins_equal_the_per_trial_reference():
+    # Each predicate's (holds, margin) arrays hold every comparison of the
+    # per-trial checks, bitwise, in the per-trial order; a report shows only
+    # its worst margin, so this sees rounding the report would hide.
+    from sectorlab.verify import _PREDICATES, _TOLERANCES, _evaluate_means, _evaluate_pairs
+
+    # 12 terms make numpy's sum pair them; 48 pairs per trial meet a square
+    # that x * x rounds differently from Python's float power.
+    sizes = {"family_size": 12, "pairs_per_trial": 48}
+    options = {"check_vector_family": {"family_size": 12}, "check_bilinear": {"pairs_per_trial": 48}}
+    predicates = {fn.__name__: predicate for fn, predicate in zip(THEOREM_CHECKS, _PREDICATES)}
+    for spec in REFERENCE_SPECS:
+        p = _evaluate_pairs(spec)
+        m = _evaluate_means(spec, p, GeometricMeanConfig())
+        for name, trials in _per_trial_outcomes(spec, **sizes).items():
+            predicate = predicates[name]
+            holds, margins = predicate(spec, p, m, _TOLERANCES.get(predicate, DEFAULT_TOLERANCE),
+                                       **options.get(name, {}))
+            want = np.array([[margin for _, margin in got] for got in trials])
+            assert np.asarray(margins).reshape(want.shape).tobytes() == want.tobytes(), name
+            assert np.array_equal(np.reshape(holds, want.shape),
+                                  [[ok for ok, _ in got] for got in trials]), name
+
+
+def test_report_fields_are_python_scalars():
+    # to_json writes Python numbers only: a numpy integer would raise.
+    with pytest.raises(TypeError):
+        to_json(np.int64(1))
+    spec = EnsembleSpec(dim=2, trials=3, seed=3, sector_angle=0.49 * (math.pi / 2))
+    for rep in run_all(spec) + [search_agh_counterexample(spec)]:
+        assert type(rep.trials) is int and type(rep.violations) is int
+        assert type(rep.worst_seed) is int and type(rep.worst_margin) is float
+
+
+def test_worst_seed_is_the_first_trial_on_a_tie():
+    from sectorlab.verify import _reduce
+
+    margins = np.array([[0.5, 0.2], [-0.1, 0.3], [0.4, -0.1]])
+    rep = _reduce("check_symmetry", DEFAULT_TOLERANCE, margins > 0.0, margins)
+    assert (rep.worst_seed, rep.worst_margin, rep.violations) == (1, -0.1, 2)
+    # the unit scale alone: every margin is -0.0, and the first trial is the worst
+    rep = check_homogeneity(EnsembleSpec(dim=2, trials=4, seed=1), scales=((1.0, 1.0),))
+    assert rep.worst_seed == 0 and to_json(rep.worst_margin) == "-0.0"
