@@ -52,7 +52,7 @@ def payload_to_matrix(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise UsageError('matrix file must be an object with "dim" and "entries"')
     dim = doc["dim"]
-    if not isinstance(dim, int) or not (1 <= dim <= MAX_DIM):
+    if not isinstance(dim, int) or isinstance(dim, bool) or not (1 <= dim <= MAX_DIM):
         raise UsageError(f'"dim" must be an integer in [1, {MAX_DIM}], got {dim!r}')
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != dim:
@@ -89,8 +89,11 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,10 @@ entropy integrand is analytic on [0, 1] (limit A - A B^-1 A at t = 0), so a
 plain Gauss-Legendre rule suffices.  (A #_lam B - A)/lam is the cheaper
 single-quadrature route to the Tsallis entropy and is what most callers want;
 the direct integral stays as an independent cross-check.  Both share one
-body; the ``*_adaptive`` functions are that body with node doubling.
+body over stacked pairs (jobs, d, d), which ``verify`` calls on its
+ensembles; the public functions call it on a stack of one pair, and the
+``*_adaptive`` functions are that body with node doubling.  How the pairs are
+batched is up to ``quadrature``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,13 @@ import numpy as np
 
 from .errors import InvalidWeight
 from .linalg import frob, hpd_log
-from .means import _harmonic_path, _hpd_congruence, _batches, _pair, check_weight, geometric_mean
+from .means import _harmonic_path, _hpd_congruence, _lone, _pair, check_weight, geometric_mean
 from .quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
     IntegralResult,
     QuadratureConfig,
     _evaluate,
-    _integrate,
     _scaled,
     gauss_jacobi,
     gauss_legendre,
@@ -49,34 +51,25 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
     return lambda t: (harmonic(t) - a[..., None, :, :]) / np.reshape(t, (-1, 1, 1))
 
 
-def _entropy(a, b, family, cfg: EntropyConfig, max_nodes: int = MAX_NODES,
-             finish=lambda res: res) -> IntegralResult:
-    am, bm = _pair(a, b)
+def _entropy(a: np.ndarray, b: np.ndarray, family, cfg: EntropyConfig,
+             max_nodes: int = MAX_NODES, finish=lambda res: res) -> list[IntegralResult]:
+    # The entropy integral of stacked pairs (jobs, d, d), one result per pair.
+    scale = None
     if cfg.adaptive:
         # S(sA|sB) = s S(A|B), likewise T_lam: doubling on the pair scaled by
         # s = ||A||_F makes ``tol`` relative to ||A||_F, so results of large
         # norm do not stall at the rounding floor.  The result (or payload) is
         # scaled back before ``finish``.  A fixed rule keeps the pair's bits.
-        s = frob(am)
-        if s <= 0.0:
-            s = 1.0
-        am, bm, outer = am / s, bm / s, finish
-        finish = lambda res: outer(_scaled(s)(res))
-    return _evaluate(_entropy_path(am, bm), family, cfg, finish, max_nodes)
+        scale = [s if s > 0.0 else 1.0 for s in map(frob, a)]
+        div = np.array(scale)[:, None, None]
+        a, b = a / div, b / div
+    return _evaluate(_entropy_path, a, b, scale, family, cfg,
+                     lambda res, s: finish(_scaled(res, s)), max_nodes)
 
 
 def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Relative operator entropy S(A|B) by Gauss-Legendre quadrature."""
-    return _entropy(a, b, gauss_legendre, cfg).value
-
-
-def _relative_entropies(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    # S(A_k|B_k) for stacked pairs (jobs, d, d), batched like the means; every
-    # slice is bitwise the relative_entropy of that pair alone.
-    if cfg.adaptive:
-        return np.stack([relative_entropy(x, y, cfg) for x, y in zip(a, b)])
-    rule = gauss_legendre(cfg.rule_nodes)
-    return np.concatenate([_integrate(rule, _entropy_path(a[k], b[k])) for k in _batches(rule, a)])
+    return _entropy(*_lone(a, b), gauss_legendre, cfg)[0].value
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
@@ -87,7 +80,8 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     :class:`NoConvergence` the payload is the entropy at the last node count,
     with its error estimate, scaled like a converged result.
     """
-    return _entropy(a, b, gauss_legendre, EntropyConfig(adaptive=True, tol=tol), max_nodes)
+    return _entropy(*_lone(a, b), gauss_legendre, EntropyConfig(adaptive=True, tol=tol),
+                    max_nodes)[0]
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -95,16 +89,17 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
     return _hpd_congruence(*_pair(a, b), hpd_log)
 
 
-def _tsallis_entropy(a, b, lam: float, cfg: EntropyConfig,
-                     max_nodes: int = MAX_NODES) -> IntegralResult:
-    lam = check_weight(lam)
+def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig,
+                     max_nodes: int = MAX_NODES) -> list[IntegralResult]:
+    # T_lam(A_k|B_k), one result per pair of the stacks (jobs, d, d); lam is checked
     return _entropy(a, b, partial(gauss_jacobi, alpha=-lam, beta=lam), cfg, max_nodes,
-                    _scaled(math.sin(lam * math.pi) / (lam * math.pi)))
+                    partial(_scaled, scale=math.sin(lam * math.pi) / (lam * math.pi)))
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Tsallis relative operator entropy T_lam(A|B), direct integral form."""
-    return _tsallis_entropy(a, b, lam, cfg).value
+    lam = check_weight(lam)
+    return _tsallis_entropy(*_lone(a, b), lam, cfg)[0].value
 
 
 def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
@@ -114,7 +109,8 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
     ``tol`` is relative to ||A||_F, and the :class:`NoConvergence` payload
     is scaled like a converged result, as in :func:`relative_entropy_adaptive`.
     """
-    return _tsallis_entropy(a, b, lam, EntropyConfig(adaptive=True, tol=tol), max_nodes)
+    lam = check_weight(lam)
+    return _tsallis_entropy(*_lone(a, b), lam, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]
 
 
 def tsallis_from_mean(a, b, lam: float,

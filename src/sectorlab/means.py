@@ -11,8 +11,10 @@ path t -> A !_t B is written once, in ``_harmonic_path``: the harmonic mean is
 it at one weight, and the geometric mean and the entropies integrate it.  For
 Hermitian positive definite inputs the classical closed form is available as
 an independent oracle, and the half-weight Drury mean gives a second integral
-route at lam = 1/2.  Each integral mean has one body; the ``*_adaptive``
-function is that body with node doubling.
+route at lam = 1/2.  Each integral mean has one body over stacked pairs
+(jobs, d, d), which ``verify`` calls on its ensembles; the public functions
+call it on a stack of one pair, and the ``*_adaptive`` function is that body
+with node doubling.  How the pairs are batched is up to ``quadrature``.
 """
 
 from __future__ import annotations
@@ -30,18 +32,10 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _evaluate,
-    _integrate,
-    _scaled,
     gauss_jacobi,
 )
 
 GeometricMeanConfig = QuadratureConfig
-
-#: Largest batch of means evaluated in one stack, in complex entries of the
-#: (jobs, nodes, d, d) node stack (4 MiB): batching saves per-call overhead on
-#: small matrices, and this cap keeps large-dimension batches from piling up
-#: memory that a mean evaluated alone never needs.
-_BATCH_ENTRIES = 1 << 18
 
 
 def check_weight(lam: float) -> float:
@@ -58,6 +52,11 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shape {am.shape} vs {bm.shape}")
     return am, bm
+
+
+def _lone(a, b) -> tuple[np.ndarray, np.ndarray]:
+    # one validated pair as a stack of one, for the integral bodies
+    return tuple(m[None] for m in _pair(a, b))
 
 
 def arithmetic_mean(a, b, lam: float) -> np.ndarray:
@@ -87,45 +86,49 @@ def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
     return _hpd_congruence(*_pair(a, b), partial(hpd_power, p=lam))
 
 
-def _harmonic_path(a: np.ndarray, b: np.ndarray):
-    # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1 over a 1-d array of weights t
-    # (a scalar is one weight), one batched inverse for all of them; the two
-    # fixed inverses are hoisted out of the path.  One pair (d, d) gives
+def _convex_inverse_path(x: np.ndarray, y: np.ndarray):
+    # t -> ((1-t) X + t Y)^-1 over a 1-d array of weights t (a scalar is one
+    # weight), one batched inverse for all of them.  One pair (d, d) gives
     # (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d).
-    ia = inverse(a)[..., None, :, :]
-    ib = inverse(b)[..., None, :, :]
+    x = x[..., None, :, :]
+    y = y[..., None, :, :]
 
     def path(t) -> np.ndarray:
         t = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-        return inverse((1.0 - t) * ia + t * ib)
+        return inverse((1.0 - t) * x + t * y)
 
     return path
 
 
-def _gauges(am: np.ndarray, bm: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _harmonic_path(a: np.ndarray, b: np.ndarray):
+    # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1, with the two fixed inverses
+    # hoisted out of the path
+    return _convex_inverse_path(inverse(a), inverse(b))
+
+
+def _gauges(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, list]:
     # The mean is homogeneous: (aA) #_lam (bB) = a^(1-lam) b^lam (A #_lam B).
-    # Normalizing each argument to unit Frobenius norm before quadrature makes
-    # the computed mean scaling-equivariant to rounding and keeps the
-    # integrand's poles where the node count was calibrated.
-    sa = frob(am)
-    sb = frob(bm)
-    if sa <= 0.0 or sb <= 0.0:
-        return am, bm, 1.0
-    return am / sa, bm / sb, sa ** (1.0 - lam) * sb**lam
+    # Normalizing each argument of each pair to unit Frobenius norm before
+    # quadrature makes the computed mean scaling-equivariant to rounding and
+    # keeps the integrand's poles where the node count was calibrated.
+    norms = [(frob(x), frob(y)) for x, y in zip(a, b)]
+    norms = [(sa, sb) if sa > 0.0 and sb > 0.0 else (1.0, 1.0) for sa, sb in norms]
+    div = np.array(norms).T[..., None, None]
+    return a / div[0], b / div[1], [sa ** (1.0 - lam) * sb**lam for sa, sb in norms]
 
 
-def _geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig,
-                    max_nodes: int = MAX_NODES) -> IntegralResult:
-    lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    am, bm, gauge = _gauges(am, bm, lam)
-    return _evaluate(_harmonic_path(am, bm), partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0),
-                     cfg, _scaled(gauge * math.sin(lam * math.pi) / math.pi), max_nodes)
+def _geometric_mean(a: np.ndarray, b: np.ndarray, lam: float, cfg: GeometricMeanConfig,
+                    max_nodes: int = MAX_NODES) -> list[IntegralResult]:
+    # A_k #_lam B_k, one result per pair of the stacks (jobs, d, d); lam is checked
+    a, b, gauges = _gauges(a, b, lam)
+    return _evaluate(_harmonic_path, a, b, [g * math.sin(lam * math.pi) / math.pi for g in gauges],
+                     partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0), cfg, max_nodes=max_nodes)
 
 
 def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Weighted geometric mean of two accretive matrices (integral form)."""
-    return _geometric_mean(a, b, lam, cfg).value
+    lam = check_weight(lam)
+    return _geometric_mean(*_lone(a, b), lam, cfg)[0].value
 
 
 def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
@@ -135,55 +138,26 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
     On :class:`NoConvergence` the payload is the mean at the last node count,
     with its error estimate, scaled like a converged result.
     """
-    return _geometric_mean(a, b, lam, GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)
-
-
-def _batches(rule, a: np.ndarray) -> list[slice]:
-    # Slices of stacked pairs (jobs, d, d) whose node stacks under the rule
-    # hold at most _BATCH_ENTRIES matrix entries each.
-    step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
-    return [slice(k, k + step) for k in range(0, len(a), step)]
-
-
-def _geometric_means(a: np.ndarray, b: np.ndarray, lam: float,
-                     cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
-    # A_k #_lam B_k for stacked pairs (jobs, d, d): one rule and one stacked
-    # inverse per batch.  Every slice is bitwise the mean that geometric_mean
-    # gives for that pair alone.
     lam = check_weight(lam)
-    if cfg.adaptive:
-        return np.stack([_geometric_mean(x, y, lam, cfg).value for x, y in zip(a, b)])
-    rule = gauss_jacobi(cfg.rule_nodes, alpha=-lam, beta=lam - 1.0)
-    out = []
-    for k in _batches(rule, a):
-        gauged = [_gauges(x, y, lam) for x, y in zip(a[k], b[k])]
-        path = _harmonic_path(np.stack([g[0] for g in gauged]), np.stack([g[1] for g in gauged]))
-        scale = np.array([g[2] * math.sin(lam * math.pi) / math.pi for g in gauged])
-        out.append(scale[:, None, None] * _integrate(rule, path))
-    return np.concatenate(out)
+    return _geometric_mean(*_lone(a, b), lam, GeometricMeanConfig(adaptive=True, tol=tol),
+                           max_nodes)[0]
 
 
-def _convex_inverse_path(a: np.ndarray, b: np.ndarray):
-    # u -> (uA + (1-u)B)^-1 over a node array (or a scalar u), one batched inverse.
-    def path(u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)[..., None, None]
-        return inverse(u * a + (1.0 - u) * b)
+def _drury_finish(res: IntegralResult, gauge) -> IntegralResult:
+    # The mean inverts the integral; the estimate is the integral's, scaled.
+    err = res.error_estimate
+    return IntegralResult(value=gauge * inverse(res.value / math.pi),
+                          error_estimate=None if err is None else gauge * err / math.pi,
+                          nodes_used=res.nodes_used)
 
-    return path
 
-
-def _drury_mean(a, b, cfg: GeometricMeanConfig, max_nodes: int = MAX_NODES) -> IntegralResult:
-    am, bm = _pair(a, b)
-    am, bm, gauge = _gauges(am, bm, 0.5)
-
-    def finish(res: IntegralResult) -> IntegralResult:
-        # The mean inverts the integral; the estimate is the integral's, scaled.
-        return IntegralResult(value=gauge * inverse(res.value / math.pi),
-                              error_estimate=gauge * res.error_estimate / math.pi,
-                              nodes_used=res.nodes_used)
-
-    return _evaluate(_convex_inverse_path(am, bm), partial(gauss_jacobi, alpha=-0.5, beta=-0.5),
-                     cfg, finish, max_nodes)
+def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig,
+                max_nodes: int = MAX_NODES) -> list[IntegralResult]:
+    # A_k # B_k for stacked pairs (jobs, d, d), one result per pair; the
+    # integrand (uA + (1-u)B)^-1 is the convex path from B to A
+    a, b, gauges = _gauges(a, b, 0.5)
+    return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b, gauges,
+                     partial(gauss_jacobi, alpha=-0.5, beta=-0.5), cfg, _drury_finish, max_nodes)
 
 
 def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -195,7 +169,7 @@ def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
 
         A # B = ( 1/pi * integral_0^1 (uA + (1-u)B)^-1 [u(1-u)]^(-1/2) du )^-1.
     """
-    return _drury_mean(a, b, cfg).value
+    return _drury_mean(*_lone(a, b), cfg)[0].value
 
 
 def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
@@ -204,7 +178,7 @@ def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) ->
     On :class:`NoConvergence` the payload is the mean at the last node count,
     with its error estimate, scaled like a converged result.
     """
-    return _drury_mean(a, b, GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)
+    return _drury_mean(*_lone(a, b), GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)[0]
 
 
 def scalar_geometric(alpha: float, beta: float, lam: float) -> float:

@@ -16,13 +16,13 @@ sum; each job's sum is bitwise the one it would get alone.  The public
 ``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
 stack its values node by node onto the same engine.  Rules are cached as
 validated objects.  One :class:`QuadratureConfig` sets every library integral,
-and ``_evaluate`` alone reads its choice of a fixed rule or node doubling.
+and ``_evaluate`` alone applies it, to stacked pairs in batches or one by one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -46,6 +46,12 @@ MAX_NODES = 4096
 #: real-dtype ``eigh`` would page in more LAPACK code.  Above this size, up to
 #: MAX_NODES, a dense eigensolver is too slow, so larger rules load scipy.
 _OWN_EIG_LIMIT = 64
+
+#: Largest batch of pairs integrated in one stack, in complex entries of the
+#: (jobs, nodes, d, d) node stack (4 MiB): batching saves per-call overhead on
+#: small matrices, and this cap keeps large-dimension batches from piling up
+#: memory that a pair integrated alone never needs.
+_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -158,11 +164,15 @@ class IntegralResult:
             raise ValueError(f"error estimate must be finite and >= 0, got {err}")
 
 
-def _scaled(scale: float):
-    # Multiply an integral's value and error estimate by a constant factor.
-    return lambda res: IntegralResult(value=scale * res.value,
-                                      error_estimate=scale * res.error_estimate,
-                                      nodes_used=res.nodes_used)
+def _scaled(res: IntegralResult, scale) -> IntegralResult:
+    # Multiply an integral's value and error estimate by scale: a float, one
+    # factor per job (jobs, 1, 1), or None for none.  No estimate stays None.
+    if scale is None:
+        return res
+    err = res.error_estimate
+    return IntegralResult(value=scale * res.value,
+                          error_estimate=None if err is None else scale * err,
+                          nodes_used=res.nodes_used)
 
 
 #: An integrand over the whole node array: nodes (n,) -> values (n, d, d).
@@ -208,8 +218,9 @@ def _integrate_doubling(
     # the payload is the caller's best result, not the raw integral.
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if max_nodes < 32:
-        raise ValueError("max_nodes must allow at least one doubling (>= 32)")
+    if not 32 <= max_nodes <= MAX_NODES:
+        raise ValueError(f"max_nodes must allow one doubling and lie in [32, {MAX_NODES}], "
+                         f"got {max_nodes}")
     n = 16
     prev = _integrate(rule_factory(n), f)
     while 2 * n <= max_nodes:
@@ -246,16 +257,27 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _evaluate(f: StackedIntegrand, family: Callable[[int], QuadratureRule], cfg: QuadratureConfig,
-              finish=lambda res: res, max_nodes: int = MAX_NODES) -> IntegralResult:
-    # Integrate f over the rule family(cfg.rule_nodes) or by node doubling;
-    # ``finish`` turns the raw integral into the caller's result.
+def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, family, cfg: QuadratureConfig,
+              finish=_scaled, max_nodes: int = MAX_NODES) -> list[IntegralResult]:
+    # One result per pair of the stacks (jobs, d, d): path(A_k, B_k) integrated
+    # over family(n)'s rules, then finish(res, scale_k) with the pair's factor
+    # from the list scale, or None.  A fixed rule integrates batches of at most
+    # _BATCH_ENTRIES node-stack entries and finishes all pairs in one call, the
+    # factors as (jobs, 1, 1); node doubling takes each pair alone to its own
+    # node count, and finishes its NoConvergence payload too.
     if cfg.adaptive:
-        return _integrate_doubling(f, family, cfg.tol, max_nodes, finish)
-    n = cfg.rule_nodes
-    # finish scales an estimate as well, but a fixed rule has none to report.
-    res = finish(IntegralResult(value=_integrate(family(n), f), error_estimate=0.0, nodes_used=n))
-    return replace(res, error_estimate=None)
+        return [_integrate_doubling(path(x, y), family, cfg.tol, max_nodes,
+                                    lambda res, s=s: finish(res, s))
+                for x, y, s in zip(a, b, scale or [None] * len(a))]
+    rule = family(cfg.rule_nodes)
+    step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
+    # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
+    raw = (_integrate(rule, path(a[0], b[0]))[None] if len(a) == 1 else
+           np.concatenate([_integrate(rule, path(a[k:k + step], b[k:k + step]))
+                           for k in range(0, len(a), step)]))
+    res = finish(IntegralResult(value=raw, error_estimate=None, nodes_used=rule.count),
+                 None if scale is None else np.array(scale)[:, None, None])
+    return [IntegralResult(value=v, error_estimate=None, nodes_used=rule.count) for v in res.value]
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

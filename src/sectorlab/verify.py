@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import GENERATOR_NAME, SectorSpec, derive_seed, random_accretive, random_unit_vectors
-from .entropy import EntropyConfig, _relative_entropies
+from .entropy import EntropyConfig, _entropy
 from .errors import SectorlabError
 from .linalg import (
     MAX_DIM,
@@ -49,11 +49,12 @@ from .linalg import (
 )
 from .means import (
     GeometricMeanConfig,
-    _geometric_means,
+    _geometric_mean,
     _harmonic_path,
     _hpd_congruence,
     scalar_geometric,
 )
+from .quadrature import gauss_legendre
 
 DEFAULT_TOLERANCE = LoewnerTolerance(absolute=1e-10, relative=1e-10)
 
@@ -184,8 +185,9 @@ def _evaluate_means(spec: EnsembleSpec, p: _Pairs, cfg: GeometricMeanConfig,
         batches[1.0 - lam].append((("flip", j), p.b, p.a))
     got = {}
     for lam, jobs in batches.items():
-        means = _geometric_means(np.concatenate([x for _, x, _ in jobs]),
-                                 np.concatenate([y for _, _, y in jobs]), lam, cfg)
+        a = np.concatenate([x for _, x, _ in jobs])
+        b = np.concatenate([y for _, _, y in jobs])
+        means = np.stack([res.value for res in _geometric_mean(a, b, lam, cfg)])
         got.update(zip([slot for slot, _, _ in jobs], np.split(means, len(jobs))))
     grid = range(len(spec.lambda_grid))
     for j in grid:
@@ -265,7 +267,8 @@ def _re_harmonic(spec, p: _Pairs, m, tol):
 
 def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
     # relative_entropy_hpd of every trial: the closed form on the stack
-    return loewner_margin(real_part(_relative_entropies(p.a, p.b, cfg)),
+    entropies = [res.value for res in _entropy(p.a, p.b, gauss_legendre, cfg)]
+    return loewner_margin(real_part(np.stack(entropies)),
                           _hpd_congruence(*p.re, hpd_log), tol)[::2]
 
 
@@ -412,7 +415,8 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     lams = [0.5] + [l for l in spec.lambda_grid if l != 0.5]
     p = _evaluate_pairs(spec)
     # indexed [trial, weight]; the arithmetic mean is (1-lam) A + lam B
-    re_sharp = real_part(np.stack([_geometric_means(p.a, p.b, lam, cfg) for lam in lams], axis=1))
+    re_sharp = real_part(np.stack([[res.value for res in _geometric_mean(p.a, p.b, lam, cfg)]
+                                   for lam in lams], axis=1))
     low = _harmonic_path(p.a, p.b)(lams)
     lam = np.array(lams)[:, None, None]
     high = (1.0 - lam) * p.a[:, None] + lam * p.b[:, None]

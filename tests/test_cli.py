@@ -290,6 +290,22 @@ def test_matrix_file_validation(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["mean", "--kind", "arith", "--lambda", "0.5",
                  "--a", str(missing), "--b", str(missing)]) == 2
+    # JSON true is a Python int, but not a dimension
+    flag = tmp_path / "bool.json"
+    flag.write_text('{"dim": true, "entries": [[[1, 0]]]}')
+    assert main(["mean", "--kind", "arith", "--lambda", "0.5",
+                 "--a", str(flag), "--b", str(flag)]) == 2
+
+
+def test_unwritable_output_exits_2(diag_files, tmp_path, capsys):
+    a, b = diag_files
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    assert main(["mean", "--kind", "geom", "--lambda", "0.5", "--a", a, "--b", b,
+                 "--out", missing]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert main(["verify", "--trials", "1", "--report", missing]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err and captured.out == ""
 
 
 def test_payload_rejects_oversized():

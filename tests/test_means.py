@@ -207,31 +207,63 @@ def test_geometric_half_line_form_consistency():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
-    # The batched path slices its pairs into batches of bounded size; each
-    # slice is bitwise the mean geometric_mean computes for the pair alone.
-    import sectorlab.means as means
+    # Each integral body (both means, both entropies) takes stacked pairs; a
+    # fixed rule integrates them in batches of bounded size, node doubling one
+    # pair at a time.  Every slice is bitwise the result the public function
+    # gives for that pair alone, with its nodes_used and its error estimate,
+    # a Python float or None.
+    import sectorlab.quadrature as quadrature
+    from sectorlab import entropy
+    from sectorlab import means
 
     pairs = accretive_pairs(5, (dim,), 0.9, seed=41)
     a = np.stack([x for x, _ in pairs])
     b = np.stack([y for _, y in pairs])
+    # (stacked body, lone fixed function, lone adaptive function), per weight
+    cases = [
+        (lambda a, b, cfg: means._geometric_mean(a, b, lam, cfg),
+         lambda x, y, cfg: geometric_mean(x, y, lam, cfg),
+         lambda x, y, tol: geometric_mean_adaptive(x, y, lam, tol))
+        for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)
+    ] + [
+        (lambda a, b, cfg: entropy._tsallis_entropy(a, b, lam, cfg),
+         lambda x, y, cfg: entropy.tsallis_entropy(x, y, lam, cfg),
+         lambda x, y, tol: entropy.tsallis_entropy_adaptive(x, y, lam, tol))
+        for lam in (0.3, 0.5)
+    ] + [
+        (means._drury_mean, drury_mean, drury_mean_adaptive),
+        (lambda a, b, cfg: entropy._entropy(a, b, gauss_legendre, cfg),
+         entropy.relative_entropy, entropy.relative_entropy_adaptive),
+    ]
 
-    def lone(x, y, lam):
-        # one pair through the unbatched engine, the reference arithmetic
-        sx, sy = np.linalg.norm(x), np.linalg.norm(y)
-        scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi
-        path = means._harmonic_path(x / sx, y / sy)
-        return scale * means._integrate(gauss_jacobi(64, -lam, lam - 1.0), path)
+    batches = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate",
+                        lambda rule, f: batches.append(rule.count) or integrate(rule, f))
+    monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
+    for body, fixed, adaptive in cases:
+        for cfg in (GeometricMeanConfig(), GeometricMeanConfig(rule_nodes=32)):
+            batches.clear()
+            got = body(a, b, cfg)
+            assert len(got) == len(pairs)
+            assert len(batches) == -(-len(pairs) // max(1, 128 // cfg.rule_nodes))
+            for res, (x, y) in zip(got, pairs):
+                assert res.nodes_used == cfg.rule_nodes and res.error_estimate is None
+                assert np.array_equal(res.value, fixed(x, y, cfg))
+        cfg = GeometricMeanConfig(adaptive=True, tol=1e-10)
+        for res, (x, y) in zip(body(a[:2], b[:2], cfg), pairs):
+            want = adaptive(x, y, cfg.tol)
+            assert type(res.error_estimate) is float
+            assert (res.nodes_used, res.error_estimate) == (want.nodes_used, want.error_estimate)
+            assert np.array_equal(res.value, want.value)
 
-    monkeypatch.setattr(means, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
-    for lam in (0.1, 0.5, 0.9, 1.0 - 0.9):
-        got = means._geometric_means(a, b, lam)
-        for k, (x, y) in enumerate(pairs):
-            assert np.array_equal(got[k], lone(x, y, lam))
-            assert np.array_equal(got[k], geometric_mean(x, y, lam))
-    cfg = GeometricMeanConfig(adaptive=True)
-    got = means._geometric_means(a[:2], b[:2], 0.3, cfg)
-    for k in range(2):
-        assert np.array_equal(got[k], geometric_mean(a[k], b[k], 0.3, cfg))
+    # the mean's arithmetic, one pair at a time: gauged pair, one rule, one scale
+    for lam in (0.1, 0.9):
+        for res, (x, y) in zip(means._geometric_mean(a, b, lam, GeometricMeanConfig()), pairs):
+            sx, sy = np.linalg.norm(x), np.linalg.norm(y)
+            scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi
+            path = means._harmonic_path(x / sx, y / sy)
+            assert np.array_equal(res.value, scale * integrate(gauss_jacobi(64, -lam, lam - 1.0), path))
 
 
 def test_drury_scalar_examples():

@@ -249,32 +249,50 @@ def test_adaptive_no_convergence_payload():
 
 
 def test_adaptive_rejects_bad_arguments():
+    from sectorlab.means import geometric_mean_adaptive
+    from sectorlab.quadrature import MAX_NODES
+
     with pytest.raises(ValueError):
         integrate_adaptive(lambda t: np.eye(1), gauss_legendre, tol=0.0)
     with pytest.raises(ValueError):
         integrate_adaptive(lambda t: np.eye(1), gauss_legendre, tol=1e-6, max_nodes=16)
+    # a cap above the largest rule is rejected before any doubling
+    with pytest.raises(ValueError):
+        integrate_adaptive(lambda t: np.eye(1), gauss_legendre, tol=1e-6, max_nodes=2 * MAX_NODES)
+    with pytest.raises(ValueError):
+        geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3, max_nodes=MAX_NODES + 1)
 
 
 def test_evaluate_takes_the_rule_from_the_config():
     # _evaluate alone chooses between a fixed rule, which reports no error
-    # estimate, and node doubling; finish applies to both.
-    from sectorlab.quadrature import QuadratureConfig, _evaluate, _scaled
+    # estimate, and node doubling, pair by pair; finish applies to both, with
+    # each pair's factor.
+    from sectorlab.quadrature import QuadratureConfig, _evaluate
 
     def f(t):
         return np.array([[math.exp(t), 1.0 / (2.0 - t)], [t * t, 1.0]], dtype=complex)
 
-    def stacked(nodes):
-        return np.stack([f(float(t)) for t in nodes])
+    def path(x, y):
+        # t -> x f(t) + y over the node array, for one pair or stacked pairs
+        return lambda nodes: x[..., None, :, :] * np.stack([f(float(t)) for t in nodes]) + y[..., None, :, :]
 
-    fixed = _evaluate(stacked, gauss_legendre, QuadratureConfig(rule_nodes=8), _scaled(2.0))
-    assert fixed.nodes_used == 8 and fixed.error_estimate is None
-    assert np.array_equal(fixed.value, 2.0 * integrate_matrix(gauss_legendre(8), f))
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+    scale = [2.0, 3.0, 0.5]
+    fixed = _evaluate(path, a, b, scale, gauss_legendre, QuadratureConfig(rule_nodes=8))
+    for res, x, y, s in zip(fixed, a, b, scale, strict=True):
+        assert res.nodes_used == 8 and res.error_estimate is None
+        assert np.array_equal(res.value, s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t) + y))
     cfg = QuadratureConfig(adaptive=True, tol=1e-13)
-    got = _evaluate(stacked, gauss_legendre, cfg, _scaled(2.0), max_nodes=256)
-    want = integrate_adaptive(f, gauss_legendre, tol=1e-13, max_nodes=256)
-    assert got.nodes_used == want.nodes_used
-    assert got.error_estimate == 2.0 * want.error_estimate
-    assert np.array_equal(got.value, 2.0 * want.value)
+    got = _evaluate(path, a, b, scale, gauss_legendre, cfg, max_nodes=256)
+    for res, x, y, s in zip(got, a, b, scale, strict=True):
+        want = integrate_adaptive(lambda t: x * f(t) + y, gauss_legendre, tol=1e-13, max_nodes=256)
+        assert res.nodes_used == want.nodes_used
+        assert res.error_estimate == s * want.error_estimate
+        assert np.array_equal(res.value, s * want.value)
+    # no factor: the raw integrals
+    raw = _evaluate(path, a, b, None, gauss_legendre, QuadratureConfig(rule_nodes=8))
+    assert np.array_equal(raw[1].value, integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t) + b[1]))
 
 
 def test_doubling_error_decreases_monotonically():
