@@ -36,6 +36,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _evaluate,
+    _Integrals,
     _scaled,
     gauss_jacobi,
     gauss_legendre,
@@ -51,9 +52,9 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
     return lambda t: (harmonic(t) - a[..., None, :, :]) / np.reshape(t, (-1, 1, 1))
 
 
-def _entropy(a: np.ndarray, b: np.ndarray, family, cfg: EntropyConfig,
-             max_nodes: int = MAX_NODES, finish=lambda res: res) -> list[IntegralResult]:
-    # The entropy integral of stacked pairs (jobs, d, d), one result per pair.
+def _entropy(a: np.ndarray, b: np.ndarray, cfg: EntropyConfig, family=gauss_legendre,
+             max_nodes: int = MAX_NODES, finish=lambda res: res) -> _Integrals:
+    # The entropy integral of every pair of the stacks (jobs, d, d); S(A|B) by default.
     scale = None
     if cfg.adaptive:
         # S(sA|sB) = s S(A|B), likewise T_lam: doubling on the pair scaled by
@@ -69,7 +70,7 @@ def _entropy(a: np.ndarray, b: np.ndarray, family, cfg: EntropyConfig,
 
 def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Relative operator entropy S(A|B) by Gauss-Legendre quadrature."""
-    return _entropy(*_lone(a, b), gauss_legendre, cfg)[0].value
+    return _entropy(*_lone(a, b), cfg).value[0]
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
@@ -80,8 +81,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     :class:`NoConvergence` the payload is the entropy at the last node count,
     with its error estimate, scaled like a converged result.
     """
-    return _entropy(*_lone(a, b), gauss_legendre, EntropyConfig(adaptive=True, tol=tol),
-                    max_nodes)[0]
+    return _entropy(*_lone(a, b), EntropyConfig(adaptive=True, tol=tol), max_nodes=max_nodes)[0]
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -90,16 +90,16 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
 
 
 def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig,
-                     max_nodes: int = MAX_NODES) -> list[IntegralResult]:
-    # T_lam(A_k|B_k), one result per pair of the stacks (jobs, d, d); lam is checked
-    return _entropy(a, b, partial(gauss_jacobi, alpha=-lam, beta=lam), cfg, max_nodes,
+                     max_nodes: int = MAX_NODES) -> _Integrals:
+    # T_lam(A_k|B_k) for every pair of the stacks (jobs, d, d); lam is checked
+    return _entropy(a, b, cfg, partial(gauss_jacobi, alpha=-lam, beta=lam), max_nodes,
                     partial(_scaled, scale=math.sin(lam * math.pi) / (lam * math.pi)))
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Tsallis relative operator entropy T_lam(A|B), direct integral form."""
     lam = check_weight(lam)
-    return _tsallis_entropy(*_lone(a, b), lam, cfg)[0].value
+    return _tsallis_entropy(*_lone(a, b), lam, cfg).value[0]
 
 
 def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
@@ -135,8 +135,4 @@ def tsallis_limit_probe(a, b, lambdas,
         raise ValueError("probe weights must be strictly decreasing")
     am, bm = _pair(a, b)
     base = relative_entropy(am, bm, cfg)
-    out = []
-    for lam in lams:
-        dev = frob(tsallis_entropy(am, bm, lam, cfg) - base)
-        out.append((lam, float(dev)))
-    return out
+    return [(lam, float(frob(tsallis_entropy(am, bm, lam, cfg) - base))) for lam in lams]

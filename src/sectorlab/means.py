@@ -32,6 +32,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _evaluate,
+    _Integrals,
     gauss_jacobi,
 )
 
@@ -118,8 +119,8 @@ def _gauges(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[np.ndarray, np.nd
 
 
 def _geometric_mean(a: np.ndarray, b: np.ndarray, lam: float, cfg: GeometricMeanConfig,
-                    max_nodes: int = MAX_NODES) -> list[IntegralResult]:
-    # A_k #_lam B_k, one result per pair of the stacks (jobs, d, d); lam is checked
+                    max_nodes: int = MAX_NODES) -> _Integrals:
+    # A_k #_lam B_k for every pair of the stacks (jobs, d, d); lam is checked
     a, b, gauges = _gauges(a, b, lam)
     return _evaluate(_harmonic_path, a, b, [g * math.sin(lam * math.pi) / math.pi for g in gauges],
                      partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0), cfg, max_nodes=max_nodes)
@@ -128,7 +129,7 @@ def _geometric_mean(a: np.ndarray, b: np.ndarray, lam: float, cfg: GeometricMean
 def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Weighted geometric mean of two accretive matrices (integral form)."""
     lam = check_weight(lam)
-    return _geometric_mean(*_lone(a, b), lam, cfg)[0].value
+    return _geometric_mean(*_lone(a, b), lam, cfg).value[0]
 
 
 def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
@@ -152,8 +153,8 @@ def _drury_finish(res: IntegralResult, gauge) -> IntegralResult:
 
 
 def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig,
-                max_nodes: int = MAX_NODES) -> list[IntegralResult]:
-    # A_k # B_k for stacked pairs (jobs, d, d), one result per pair; the
+                max_nodes: int = MAX_NODES) -> _Integrals:
+    # A_k # B_k for every pair of the stacks (jobs, d, d); the
     # integrand (uA + (1-u)B)^-1 is the convex path from B to A
     a, b, gauges = _gauges(a, b, 0.5)
     return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b, gauges,
@@ -169,7 +170,7 @@ def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
 
         A # B = ( 1/pi * integral_0^1 (uA + (1-u)B)^-1 [u(1-u)]^(-1/2) du )^-1.
     """
-    return _drury_mean(*_lone(a, b), cfg)[0].value
+    return _drury_mean(*_lone(a, b), cfg).value[0]
 
 
 def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:

@@ -16,7 +16,8 @@ sum; each job's sum is bitwise the one it would get alone.  The public
 ``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
 stack its values node by node onto the same engine.  Rules are cached as
 validated objects.  One :class:`QuadratureConfig` sets every library integral,
-and ``_evaluate`` alone applies it, to stacked pairs in batches or one by one.
+and ``_evaluate`` alone applies it, to stacked pairs in batches or one by one;
+it returns their values as one stack, with each pair's estimate and node count.
 """
 
 from __future__ import annotations
@@ -257,18 +258,29 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+@dataclass(frozen=True)
+class _Integrals:
+    # The integrals of stacked pairs, (jobs, d, d), with each pair's estimate and node count.
+    value: np.ndarray
+    error_estimates: list
+    nodes_used: list
+
+    def __getitem__(self, k: int) -> IntegralResult:
+        return IntegralResult(self.value[k], self.error_estimates[k], self.nodes_used[k])
+
+
 def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, family, cfg: QuadratureConfig,
-              finish=_scaled, max_nodes: int = MAX_NODES) -> list[IntegralResult]:
-    # One result per pair of the stacks (jobs, d, d): path(A_k, B_k) integrated
-    # over family(n)'s rules, then finish(res, scale_k) with the pair's factor
-    # from the list scale, or None.  A fixed rule integrates batches of at most
-    # _BATCH_ENTRIES node-stack entries and finishes all pairs in one call, the
-    # factors as (jobs, 1, 1); node doubling takes each pair alone to its own
-    # node count, and finishes its NoConvergence payload too.
+              finish=_scaled, max_nodes: int = MAX_NODES) -> _Integrals:
+    # path(A_k, B_k) integrated over family(n)'s rules for the stacked pairs, then
+    # finish(res, scale_k) with the pair's factor from the list scale, or None.  A fixed
+    # rule integrates batches of at most _BATCH_ENTRIES node-stack entries and finishes
+    # all pairs at once; node doubling takes each pair alone, payload included.
     if cfg.adaptive:
-        return [_integrate_doubling(path(x, y), family, cfg.tol, max_nodes,
-                                    lambda res, s=s: finish(res, s))
-                for x, y, s in zip(a, b, scale or [None] * len(a))]
+        out = [_integrate_doubling(path(x, y), family, cfg.tol, max_nodes,
+                                   lambda res, s=s: finish(res, s))
+               for x, y, s in zip(a, b, scale or [None] * len(a))]
+        return _Integrals(np.stack([r.value for r in out]), [r.error_estimate for r in out],
+                          [r.nodes_used for r in out])
     rule = family(cfg.rule_nodes)
     step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
     # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
@@ -277,7 +289,7 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, family, cfg: Quadrature
                            for k in range(0, len(a), step)]))
     res = finish(IntegralResult(value=raw, error_estimate=None, nodes_used=rule.count),
                  None if scale is None else np.array(scale)[:, None, None])
-    return [IntegralResult(value=v, error_estimate=None, nodes_used=rule.count) for v in res.value]
+    return _Integrals(res.value, [None] * len(a), [rule.count] * len(a))
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

@@ -54,7 +54,6 @@ from .means import (
     _hpd_congruence,
     scalar_geometric,
 )
-from .quadrature import gauss_legendre
 
 DEFAULT_TOLERANCE = LoewnerTolerance(absolute=1e-10, relative=1e-10)
 
@@ -131,13 +130,10 @@ class PropertyReport:
 
 def trial_pair(spec: EnsembleSpec, trial: int):
     """The deterministic accretive pair used by every check for this trial."""
-    a = random_accretive(SectorSpec(dim=spec.dim, angle=spec.sector_angle,
-                                    cond_cap=ENSEMBLE_COND_CAP,
-                                    seed=derive_seed(spec.seed, _TAG_PAIR_A, trial)))
-    b = random_accretive(SectorSpec(dim=spec.dim, angle=spec.sector_angle,
-                                    cond_cap=ENSEMBLE_COND_CAP,
-                                    seed=derive_seed(spec.seed, _TAG_PAIR_B, trial)))
-    return a, b
+    return tuple(random_accretive(SectorSpec(dim=spec.dim, angle=spec.sector_angle,
+                                             cond_cap=ENSEMBLE_COND_CAP,
+                                             seed=derive_seed(spec.seed, tag, trial)))
+                 for tag in (_TAG_PAIR_A, _TAG_PAIR_B))
 
 
 # --------------------------------------------------------------- evaluation
@@ -185,9 +181,8 @@ def _evaluate_means(spec: EnsembleSpec, p: _Pairs, cfg: GeometricMeanConfig,
         batches[1.0 - lam].append((("flip", j), p.b, p.a))
     got = {}
     for lam, jobs in batches.items():
-        a = np.concatenate([x for _, x, _ in jobs])
-        b = np.concatenate([y for _, _, y in jobs])
-        means = np.stack([res.value for res in _geometric_mean(a, b, lam, cfg)])
+        means = _geometric_mean(np.concatenate([x for _, x, _ in jobs]),
+                                np.concatenate([y for _, _, y in jobs]), lam, cfg).value
         got.update(zip([slot for slot, _, _ in jobs], np.split(means, len(jobs))))
     grid = range(len(spec.lambda_grid))
     for j in grid:
@@ -267,8 +262,7 @@ def _re_harmonic(spec, p: _Pairs, m, tol):
 
 def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
     # relative_entropy_hpd of every trial: the closed form on the stack
-    entropies = [res.value for res in _entropy(p.a, p.b, gauss_legendre, cfg)]
-    return loewner_margin(real_part(np.stack(entropies)),
+    return loewner_margin(real_part(_entropy(p.a, p.b, cfg).value),
                           _hpd_congruence(*p.re, hpd_log), tol)[::2]
 
 
@@ -415,8 +409,8 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     lams = [0.5] + [l for l in spec.lambda_grid if l != 0.5]
     p = _evaluate_pairs(spec)
     # indexed [trial, weight]; the arithmetic mean is (1-lam) A + lam B
-    re_sharp = real_part(np.stack([[res.value for res in _geometric_mean(p.a, p.b, lam, cfg)]
-                                   for lam in lams], axis=1))
+    re_sharp = real_part(np.stack([_geometric_mean(p.a, p.b, lam, cfg).value for lam in lams],
+                                  axis=1))
     low = _harmonic_path(p.a, p.b)(lams)
     lam = np.array(lams)[:, None, None]
     high = (1.0 - lam) * p.a[:, None] + lam * p.b[:, None]
@@ -493,9 +487,5 @@ def reports_to_dict(spec: EnsembleSpec, reports: list[PropertyReport]) -> dict:
 
 def all_theorem_checks_clean(reports: list[PropertyReport]) -> bool:
     """True when every theorem-backed report ran and saw zero violations."""
-    for r in reports:
-        if r.property_id == "search_agh_counterexample":
-            continue
-        if r.violations > 0 or r.status == "error":
-            return False
-    return True
+    return all(r.violations == 0 and r.status != "error" for r in reports
+               if r.property_id != "search_agh_counterexample")

@@ -353,5 +353,7 @@ def test_accretive_matrix_rejects_oversized():
 def test_as_matrix_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError):
         la.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        la.as_matrix(np.array([[1, 0], [complex(0.0, np.inf), 1]]))
     with pytest.raises(DimensionMismatch):
         la.as_matrix(np.ones((2, 3)))

@@ -219,21 +219,21 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     pairs = accretive_pairs(5, (dim,), 0.9, seed=41)
     a = np.stack([x for x, _ in pairs])
     b = np.stack([y for _, y in pairs])
-    # (stacked body, lone fixed function, lone adaptive function), per weight
+    # (stacked body, lone fixed function, lone adaptive function), per weight;
+    # each lambda binds its weight, which it would otherwise read after the loop
     cases = [
-        (lambda a, b, cfg: means._geometric_mean(a, b, lam, cfg),
-         lambda x, y, cfg: geometric_mean(x, y, lam, cfg),
-         lambda x, y, tol: geometric_mean_adaptive(x, y, lam, tol))
+        (lambda a, b, cfg, lam=lam: means._geometric_mean(a, b, lam, cfg),
+         lambda x, y, cfg, lam=lam: geometric_mean(x, y, lam, cfg),
+         lambda x, y, tol, lam=lam: geometric_mean_adaptive(x, y, lam, tol))
         for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)
     ] + [
-        (lambda a, b, cfg: entropy._tsallis_entropy(a, b, lam, cfg),
-         lambda x, y, cfg: entropy.tsallis_entropy(x, y, lam, cfg),
-         lambda x, y, tol: entropy.tsallis_entropy_adaptive(x, y, lam, tol))
+        (lambda a, b, cfg, lam=lam: entropy._tsallis_entropy(a, b, lam, cfg),
+         lambda x, y, cfg, lam=lam: entropy.tsallis_entropy(x, y, lam, cfg),
+         lambda x, y, tol, lam=lam: entropy.tsallis_entropy_adaptive(x, y, lam, tol))
         for lam in (0.3, 0.5)
     ] + [
         (means._drury_mean, drury_mean, drury_mean_adaptive),
-        (lambda a, b, cfg: entropy._entropy(a, b, gauss_legendre, cfg),
-         entropy.relative_entropy, entropy.relative_entropy_adaptive),
+        (entropy._entropy, entropy.relative_entropy, entropy.relative_entropy_adaptive),
     ]
 
     batches = []
@@ -241,29 +241,41 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     monkeypatch.setattr(quadrature, "_integrate",
                         lambda rule, f: batches.append(rule.count) or integrate(rule, f))
     monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
+    firsts = []
     for body, fixed, adaptive in cases:
         for cfg in (GeometricMeanConfig(), GeometricMeanConfig(rule_nodes=32)):
             batches.clear()
             got = body(a, b, cfg)
-            assert len(got) == len(pairs)
+            assert got.value.shape == a.shape
             assert len(batches) == -(-len(pairs) // max(1, 128 // cfg.rule_nodes))
-            for res, (x, y) in zip(got, pairs):
-                assert res.nodes_used == cfg.rule_nodes and res.error_estimate is None
-                assert np.array_equal(res.value, fixed(x, y, cfg))
+            for k, (x, y) in enumerate(pairs):
+                assert got.nodes_used[k] == got[k].nodes_used == cfg.rule_nodes
+                assert got.error_estimates[k] is got[k].error_estimate is None
+                assert np.array_equal(got.value[k], fixed(x, y, cfg))
+        firsts.append(got.value[0])
         cfg = GeometricMeanConfig(adaptive=True, tol=1e-10)
-        for res, (x, y) in zip(body(a[:2], b[:2], cfg), pairs):
+        got = body(a[:2], b[:2], cfg)
+        for k, (x, y) in enumerate(pairs[:2]):
             want = adaptive(x, y, cfg.tol)
+            res = got[k]
             assert type(res.error_estimate) is float
             assert (res.nodes_used, res.error_estimate) == (want.nodes_used, want.error_estimate)
             assert np.array_equal(res.value, want.value)
+            assert np.array_equal(got.value[k], want.value)
+    # every case ran at its own weight: no two weights of one body agree
+    assert not any(np.array_equal(x, y) for i, x in enumerate(firsts[:4]) for y in firsts[i + 1:4])
+    assert not np.array_equal(firsts[4], firsts[5])
 
     # the mean's arithmetic, one pair at a time: gauged pair, one rule, one scale
-    for lam in (0.1, 0.9):
-        for res, (x, y) in zip(means._geometric_mean(a, b, lam, GeometricMeanConfig()), pairs):
+    for lam in (0.1, 0.5, 0.9, 1.0 - 0.9):
+        got = means._geometric_mean(a, b, lam, GeometricMeanConfig())
+        for k, (x, y) in enumerate(pairs):
             sx, sy = np.linalg.norm(x), np.linalg.norm(y)
             scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi
             path = means._harmonic_path(x / sx, y / sy)
-            assert np.array_equal(res.value, scale * integrate(gauss_jacobi(64, -lam, lam - 1.0), path))
+            want = scale * integrate(gauss_jacobi(64, -lam, lam - 1.0), path)
+            assert np.array_equal(got.value[k], want)
+            assert np.array_equal(got.value[k], geometric_mean(x, y, lam))
 
 
 def test_drury_scalar_examples():

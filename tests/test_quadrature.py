@@ -280,19 +280,20 @@ def test_evaluate_takes_the_rule_from_the_config():
     a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
     scale = [2.0, 3.0, 0.5]
     fixed = _evaluate(path, a, b, scale, gauss_legendre, QuadratureConfig(rule_nodes=8))
-    for res, x, y, s in zip(fixed, a, b, scale, strict=True):
-        assert res.nodes_used == 8 and res.error_estimate is None
-        assert np.array_equal(res.value, s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t) + y))
+    for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
+        assert fixed.nodes_used[k] == fixed[k].nodes_used == 8
+        assert fixed.error_estimates[k] is fixed[k].error_estimate is None
+        assert np.array_equal(fixed.value[k], s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t) + y))
     cfg = QuadratureConfig(adaptive=True, tol=1e-13)
     got = _evaluate(path, a, b, scale, gauss_legendre, cfg, max_nodes=256)
-    for res, x, y, s in zip(got, a, b, scale, strict=True):
+    for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
         want = integrate_adaptive(lambda t: x * f(t) + y, gauss_legendre, tol=1e-13, max_nodes=256)
-        assert res.nodes_used == want.nodes_used
-        assert res.error_estimate == s * want.error_estimate
-        assert np.array_equal(res.value, s * want.value)
+        assert got.nodes_used[k] == got[k].nodes_used == want.nodes_used
+        assert got.error_estimates[k] == got[k].error_estimate == s * want.error_estimate
+        assert np.array_equal(got.value[k], s * want.value)
     # no factor: the raw integrals
     raw = _evaluate(path, a, b, None, gauss_legendre, QuadratureConfig(rule_nodes=8))
-    assert np.array_equal(raw[1].value, integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t) + b[1]))
+    assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t) + b[1]))
 
 
 def test_doubling_error_decreases_monotonically():
