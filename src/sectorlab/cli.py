@@ -13,6 +13,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -65,7 +66,10 @@ def payload_to_matrix(doc) -> np.ndarray:
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)):
                 raise UsageError(f"entry ({i}, {j}) must be a [re, im] pair of numbers")
-            re, im = float(cell[0]), float(cell[1])
+            try:
+                re, im = float(cell[0]), float(cell[1])
+            except OverflowError:
+                raise UsageError(f"entry ({i}, {j}) is an integer beyond the float range") from None
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise UsageError(f"entry ({i}, {j}) is non-finite")
             mat[i, j] = complex(re, im)
@@ -73,8 +77,6 @@ def payload_to_matrix(doc) -> np.ndarray:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -116,46 +118,39 @@ def _require_lambda(args) -> float:
     return args.lam
 
 
-def _integral(args, fixed, adaptive, *operands) -> tuple[np.ndarray, int, float | None]:
-    # (value, nodes_used, error_estimate) of one integral under --nodes, or
-    # --adaptive/--tol; a fixed rule gives no error estimate.
-    if args.adaptive:
-        res = adaptive(*operands, tol=args.tol)
-        return res.value, res.nodes_used, res.error_estimate
-    return fixed(*operands, QuadratureConfig(rule_nodes=args.nodes)), args.nodes, None
+#: The kinds of ``mean`` and ``entropy`` that are closed forms of one pair.
+_CLOSED_FORMS = {"arith": means_mod.arithmetic_mean, "harm": means_mod.harmonic_mean}
+
+#: The integral kinds: each is its body over stacked pairs, under one config.
+_INTEGRALS = {
+    "geom": means_mod._geometric_mean,
+    "drury": lambda a, b, lam, cfg: means_mod._drury_mean(a, b, cfg),
+    "relative": lambda a, b, lam, cfg: entropy_mod._entropy(a, b, cfg),
+    "tsallis": entropy_mod._tsallis_entropy,
+}
 
 
-def _write_result(args, lam: float | None, result: np.ndarray, nodes_used: int | None,
-                  error_estimate: float | None) -> int:
-    payload = matrix_to_payload(result)
-    payload["meta"] = {"lambda": lam, "nodes_used": nodes_used, "error_estimate": error_estimate}
-    _write_text(args.out, to_json(payload))
-    return EXIT_OK
-
-
-def cmd_mean(args) -> int:
+def cmd_pair(args) -> int:
+    # mean and entropy: one --kind of one pair, with its weight and, for an
+    # integral, the node count used and the error estimate
     a, b = _load_pair(args)
     if args.kind == "drury":
         if args.lam is not None and args.lam != 0.5:
             raise UsageError("drury is the lambda = 1/2 mean; omit --lambda or pass 0.5")
-        return _write_result(args, 0.5, *_integral(args, means_mod.drury_mean,
-                                                   means_mod.drury_mean_adaptive, a, b))
-    lam = _require_lambda(args)
-    if args.kind == "geom":
-        return _write_result(args, lam, *_integral(args, means_mod.geometric_mean,
-                                                   means_mod.geometric_mean_adaptive, a, b, lam))
-    mean = {"arith": means_mod.arithmetic_mean, "harm": means_mod.harmonic_mean}[args.kind]
-    return _write_result(args, lam, mean(a, b, lam), None, None)
-
-
-def cmd_entropy(args) -> int:
-    a, b = _load_pair(args)
-    if args.kind == "relative":
-        return _write_result(args, None, *_integral(args, entropy_mod.relative_entropy,
-                                                    entropy_mod.relative_entropy_adaptive, a, b))
-    lam = _require_lambda(args)
-    return _write_result(args, lam, *_integral(args, entropy_mod.tsallis_entropy,
-                                               entropy_mod.tsallis_entropy_adaptive, a, b, lam))
+        lam = 0.5
+    else:
+        lam = None if args.kind == "relative" else _require_lambda(args)
+    if args.kind in _CLOSED_FORMS:
+        value, nodes_used, error_estimate = _CLOSED_FORMS[args.kind](a, b, lam), None, None
+    else:
+        cfg = (QuadratureConfig(adaptive=True, tol=args.tol) if args.adaptive
+               else QuadratureConfig(rule_nodes=args.nodes))
+        res = _INTEGRALS[args.kind](*means_mod._lone(a, b), lam, cfg)[0]
+        value, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
+    payload = matrix_to_payload(value)
+    payload["meta"] = {"lambda": lam, "nodes_used": nodes_used, "error_estimate": error_estimate}
+    _write_text(args.out, to_json(payload))
+    return EXIT_OK
 
 
 def cmd_rule(args) -> int:
@@ -222,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     mean = sub.add_parser("mean", parents=[pair], help="weighted mean of two matrices")
     mean.add_argument("--kind", required=True, choices=["arith", "harm", "geom", "drury"])
-    mean.set_defaults(handler=cmd_mean)
+    mean.set_defaults(handler=cmd_pair)
 
     ent = sub.add_parser("entropy", parents=[pair], help="relative or Tsallis operator entropy")
     ent.add_argument("--kind", required=True, choices=["relative", "tsallis"])
-    ent.set_defaults(handler=cmd_entropy)
+    ent.set_defaults(handler=cmd_pair)
 
     rule = sub.add_parser("rule", help="dump quadrature nodes and weights")
     rule.add_argument("--kind", required=True, choices=["legendre", "jacobi"])

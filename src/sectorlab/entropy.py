@@ -13,11 +13,13 @@ and the bounded path factor, which keeps the quadrature spectral; the relative
 entropy integrand is analytic on [0, 1] (limit A - A B^-1 A at t = 0), so a
 plain Gauss-Legendre rule suffices.  (A #_lam B - A)/lam is the cheaper
 single-quadrature route to the Tsallis entropy and is what most callers want;
-the direct integral stays as an independent cross-check.  Both share one
-body over stacked pairs (jobs, d, d), which ``verify`` calls on its
-ensembles; the public functions call it on a stack of one pair, and the
-``*_adaptive`` functions are that body with node doubling.  How the pairs are
-batched is up to ``quadrature``.
+the direct integral stays as an independent cross-check.  Each entropy is
+one body over stacked pairs (jobs, d, d) on the shared integrand
+``_entropy_path``; ``verify`` calls it on its ensembles, the public functions
+on a stack of one pair, and the ``*_adaptive`` functions are that body with
+node doubling.  How the pairs are batched and when doubling stops is up to
+``quadrature``, whose tolerance relative to ||A||_F suits S(sA|sB) =
+s S(A|B) and T_lam alike, so both integrate the caller's pair as it is.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .quadrature import (
     QuadratureConfig,
     _evaluate,
     _Integrals,
-    _scaled,
     gauss_jacobi,
     gauss_legendre,
 )
@@ -52,20 +53,10 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
     return lambda t: (harmonic(t) - a[..., None, :, :]) / np.reshape(t, (-1, 1, 1))
 
 
-def _entropy(a: np.ndarray, b: np.ndarray, cfg: EntropyConfig, family=gauss_legendre,
-             max_nodes: int = MAX_NODES, finish=lambda res: res) -> _Integrals:
-    # The entropy integral of every pair of the stacks (jobs, d, d); S(A|B) by default.
-    scale = None
-    if cfg.adaptive:
-        # S(sA|sB) = s S(A|B), likewise T_lam: doubling on the pair scaled by
-        # s = ||A||_F makes ``tol`` relative to ||A||_F, so results of large
-        # norm do not stall at the rounding floor.  The result (or payload) is
-        # scaled back before ``finish``.  A fixed rule keeps the pair's bits.
-        scale = [s if s > 0.0 else 1.0 for s in map(frob, a)]
-        div = np.array(scale)[:, None, None]
-        a, b = a / div, b / div
-    return _evaluate(_entropy_path, a, b, scale, family, cfg,
-                     lambda res, s: finish(_scaled(res, s)), max_nodes)
+def _entropy(a: np.ndarray, b: np.ndarray, cfg: EntropyConfig,
+             max_nodes: int = MAX_NODES) -> _Integrals:
+    # S(A_k|B_k) for every pair of the stacks (jobs, d, d)
+    return _evaluate(_entropy_path, a, b, None, gauss_legendre, cfg, max_nodes=max_nodes)
 
 
 def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -79,7 +70,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     ``tol`` is relative to ||A||_F: doubling stops when successive results
     agree to ``tol * ||A||_F`` in the Frobenius norm.  On
     :class:`NoConvergence` the payload is the entropy at the last node count,
-    with its error estimate, scaled like a converged result.
+    with its error estimate.
     """
     return _entropy(*_lone(a, b), EntropyConfig(adaptive=True, tol=tol), max_nodes=max_nodes)[0]
 
@@ -92,8 +83,8 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
 def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig,
                      max_nodes: int = MAX_NODES) -> _Integrals:
     # T_lam(A_k|B_k) for every pair of the stacks (jobs, d, d); lam is checked
-    return _entropy(a, b, cfg, partial(gauss_jacobi, alpha=-lam, beta=lam), max_nodes,
-                    partial(_scaled, scale=math.sin(lam * math.pi) / (lam * math.pi)))
+    return _evaluate(_entropy_path, a, b, [math.sin(lam * math.pi) / (lam * math.pi)] * len(a),
+                     partial(gauss_jacobi, alpha=-lam, beta=lam), cfg, max_nodes=max_nodes)
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -107,7 +98,7 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
     """Node-doubling evaluation of the Tsallis-entropy integral.
 
     ``tol`` is relative to ||A||_F, and the :class:`NoConvergence` payload
-    is scaled like a converged result, as in :func:`relative_entropy_adaptive`.
+    is the entropy at the last node count, as in :func:`relative_entropy_adaptive`.
     """
     lam = check_weight(lam)
     return _tsallis_entropy(*_lone(a, b), lam, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]

@@ -212,11 +212,13 @@ def _integrate_doubling(
     tol: float,
     max_nodes: int,
     finish: Callable[[IntegralResult], IntegralResult] = lambda res: res,
+    norm: float = 1.0,
 ) -> IntegralResult:
-    # Node doubling on the stacked engine; see integrate_adaptive.  ``finish``
-    # turns the raw integral into the caller's result (scale factors, the
-    # Drury inverse); it is applied to the NoConvergence payload as well, so
-    # the payload is the caller's best result, not the raw integral.
+    # Node doubling on the stacked engine; see integrate_adaptive.  Doubling
+    # stops at a Frobenius difference of tol * norm.  ``finish`` turns the raw
+    # integral into the caller's result (scale factors, the Drury inverse); it
+    # is applied to the NoConvergence payload as well, so the payload is the
+    # caller's best result, not the raw integral.
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not 32 <= max_nodes <= MAX_NODES:
@@ -228,7 +230,7 @@ def _integrate_doubling(
         n *= 2
         cur = _integrate(rule_factory(n), f)
         err = frob(cur - prev)
-        if err <= tol:
+        if err <= tol * norm:
             return finish(IntegralResult(value=cur, error_estimate=err, nodes_used=n))
         prev = cur
     raise NoConvergence(
@@ -241,7 +243,8 @@ def _integrate_doubling(
 class QuadratureConfig:
     """Quadrature of every integral: a fixed ``rule_nodes``-node rule, or with
     ``adaptive`` node doubling from 16 nodes until successive results agree to
-    ``tol``.  ``GeometricMeanConfig`` and ``EntropyConfig`` are this class.
+    ``tol`` times ||A||_F of the pair being integrated.  ``GeometricMeanConfig``
+    and ``EntropyConfig`` are this class.
     """
 
     rule_nodes: int = 64
@@ -274,10 +277,12 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, family, cfg: Quadrature
     # path(A_k, B_k) integrated over family(n)'s rules for the stacked pairs, then
     # finish(res, scale_k) with the pair's factor from the list scale, or None.  A fixed
     # rule integrates batches of at most _BATCH_ENTRIES node-stack entries and finishes
-    # all pairs at once; node doubling takes each pair alone, payload included.
+    # all pairs at once.  Node doubling takes each pair alone, payload included, until
+    # successive integrals agree to cfg.tol * ||A_k||_F (cfg.tol if A_k = 0), as they
+    # scale with the pair; each result is bitwise the fixed rule's at its node count.
     if cfg.adaptive:
         out = [_integrate_doubling(path(x, y), family, cfg.tol, max_nodes,
-                                   lambda res, s=s: finish(res, s))
+                                   lambda res, s=s: finish(res, s), frob(x) or 1.0)
                for x, y, s in zip(a, b, scale or [None] * len(a))]
         return _Integrals(np.stack([r.value for r in out]), [r.error_estimate for r in out],
                           [r.nodes_used for r in out])

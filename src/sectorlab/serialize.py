@@ -1,11 +1,13 @@
 """Deterministic JSON emission with fixed float formatting.
 
 Every float is written with 17 significant digits, which round-trips any
-binary64 value exactly and keeps report bytes identical across runs.
+binary64 value exactly and keeps report bytes identical across runs.  Strings
+are escaped by the standard ``json`` encoder, control characters included.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -31,8 +33,7 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import sectorlab as sl
 from sectorlab.cli import main, matrix_to_payload, payload_to_matrix
+from sectorlab.quadrature import QuadratureConfig
 from sectorlab.serialize import to_json
 
 
@@ -95,6 +97,21 @@ def test_mean_adaptive_metadata(diag_files, capsys):
     assert doc["meta"]["error_estimate"] <= 1e-10
 
 
+A_DIAG, B_DIAG = np.diag([1.0, 4.0]), np.diag([9.0, 1.0])  # the pair of diag_files
+
+#: --kind -> (its weight, the fixed-rule and the adaptive library call on A_DIAG, B_DIAG)
+LIBRARY_CALLS = {
+    "geom": (0.3, lambda cfg: sl.geometric_mean(A_DIAG, B_DIAG, 0.3, cfg),
+             lambda tol: sl.geometric_mean_adaptive(A_DIAG, B_DIAG, 0.3, tol)),
+    "drury": (0.5, lambda cfg: sl.drury_mean(A_DIAG, B_DIAG, cfg),
+              lambda tol: sl.drury_mean_adaptive(A_DIAG, B_DIAG, tol)),
+    "relative": (None, lambda cfg: sl.relative_entropy(A_DIAG, B_DIAG, cfg),
+                 lambda tol: sl.relative_entropy_adaptive(A_DIAG, B_DIAG, tol)),
+    "tsallis": (0.3, lambda cfg: sl.tsallis_entropy(A_DIAG, B_DIAG, 0.3, cfg),
+                lambda tol: sl.tsallis_entropy_adaptive(A_DIAG, B_DIAG, 0.3, tol)),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["mean", "--kind", "geom", "--lambda", "0.3"],
     ["mean", "--kind", "drury"],
@@ -102,17 +119,23 @@ def test_mean_adaptive_metadata(diag_files, capsys):
     ["entropy", "--kind", "tsallis", "--lambda", "0.3"],
 ])
 def test_integral_metadata_fixed_and_adaptive(diag_files, capsys, argv):
+    lam, fixed_call, adaptive_call = LIBRARY_CALLS[argv[2]]
     a, b = diag_files
     argv = argv + ["--a", a, "--b", b]
     assert main(argv + ["--nodes", "32"]) == 0
     fixed, doc = read_stdout_matrix(capsys)
-    assert doc["meta"]["nodes_used"] == 32
-    assert doc["meta"]["error_estimate"] is None
+    # entries and meta are the library's result, bit for bit
+    assert fixed.tobytes() == fixed_call(QuadratureConfig(rule_nodes=32)).tobytes()
+    assert doc["meta"] == {"lambda": lam, "nodes_used": 32, "error_estimate": None}
     assert main(argv + ["--adaptive", "--tol", "1e-10"]) == 0
     adaptive, doc = read_stdout_matrix(capsys)
-    assert doc["meta"]["nodes_used"] >= 32
-    # tol is absolute for the means, relative to ||A||_F (here > 1) for the entropies
-    assert 0.0 <= doc["meta"]["error_estimate"] <= 1e-10 * math.hypot(1.0, 4.0)
+    res = adaptive_call(1e-10)
+    assert adaptive.tobytes() == res.value.tobytes()
+    assert doc["meta"] == {"lambda": lam, "nodes_used": res.nodes_used,
+                           "error_estimate": res.error_estimate}
+    assert res.nodes_used >= 32
+    # tol is relative to ||A||_F (here > 1) of the pair integrated; the means integrate A/||A||_F
+    assert 0.0 <= res.error_estimate <= 1e-10 * math.hypot(1.0, 4.0)
     np.testing.assert_allclose(adaptive, fixed, atol=1e-8)
 
 
@@ -276,6 +299,9 @@ def test_floats_read_back_identically():
     for x in (1e5, 1e-7, -0.0, 5e-324, -math.pi):
         back = float(json.loads(to_json([x]))[0])
         assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+    # and so do strings, control characters and non-ASCII text included
+    for text in ("tab\there", "cr\r", "\x01", 'quote " and \\', "line\nbreak", "π/2"):
+        assert json.loads(to_json({"detail": text}))["detail"] == text
 
 
 def test_matrix_file_validation(tmp_path):
@@ -295,6 +321,11 @@ def test_matrix_file_validation(tmp_path):
     flag.write_text('{"dim": true, "entries": [[[1, 0]]]}')
     assert main(["mean", "--kind", "arith", "--lambda", "0.5",
                  "--a", str(flag), "--b", str(flag)]) == 2
+    # an integer beyond the float range is a bad entry, not a crash
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}')
+    assert main(["mean", "--kind", "arith", "--lambda", "0.5",
+                 "--a", str(huge), "--b", str(huge)]) == 2
 
 
 def test_unwritable_output_exits_2(diag_files, tmp_path, capsys):

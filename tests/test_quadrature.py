@@ -265,8 +265,8 @@ def test_adaptive_rejects_bad_arguments():
 
 def test_evaluate_takes_the_rule_from_the_config():
     # _evaluate alone chooses between a fixed rule, which reports no error
-    # estimate, and node doubling, pair by pair; finish applies to both, with
-    # each pair's factor.
+    # estimate, and node doubling, pair by pair to a tolerance relative to
+    # ||A_k||_F; finish applies to both, with each pair's factor.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
     def f(t):
@@ -287,7 +287,8 @@ def test_evaluate_takes_the_rule_from_the_config():
     cfg = QuadratureConfig(adaptive=True, tol=1e-13)
     got = _evaluate(path, a, b, scale, gauss_legendre, cfg, max_nodes=256)
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
-        want = integrate_adaptive(lambda t: x * f(t) + y, gauss_legendre, tol=1e-13, max_nodes=256)
+        want = integrate_adaptive(lambda t: x * f(t) + y, gauss_legendre,
+                                  tol=1e-13 * np.linalg.norm(x), max_nodes=256)
         assert got.nodes_used[k] == got[k].nodes_used == want.nodes_used
         assert got.error_estimates[k] == got[k].error_estimate == s * want.error_estimate
         assert np.array_equal(got.value[k], s * want.value)
@@ -415,12 +416,12 @@ def test_adaptive_library_integrals_match_per_node_engine():
     assert got.nodes_used == ref.nodes_used
     assert np.linalg.norm(got.value - gauge * ref.value) <= 1e-14 * np.linalg.norm(got.value)
 
-    # the entropy integrates the pair scaled by ||A||_F
-    h = _per_node_harmonic(a / sa, b / sa)
+    # the entropy integrates the pair as it is, to a tolerance relative to ||A||_F
+    h = _per_node_harmonic(a, b)
     got = relative_entropy_adaptive(a, b)
-    ref = integrate_adaptive(lambda t: (h(t) - a / sa) / t, gauss_legendre, tol=1e-12)
+    ref = integrate_adaptive(lambda t: (h(t) - a) / t, gauss_legendre, tol=1e-12 * sa)
     assert got.nodes_used == ref.nodes_used
-    assert np.linalg.norm(got.value - sa * ref.value) <= 1e-14 * np.linalg.norm(got.value)
+    assert np.linalg.norm(got.value - ref.value) <= 1e-14 * np.linalg.norm(got.value)
 
 
 def test_adaptive_payloads_are_scaled_like_results():
@@ -451,6 +452,50 @@ def test_adaptive_payloads_are_scaled_like_results():
         payload = exc.value.payload
         assert payload.nodes_used == 32
         assert np.linalg.norm(payload.value - want) <= payload.error_estimate
+
+
+def test_adaptive_results_are_the_fixed_rule_at_their_node_count():
+    # Node doubling integrates the caller's pair as it is and stops on a
+    # tolerance relative to ||A||_F, so every adaptive result, and every
+    # NoConvergence payload, is bitwise the fixed rule's at the node count it
+    # reports, for pairs of any norm.
+    from sectorlab.ensemble import SectorSpec, random_accretive
+    from sectorlab.entropy import (
+        relative_entropy,
+        relative_entropy_adaptive,
+        tsallis_entropy,
+        tsallis_entropy_adaptive,
+    )
+    from sectorlab.means import drury_mean, drury_mean_adaptive, geometric_mean, geometric_mean_adaptive
+    from sectorlab.quadrature import QuadratureConfig
+
+    lam = 0.3
+    calls = [  # (adaptive, fixed) of each integral
+        (lambda a, b, **kw: geometric_mean_adaptive(a, b, lam, **kw),
+         lambda a, b, cfg: geometric_mean(a, b, lam, cfg)),
+        (drury_mean_adaptive, drury_mean),
+        (relative_entropy_adaptive, relative_entropy),
+        (lambda a, b, **kw: tsallis_entropy_adaptive(a, b, lam, **kw),
+         lambda a, b, cfg: tsallis_entropy(a, b, lam, cfg)),
+    ]
+
+    def same_as_fixed(res, fixed, a, b):
+        want = fixed(a, b, QuadratureConfig(rule_nodes=res.nodes_used))
+        assert res.value.tobytes() == want.tobytes()
+
+    pairs = (accretive_pairs(3, (1, 2, 3), 0.5 * math.pi / 2, seed=79)
+             + accretive_pairs(2, (3, 4), 0.9 * math.pi / 2, seed=83))
+    for a, b in pairs:
+        for s in (1.0, 60.0, 1.0 / 7.0):
+            for adaptive, fixed in calls:
+                same_as_fixed(adaptive(s * a, s * b), fixed, s * a, s * b)
+    angle = 0.97 * (math.pi / 2)
+    a = random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=100.0, seed=5)).mat
+    b = random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=100.0, seed=6)).mat
+    for adaptive, fixed in calls:
+        with pytest.raises(NoConvergence) as exc:
+            adaptive(a, b, tol=1e-15, max_nodes=32)
+        same_as_fixed(exc.value.payload, fixed, a, b)
 
 
 def test_singular_interior_node_is_reported():
