@@ -13,6 +13,7 @@ is a true dial for the numerical-range sector half-angle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ _TAG_VECTORS = 3
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    # numpy integers count, bool does not
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def derive_seed(seed: int, purpose: int, index: int) -> int:
@@ -55,6 +62,7 @@ class SectorSpec:
             raise ValueError(f"angle must lie in [0, pi/2), got {self.angle}")
         if not self.cond_cap >= 1.0:
             raise ValueError(f"cond_cap must be >= 1, got {self.cond_cap}")
+        _check_integer("seed", self.seed, 0)
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,7 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import GENERATOR_NAME, SectorSpec, derive_seed, random_accretive, random_unit_vectors
+from .ensemble import (
+    GENERATOR_NAME,
+    SectorSpec,
+    _check_integer,
+    derive_seed,
+    random_accretive,
+    random_unit_vectors,
+)
 from .entropy import EntropyConfig, _entropy
 from .errors import SectorlabError
 from .linalg import (
@@ -85,8 +92,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if not (1 <= self.dim <= MAX_DIM):
             raise ValueError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("seed", self.seed, 0)
         if not (0.0 <= self.sector_angle < math.pi / 2):
             raise ValueError(f"sector_angle must lie in [0, pi/2), got {self.sector_angle}")
         if not self.lambda_grid:
@@ -389,6 +396,12 @@ def check_bilinear(spec: EnsembleSpec, pairs_per_trial: int = 8,
 def check_homogeneity(spec: EnsembleSpec, scales=HOMOGENEITY_SCALES,
                       cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """(alpha A) #_lam (beta B) = alpha^(1-lam) beta^lam (A #_lam B)."""
+    if len(scales) == 0:
+        raise ValueError("scales must not be empty")
+    for entry in scales:
+        if not (len(entry) == 2 and all(0.0 < v < math.inf for v in entry)):
+            raise ValueError("scales must be (alpha, beta) pairs of positive finite reals, "
+                             f"got {entry!r}")
     return _alone("check_homogeneity", _homogeneity, spec, means_cfg=cfg, scales=scales)
 
 
@@ -486,6 +499,7 @@ def reports_to_dict(spec: EnsembleSpec, reports: list[PropertyReport]) -> dict:
 
 
 def all_theorem_checks_clean(reports: list[PropertyReport]) -> bool:
-    """True when every theorem-backed report ran and saw zero violations."""
+    """True when every theorem-backed report ran and saw zero violations; a
+    search is told apart by its status, "found" or "warning", which only it sets."""
     return all(r.violations == 0 and r.status != "error" for r in reports
-               if r.property_id != "search_agh_counterexample")
+               if r.status not in ("found", "warning"))

@@ -240,6 +240,22 @@ def test_verify_angle_out_of_range(capsys):
     capsys.readouterr()
 
 
+def test_verify_bad_seed_names_the_field(capsys):
+    assert main(["verify", "--seed", "-1", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
+def test_verify_warns_for_any_search_without_a_witness(monkeypatch, tmp_path, capsys):
+    import sectorlab.cli as cli
+    from sectorlab.verify import DEFAULT_TOLERANCE, PropertyReport
+
+    quiet = PropertyReport("search_entropy_chain", 4, 0, 0.1, 0, DEFAULT_TOLERANCE,
+                           status="warning")
+    monkeypatch.setattr(cli, "run_all", lambda spec: [quiet])
+    assert main(["verify", "--trials", "4", "--report", str(tmp_path / "r.json")]) == 0
+    assert "found no violating pair in 4 trials" in capsys.readouterr().err
+
+
 def test_verify_unknown_property(capsys):
     assert main(["verify", "--only", "check_nothing", "--trials", "1"]) == 2
     capsys.readouterr()
@@ -296,12 +312,15 @@ def test_matrix_round_trip_bit_exact(tmp_path):
 
 
 def test_floats_read_back_identically():
-    for x in (1e5, 1e-7, -0.0, 5e-324, -math.pi):
-        back = float(json.loads(to_json([x]))[0])
-        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+    # every float reads back as a float with the same bits, integral ones too
+    for x in (1e5, 1e-7, -0.0, 5e-324, -math.pi, 0.0, 2.0, 1e16, 1e22):
+        back = json.loads(to_json([x]))[0]
+        assert type(back) is float and back.hex() == x.hex()
     # and so do strings, control characters and non-ASCII text included
     for text in ("tab\there", "cr\r", "\x01", 'quote " and \\', "line\nbreak", "π/2"):
         assert json.loads(to_json({"detail": text}))["detail"] == text
+    # dict keys are escaped as well
+    assert json.loads(to_json({"tab\tkey": 1})) == {"tab\tkey": 1}
 
 
 def test_matrix_file_validation(tmp_path):

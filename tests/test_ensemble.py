@@ -116,6 +116,13 @@ def test_sector_spec_validation():
         SectorSpec(dim=2, angle=math.pi / 2, cond_cap=10.0, seed=0)
     with pytest.raises(ValueError):
         SectorSpec(dim=2, angle=0.1, cond_cap=0.0, seed=0)
+    for bad in (-1, 2.5, False):
+        with pytest.raises(ValueError, match="seed"):
+            SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=bad)
+    # a numpy integer is a seed, and draws the same matrix as the Python int
+    spec = SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=np.int64(4))
+    assert np.array_equal(random_accretive(spec).mat,
+                          random_accretive(SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=4)).mat)
 
 
 # ------------------------------------------------------ random_unit_vectors

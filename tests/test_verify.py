@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_spec_validation():
         EnsembleSpec(lambda_grid=(0.5, 1.0))
     with pytest.raises(ValueError):
         EnsembleSpec(lambda_grid=())
+    # a seed is an integer >= 0 and trials an integer; each message names its field
+    for bad in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            EnsembleSpec(seed=bad)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="trials"):
+            EnsembleSpec(trials=bad)
+    assert EnsembleSpec(trials=np.int64(2), seed=np.uint32(5)).seed == 5
 
 
 def test_report_invariants_and_zero_violations():
@@ -200,6 +209,24 @@ def test_all_theorem_checks_clean_logic():
     assert not all_theorem_checks_clean([good, bad])
     assert not all_theorem_checks_clean([err])
     assert all_theorem_checks_clean([good, search_hit])
+    # searches are told apart by status: a second search is not a theorem violation
+    other_search = PropertyReport("search_entropy_chain", 5, 3, -0.1, 2, DEFAULT_TOLERANCE,
+                                  status="found")
+    assert all_theorem_checks_clean([good, other_search])
+
+
+def test_homogeneity_rejects_bad_scales_before_any_work(monkeypatch):
+    import sectorlab.verify as verify
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scales must be checked before the evaluation")
+
+    monkeypatch.setattr(verify, "_evaluate_pairs", no_work)
+    with pytest.raises(ValueError, match="empty"):
+        check_homogeneity(SMALL, scales=())
+    for entry in ((0.0, 1.0), (-1.0, 1.0), (2.0,)):
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            check_homogeneity(SMALL, scales=(entry,))
 
 
 # ------------------------------------------------------------------- search
