@@ -13,6 +13,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -198,7 +199,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_theorem_checks_clean(reports) else EXIT_VIOLATIONS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="sectorlab",
                                      description="Operator means and entropies of accretive matrices")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -34,10 +34,12 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _check_integer(name: str, value, low: int) -> None:
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
     # numpy integers count, bool does not
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+            and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def derive_seed(seed: int, purpose: int, index: int) -> int:
@@ -56,8 +58,7 @@ class SectorSpec:
     seed: int
 
     def __post_init__(self):
-        if not (1 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
+        _check_integer("dim", self.dim, 1, MAX_DIM)
         if not (0.0 <= self.angle < math.pi / 2):
             raise ValueError(f"angle must lie in [0, pi/2), got {self.angle}")
         if not self.cond_cap >= 1.0:
@@ -79,8 +80,7 @@ def random_hpd(dim: int, cond_cap: float, seed: int) -> np.ndarray:
     Haar-random unitary conjugation, so the condition number never exceeds
     ``cond_cap``.
     """
-    if not (1 <= dim <= MAX_DIM):
-        raise ValueError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
+    _check_integer("dim", dim, 1, MAX_DIM)
     if not cond_cap >= 1.0:
         raise ValueError(f"cond_cap must be >= 1, got {cond_cap}")
     u = _haar_unitary(dim, _rng(seed, _TAG_UNITARY))
@@ -110,8 +110,8 @@ def random_accretive(spec: SectorSpec) -> AccretiveMatrix:
 
 def random_unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
     """(count, dim) array of unit-norm complex Gaussian vectors."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_integer("dim", dim, 1)
+    _check_integer("count", count, 1)
     rng = _rng(seed, _TAG_VECTORS)
     g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)

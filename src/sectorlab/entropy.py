@@ -50,7 +50,14 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
     # t -> (A !_t B - A)/t over a node array; bounded on (0, 1), limit
     # A - A B^-1 A at t -> 0.  Stacked pairs (jobs, d, d) give (jobs, n, d, d).
     harmonic = _harmonic_path(a, b)
-    return lambda t: (harmonic(t) - a[..., None, :, :]) / np.reshape(t, (-1, 1, 1))
+
+    def path(t) -> np.ndarray:
+        h = harmonic(t)
+        h -= a[..., None, :, :]
+        h /= np.reshape(t, (-1, 1, 1))
+        return h
+
+    return path
 
 
 def _entropy(a: np.ndarray, b: np.ndarray, cfg: EntropyConfig,

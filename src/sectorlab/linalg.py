@@ -5,7 +5,10 @@ outputs are Hermitian *bitwise* (constructed by symmetrization), so downstream
 code may rely on ``H == H.conj().T`` exactly rather than approximately.  The
 inverse and the Hermitian eigensolver are LAPACK's, through ``np.linalg``.
 The functions that say so also take a stack ``(..., d, d)`` of matrices and
-treat each slice bitwise as they would treat it alone.
+treat each slice bitwise as they would treat it alone.  The public
+:func:`inverse` validates its input and then calls the private core ``_inv``,
+one LAPACK call and a condition estimate; the library's own paths call
+``_inv`` directly on the stacks they have already validated or built.
 """
 
 from __future__ import annotations
@@ -36,10 +39,14 @@ ACCRETIVE_REL_FLOOR = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex128 array with finite entries."""
+    """Coerce input to a square C-contiguous complex128 array with finite entries.
+
+    C order makes every result independent of the input's memory layout:
+    some reductions sum in memory order.
+    """
     if isinstance(a, AccretiveMatrix):
         return a.mat
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a, dtype=np.complex128, order="C")
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -53,7 +60,7 @@ def _as_stack(a) -> np.ndarray:
     # as_matrix, extended to stacks (..., d, d) of square matrices
     if np.ndim(a) <= 2:
         return as_matrix(a)
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a, dtype=np.complex128, order="C")
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -93,13 +100,37 @@ def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
         IllConditioned: in some slice the estimate ||A||_F * ||X||_F exceeded
             ``cond_cap``.
     """
-    m = _as_stack(a)
+    return _inv(_as_stack(a), cond_cap)
+
+
+def _frob_sq(m: np.ndarray) -> np.ndarray:
+    # squared Frobenius norm of each slice, in any memory layout
+    v = np.ascontiguousarray(m).view(np.float64)
+    return np.einsum("...ij,...ij->...", v, v)
+
+
+def _frob_scaled(m: np.ndarray) -> np.ndarray:
+    # Frobenius norm of each slice, scaled by its largest modulus s so that no
+    # square overflows or underflows.  The sum is >= 1, as s contributes 1; fmax
+    # keeps an infinite, NaN or zero slice's norm s where m / s is NaN.
+    a = np.abs(m)
+    s = np.max(a, axis=(-2, -1), keepdims=True)
+    a /= s
+    return s[..., 0, 0] * np.sqrt(np.fmax(np.einsum("...ij,...ij->...", a, a), 1.0))
+
+
+def _inv(m: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+    # inverse of a validated complex128 stack; see inverse
     try:
         x = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"LAPACK inversion failed: {exc}") from exc
-    # np.max propagates a NaN estimate, which then fails the finiteness test.
-    cond_est = float(np.max(np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # max propagates a NaN estimate, which then fails the finiteness test.
+        cond_est = math.sqrt((_frob_sq(m) * _frob_sq(x)).max())
+        if not math.isfinite(cond_est) or cond_est > cond_cap:
+            # the squares may have overflowed or underflowed: recompute scale-safely
+            cond_est = float((_frob_scaled(m) * _frob_scaled(x)).max())
     if not math.isfinite(cond_est) or cond_est > cond_cap:
         raise IllConditioned(f"condition estimate {cond_est:.3e} exceeds cap {cond_cap:g}")
     return x

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidScalar, InvalidWeight
-from .linalg import as_matrix, frob, hpd_power, inverse, symmetrize
+from .linalg import _inv, as_matrix, frob, hpd_power, inverse, symmetrize
 from .quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
@@ -90,21 +90,24 @@ def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
 def _convex_inverse_path(x: np.ndarray, y: np.ndarray):
     # t -> ((1-t) X + t Y)^-1 over a 1-d array of weights t (a scalar is one
     # weight), one batched inverse for all of them.  One pair (d, d) gives
-    # (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d).
+    # (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d).  X and Y are
+    # validated, so the path calls the inverse core.
     x = x[..., None, :, :]
     y = y[..., None, :, :]
 
     def path(t) -> np.ndarray:
         t = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-        return inverse((1.0 - t) * x + t * y)
+        s = (1.0 - t) * x
+        s += t * y
+        return _inv(s)
 
     return path
 
 
 def _harmonic_path(a: np.ndarray, b: np.ndarray):
     # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1, with the two fixed inverses
-    # hoisted out of the path
-    return _convex_inverse_path(inverse(a), inverse(b))
+    # hoisted out of the path; A and B are validated
+    return _convex_inverse_path(_inv(a), _inv(b))
 
 
 def _gauges(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, list]:

@@ -12,12 +12,15 @@ One engine evaluates every integral: the integrand takes the whole node
 array and returns the stack ``(n, d, d)`` of its values, so the library's
 paths invert all nodes of a rule in one LAPACK call.  A batch of integrands
 over one rule returns ``(jobs, n, d, d)`` and is still one LAPACK call and one
-sum; each job's sum is bitwise the one it would get alone.  The public
-``integrate_matrix`` and ``integrate_adaptive`` take a per-node integrand and
-stack its values node by node onto the same engine.  Rules are cached as
-validated objects.  One :class:`QuadratureConfig` sets every library integral,
-and ``_evaluate`` alone applies it, to stacked pairs in batches or one by one;
-it returns their values as one stack, with each pair's estimate and node count.
+sum; each job's sum is bitwise the one it would get alone.  Finiteness is
+checked on the reduced sum ``(jobs, d, d)``, which a non-finite node value
+always reaches; only a non-finite sum is traced back to its first non-finite
+node.  The public ``integrate_matrix`` and ``integrate_adaptive`` take a
+per-node integrand and stack its values node by node onto the same engine.
+Rules are cached as validated objects.  One :class:`QuadratureConfig` sets
+every library integral, and ``_evaluate`` alone applies it, to stacked pairs
+in batches or one by one; it returns their values as one stack, with each
+pair's estimate and node count.
 """
 
 from __future__ import annotations
@@ -199,11 +202,16 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
                 raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
                                         node=float(t)) from exc
         raise
-    finite = np.isfinite(vals).all(axis=(-2, -1)).reshape(-1, rule.count).all(axis=0)
-    if not finite.all():
-        t = float(rule.nodes[np.argmin(finite)])
-        raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
-    return np.sum(vals * rule.weights[:, None, None], axis=-3)
+    # A non-finite node value makes its job's sum non-finite, so the sum is
+    # checked; only a non-finite sum pays for the scan of the node stack.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(vals * rule.weights[:, None, None], axis=-3)
+    if not np.isfinite(total).all():
+        finite = np.isfinite(vals).all(axis=(-2, -1)).reshape(-1, rule.count).all(axis=0)
+        if not finite.all():
+            t = float(rule.nodes[np.argmin(finite)])
+            raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
+    return total
 
 
 def _integrate_doubling(

@@ -90,8 +90,7 @@ class EnsembleSpec:
     lambda_grid: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self):
-        if not (1 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
+        _check_integer("dim", self.dim, 1, MAX_DIM)
         _check_integer("trials", self.trials, 1)
         _check_integer("seed", self.seed, 0)
         if not (0.0 <= self.sector_angle < math.pi / 2):
@@ -373,8 +372,7 @@ def check_vector_family(spec: EnsembleSpec, family_size: int = 3,
                         tol: LoewnerTolerance = DEFAULT_TOLERANCE,
                         cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """sum_k <(Re(A #_lam B))^-1 x_k, x_k> <= geometric mean of the Re-part sums."""
-    if family_size < 1:
-        raise ValueError(f"family_size must be >= 1, got {family_size}")
+    _check_integer("family_size", family_size, 1)
     return _alone("check_vector_family", _vector_family, spec, tol, cfg, family_size=family_size)
 
 
@@ -388,8 +386,7 @@ def check_bilinear(spec: EnsembleSpec, pairs_per_trial: int = 8,
                    tol: LoewnerTolerance = DEFAULT_TOLERANCE,
                    cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
     """(Re <x*, x>)^2 <= <Re(A #_lam B) x*, x*> * (<(Re A)^-1 x,x> #_lam <(Re B)^-1 x,x>)."""
-    if pairs_per_trial < 1:
-        raise ValueError(f"pairs_per_trial must be >= 1, got {pairs_per_trial}")
+    _check_integer("pairs_per_trial", pairs_per_trial, 1)
     return _alone("check_bilinear", _bilinear, spec, tol, cfg, pairs_per_trial=pairs_per_trial)
 
 

@@ -289,6 +289,33 @@ def test_verify_violations_exit_code(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_per_process(diag_files, capsys):
+    # One process reuses one parser; every call writes what a call with a
+    # freshly built parser writes.
+    import sectorlab.cli as cli
+
+    a, b = diag_files
+    calls = [["verify", "--dim", "2", "--trials", "2"],
+             ["mean", "--kind", "geom", "--lambda", "0.3", "--a", a, "--b", b],
+             ["mean", "--kind", "cubic", "--a", a, "--b", b],
+             ["verify", "--dim", "2", "--trials", "2"]]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert "invalid choice: 'cubic'" in fresh[2][2]
+
+
 def test_verify_stdout_report_is_clean_json(capsys):
     rc = main(["verify", "--only", "check_symmetry", "--trials", "1", "--dim", "2"])
     assert rc == 0

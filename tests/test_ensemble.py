@@ -56,6 +56,9 @@ def test_hpd_validates_arguments():
         random_hpd(0, 10.0, 1)
     with pytest.raises(ValueError):
         random_hpd(2, 0.5, 1)
+    for bad in (2.5, True, 65):
+        with pytest.raises(ValueError, match="dim"):
+            random_hpd(bad, 10.0, 1)
 
 
 # --------------------------------------------------------- random_accretive
@@ -119,6 +122,9 @@ def test_sector_spec_validation():
     for bad in (-1, 2.5, False):
         with pytest.raises(ValueError, match="seed"):
             SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=bad)
+    for bad in (0, 2.5, True, "3", 65):
+        with pytest.raises(ValueError, match="dim"):
+            SectorSpec(dim=bad, angle=0.1, cond_cap=10.0, seed=0)
     # a numpy integer is a seed, and draws the same matrix as the Python int
     spec = SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=np.int64(4))
     assert np.array_equal(random_accretive(spec).mat,
@@ -143,6 +149,11 @@ def test_unit_vector_scalar_case():
 def test_unit_vectors_validation():
     with pytest.raises(ValueError):
         random_unit_vectors(3, 0, 1)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="count"):
+            random_unit_vectors(3, bad, 1)
+        with pytest.raises(ValueError, match="dim"):
+            random_unit_vectors(bad, 3, 1)
 
 
 def test_derive_seed_stability():

@@ -112,6 +112,21 @@ def test_inverse_ill_conditioned():
         la.inverse(np.diag([1.0, 1e-7]), cond_cap=1e6)
 
 
+def test_inverse_of_scaled_identity_is_well_conditioned():
+    # The estimate ||A||_F * ||X||_F of s * I is d at any scale s; its squares
+    # overflow or underflow at these scales, and no warning may escape.
+    for s in (1e-160, 1e160, 1e-300, 1e300):
+        x = la.inverse(s * np.eye(3))
+        assert np.array_equal(x, np.linalg.inv(s * np.eye(3, dtype=complex)))
+        assert np.array_equal(la.inverse(np.stack([np.eye(2), s * np.eye(2)]))[1],
+                              np.linalg.inv(s * np.eye(2, dtype=complex)))
+    # a scaled ill-conditioned matrix still raises, with its finite estimate
+    with pytest.raises(IllConditioned, match="1.000e[+]15"):
+        la.inverse(1e160 * np.diag([1.0, 1e-15]))
+    with pytest.raises(IllConditioned, match="estimate inf"):
+        la.inverse(np.diag([1e200, 1e-200]))
+
+
 def test_inverse_accepts_accretive_matrix():
     expected = np.array([[2, -1j], [-1j, 2]], dtype=complex) / 5
     np.testing.assert_allclose(la.inverse(la.AccretiveMatrix.from_matrix(A_CANON)), expected, atol=1e-15)

@@ -399,6 +399,16 @@ def test_integrate_sums_each_job_of_a_batch_alone():
         with pytest.raises(EvaluationFailure) as info:
             _integrate(rule, lambda t: bad)
         assert info.value.node == float(rule.nodes[n // 2])
+    # with several non-finite nodes the first in ascending order is named,
+    # whichever job holds it, and the non-finite sum does not warn
+    rule = gauss_legendre(8)
+    vals = np.ones((3, 8, 2, 2), dtype=complex)
+    vals[0, 6, 1, 0] = math.inf
+    vals[2, 4, 0, 1] = complex(0.0, math.nan)
+    vals[1, 5, 1, 1] = -math.inf
+    with pytest.raises(EvaluationFailure) as info:
+        _integrate(rule, lambda t: vals)
+    assert info.value.node == float(rule.nodes[4])
 
 
 def test_adaptive_library_integrals_match_per_node_engine():
@@ -496,6 +506,60 @@ def test_adaptive_results_are_the_fixed_rule_at_their_node_count():
         with pytest.raises(NoConvergence) as exc:
             adaptive(a, b, tol=1e-15, max_nodes=32)
         same_as_fixed(exc.value.payload, fixed, a, b)
+
+
+def test_integrals_do_not_depend_on_the_input_layout():
+    # Fortran-ordered, transposed and strided views give bitwise the results
+    # of their C-contiguous copies, values, node counts and estimates alike.
+    from sectorlab.entropy import (
+        relative_entropy,
+        relative_entropy_adaptive,
+        tsallis_entropy,
+        tsallis_entropy_adaptive,
+    )
+    from sectorlab.linalg import inverse
+    from sectorlab.means import (
+        drury_mean,
+        drury_mean_adaptive,
+        geometric_mean,
+        geometric_mean_adaptive,
+        harmonic_mean,
+    )
+
+    lam = 0.3
+    calls = [
+        lambda a, b: geometric_mean(a, b, lam),
+        drury_mean,
+        relative_entropy,
+        lambda a, b: tsallis_entropy(a, b, lam),
+        lambda a, b: geometric_mean_adaptive(a, b, lam),
+        drury_mean_adaptive,
+        relative_entropy_adaptive,
+        lambda a, b: tsallis_entropy_adaptive(a, b, lam),
+        lambda a, b: harmonic_mean(a, b, lam),
+        lambda a, b: inverse(a),
+        lambda a, b: inverse(np.stack([a, b])),
+    ]
+
+    def strided(m):
+        big = np.zeros((2 * len(m), 2 * len(m)), dtype=m.dtype)
+        big[::2, ::2] = m
+        return big[::2, ::2]
+
+    layouts = [np.asfortranarray, lambda m: np.ascontiguousarray(m.T).T, strided,
+               lambda m: np.ascontiguousarray(m[::-1, ::-1])[::-1, ::-1]]
+
+    def raw(res):
+        if isinstance(res, np.ndarray):
+            return res.tobytes()
+        return res.value.tobytes(), res.nodes_used, res.error_estimate
+
+    for a, b in accretive_pairs(2, (3, 5), 0.6 * math.pi / 2, seed=89):
+        for layout in layouts:
+            la, lb = layout(a), layout(b)
+            assert not la.flags.c_contiguous and np.array_equal(la, a)
+            for call in calls:
+                assert raw(call(la, lb)) == raw(call(a, b))
 
 
 def test_singular_interior_node_is_reported():

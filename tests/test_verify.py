@@ -75,6 +75,16 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="trials"):
             EnsembleSpec(trials=bad)
     assert EnsembleSpec(trials=np.int64(2), seed=np.uint32(5)).seed == 5
+    # dim and the checks' sizes are integers too, rejected before any draw
+    for bad in (0, 2.5, True, "3", 65):
+        with pytest.raises(ValueError, match="dim"):
+            EnsembleSpec(dim=bad)
+    assert EnsembleSpec(dim=np.int64(2)).dim == 2
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="family_size"):
+            check_vector_family(SMALL, family_size=bad)
+        with pytest.raises(ValueError, match="pairs_per_trial"):
+            check_bilinear(SMALL, pairs_per_trial=bad)
 
 
 def test_report_invariants_and_zero_violations():
