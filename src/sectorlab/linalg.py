@@ -86,8 +86,8 @@ def imag_part(a) -> np.ndarray:
 
 
 def frob(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, summed in C order whatever the argument's memory layout."""
+    return float(np.linalg.norm(np.ascontiguousarray(a)))
 
 
 def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:

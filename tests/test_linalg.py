@@ -62,6 +62,24 @@ def test_symmetrize_is_bitwise_hermitian():
         assert np.array_equal(h, h.conj().T)
 
 
+def test_frob_is_bitwise_independent_of_memory_layout():
+    # np.linalg.norm sums in memory order; frob sums in C order, so a
+    # Fortran-ordered or strided argument gives bitwise its C copy's norm.
+    from sectorlab.ensemble import SectorSpec, random_accretive
+
+    def strided(m):
+        big = np.zeros((2 * len(m), 2 * len(m)), dtype=m.dtype)
+        big[::2, ::2] = m
+        return big[::2, ::2]
+
+    for k in range(20):
+        m = random_accretive(SectorSpec(dim=3 + k % 6, angle=0.6 * math.pi / 2,
+                                        cond_cap=100.0, seed=k)).mat
+        for view in (np.asfortranarray(m), np.ascontiguousarray(m.T).T, strided(m)):
+            assert not view.flags.c_contiguous and np.array_equal(view, m)
+            assert la.frob(view) == la.frob(m)
+
+
 # ------------------------------------------------------------------ inverse
 
 

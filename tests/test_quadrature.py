@@ -116,7 +116,53 @@ def test_against_scipy_roots_jacobi():
         np.testing.assert_allclose(rule.weights, w / 2.0 ** (a + b + 1.0), rtol=1e-11)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy-internal divide for a+b = -1
+def test_dense_rules_up_to_512_nodes_are_accurate():
+    # Moments against B(beta+k+1, alpha+1); scipy's roots_jacobi weights lose
+    # accuracy at these sizes (7e-10 at 512 nodes), so only its nodes are used.
+    for n in (128, 256, 512):
+        for a, b in ((0.0, 0.0), (-0.3, -0.7), (-0.7, 0.7)):
+            rule = gauss_jacobi(n, a, b)
+            for k in range(40):
+                got = float(np.sum(rule.weights * rule.nodes**k))
+                assert got == pytest.approx(jacobi_moment(a, b, k), rel=1e-12), (n, a, b, k)
+            x, _ = scipy_special.roots_jacobi(n, a, b)
+            np.testing.assert_allclose(rule.nodes, (x + 1.0) / 2.0, rtol=0.0, atol=1e-13)
+
+
+def test_rules_up_to_512_nodes_do_not_load_scipy():
+    # In a fresh process, rules and node doubling that stay at or below 512
+    # nodes never import scipy.
+    script = """
+import json, math, sys
+from sectorlab import (gauss_jacobi, gauss_legendre, geometric_mean_adaptive,
+                       relative_entropy_adaptive)
+from sectorlab.ensemble import SectorSpec, random_accretive
+
+gauss_legendre(512)
+gauss_jacobi(512, -0.7, -0.3)
+a, b = (random_accretive(SectorSpec(dim=3, angle=0.9 * math.pi / 2, cond_cap=1e4, seed=s)).mat
+        for s in (2, 3))
+used = [geometric_mean_adaptive(a, b, 0.3, max_nodes=512).nodes_used,
+        relative_entropy_adaptive(a, b, max_nodes=512).nodes_used]
+print(json.dumps({"nodes_used": used, "scipy": "scipy" in sys.modules}))
+"""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import sectorlab
+
+    path = [os.path.dirname(os.path.dirname(sectorlab.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == {"nodes_used": [256, 512], "scipy": False}
+
+
 def test_large_rule_construction():
+    # above 512 nodes the rule comes from scipy's eigh_tridiagonal
     rule = gauss_legendre(1024)
     assert rule.count == 1024
     assert float(np.sum(rule.weights)) == pytest.approx(1.0, abs=1e-13)
