@@ -75,7 +75,7 @@ def test_frob_is_bitwise_independent_of_memory_layout():
     for k in range(20):
         m = random_accretive(SectorSpec(dim=3 + k % 6, angle=0.6 * math.pi / 2,
                                         cond_cap=100.0, seed=k)).mat
-        for view in (np.asfortranarray(m), np.ascontiguousarray(m.T).T, strided(m)):
+        for view in (np.asfortranarray(m), strided(m)):
             assert not view.flags.c_contiguous and np.array_equal(view, m)
             assert la.frob(view) == la.frob(m)
 
