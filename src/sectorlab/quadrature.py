@@ -46,10 +46,10 @@ from .linalg import frob
 MAX_NODES = 4096
 
 #: Rules of up to this many nodes come from one real symmetric LAPACK ``eigh``
-#: of the dense Jacobi matrix's lower triangle: 39 ms and 8 MB of scratch at 512
-#: nodes, against 14 ms for scipy's ``eigh_tridiagonal`` plus a one-time 0.3 s,
-#: 27 MB import.  At 1024 nodes it takes 217 ms against 59 ms and 33 MB of
-#: scratch, more than scipy, so rules above this size, up to MAX_NODES, load scipy.
+#: of the dense Jacobi matrix's lower triangle: at 512 nodes 39 ms and 8 MB of
+#: workspace, against 14 ms for scipy's ``eigh_tridiagonal`` plus a one-time 0.3 s,
+#: 27 MB import (one BLAS thread, 2-vCPU x86 machine).  At 1024 nodes it takes
+#: 217 ms and 33 MB against 59 ms, so larger rules, up to MAX_NODES, load scipy.
 _OWN_EIG_LIMIT = 512
 
 #: Largest batch of pairs integrated in one stack, in complex entries of the
