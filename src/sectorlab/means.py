@@ -87,27 +87,36 @@ def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
     return _hpd_congruence(*_pair(a, b), partial(hpd_power, p=lam))
 
 
-def _convex_inverse_path(x: np.ndarray, y: np.ndarray):
+def _convex_inverse_path(x: np.ndarray, y: np.ndarray, x_inv: np.ndarray | None = None):
     # t -> ((1-t) X + t Y)^-1 over a 1-d array of weights t (a scalar is one
     # weight), one batched inverse for all of them.  One pair (d, d) gives
     # (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d).  X and Y are
-    # validated, so the path calls the inverse core.
-    x = x[..., None, :, :]
-    y = y[..., None, :, :]
+    # validated, so the path calls the inverse core.  x_inv is X^-1 if the
+    # caller has it.
+    xs = x[..., None, :, :]
+    ys = y[..., None, :, :]
 
     def path(t) -> np.ndarray:
         t = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-        s = (1.0 - t) * x
-        s += t * y
+        s = (1.0 - t) * xs
+        s += t * ys
         return _inv(s)
 
+    def eigenbasis():
+        # For one pair (d, d): (c, mu, V, W) with path(t) = V diag(c / ((1-t) + t mu)) W,
+        # from X^-1 Y = V diag(mu) V^-1 and W = V^-1 X^-1; here c = 1.
+        xi = _inv(x) if x_inv is None else x_inv
+        mu, v = np.linalg.eig(xi @ y)
+        return 1.0, mu, v, np.linalg.solve(v, xi)
+
+    path.eigenbasis = eigenbasis
     return path
 
 
 def _harmonic_path(a: np.ndarray, b: np.ndarray):
     # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1, with the two fixed inverses
     # hoisted out of the path; A and B are validated
-    return _convex_inverse_path(_inv(a), _inv(b))
+    return _convex_inverse_path(_inv(a), _inv(b), a)
 
 
 def _gauges(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, list]:
@@ -139,7 +148,12 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
                             max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the geometric-mean integral.
 
-    On :class:`NoConvergence` the payload is the mean at the last node count,
+    The value is the fixed rule's at the node count where successive integrals
+    agree to ``tol``.  The error estimate is the difference of the last two
+    integrals, taken in the pair's eigenbasis, plus twice that integral's
+    distance from the value; where the eigenbasis is not used, the difference
+    of the last two values (see :mod:`sectorlab.quadrature`).  On
+    :class:`NoConvergence` the payload is the mean at the last node count,
     with its error estimate, scaled like a converged result.
     """
     lam = check_weight(lam)
@@ -179,8 +193,10 @@ def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
 def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
     """Node-doubling evaluation of the Drury half-weight mean.
 
-    On :class:`NoConvergence` the payload is the mean at the last node count,
-    with its error estimate, scaled like a converged result.
+    The value and error estimate are formed as in :func:`geometric_mean_adaptive`,
+    with the estimate scaled like the mean.  On :class:`NoConvergence` the
+    payload is the mean at the last node count, with its error estimate,
+    scaled like a converged result.
     """
     return _drury_mean(*_lone(a, b), GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)[0]
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from math import exp, lgamma
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.special as scipy_special
 
 from conftest import PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs
+from sectorlab import quadrature
 from sectorlab.errors import (
     EvaluationFailure,
     InvalidNodeCount,
@@ -552,6 +554,105 @@ def test_adaptive_results_are_the_fixed_rule_at_their_node_count():
         with pytest.raises(NoConvergence) as exc:
             adaptive(a, b, tol=1e-15, max_nodes=32)
         same_as_fixed(exc.value.payload, fixed, a, b)
+
+
+def _stacked_doubling(path, family, tol, max_nodes, finish, norm):
+    # node doubling on the stacked rule at every level, with the library's arguments
+    return quadrature._integrate_doubling(lambda n: quadrature._integrate(family(n), path),
+                                          tol, max_nodes, finish, norm)
+
+
+def _outcome(call):
+    # a result, or a NoConvergence payload, with its status
+    try:
+        return call(), "converged"
+    except NoConvergence as exc:
+        return exc.payload, "NoConvergence"
+
+
+def test_eigenbasis_doubling_matches_stacked_doubling(monkeypatch):
+    # 200 adaptive calls over dims 1-8, angles up to 0.97 pi/2 and two
+    # tolerances, a fifth of them capped at 64 nodes: each is bitwise the
+    # stacked doubling's result or payload, with its node count and status,
+    # and an estimate below the stacked one by rounding at most.
+    from sectorlab.ensemble import SectorSpec, random_accretive
+    from sectorlab.entropy import relative_entropy_adaptive, tsallis_entropy_adaptive
+    from sectorlab.means import drury_mean_adaptive, geometric_mean_adaptive
+
+    rng = np.random.default_rng(17)
+    calls = []
+    for k in range(50):
+        angle = rng.uniform(0.2, 0.97) * (math.pi / 2)
+        lam = rng.uniform(0.1, 0.9)
+        tol = (1e-10, 1e-12)[k % 2]
+        cap = 64 if k % 5 == 0 else 512
+        a, b = (random_accretive(SectorSpec(dim=1 + k % 8, angle=angle, cond_cap=100.0,
+                                            seed=int(s))).mat for s in rng.integers(1 << 30, size=2))
+        calls += [partial(geometric_mean_adaptive, a, b, lam, tol, cap),
+                  partial(drury_mean_adaptive, a, b, tol, cap),
+                  partial(relative_entropy_adaptive, a, b, tol, cap),
+                  partial(tsallis_entropy_adaptive, a, b, lam, tol, cap)]
+    got = [_outcome(call) for call in calls]
+    monkeypatch.setattr(quadrature, "_integrate_pair", _stacked_doubling)
+    for call, (res, status) in zip(calls, got, strict=True):
+        want, want_status = _outcome(call)
+        assert (status, res.nodes_used) == (want_status, want.nodes_used)
+        assert res.value.tobytes() == want.value.tobytes()
+        assert res.error_estimate >= want.error_estimate - 1e-14 * np.linalg.norm(res.value)
+    assert {status for _, status in got} == {"converged", "NoConvergence"}
+
+
+def test_doubling_evaluates_the_stacked_rule_once(monkeypatch):
+    # The eigenbasis picks the node count n, and the stacked rule runs at n
+    # alone: n stacked nodes, where doubling on it runs 16 + 32 + ... + n.
+    from sectorlab.entropy import relative_entropy_adaptive
+    from sectorlab.means import geometric_mean_adaptive
+
+    a, b = accretive_pairs(1, (3,), 0.8 * math.pi / 2, seed=90)[0]
+    counts = []
+    integrate = quadrature._integrate
+
+    def counting(rule, f):
+        counts.append(rule.count)
+        return integrate(rule, f)
+
+    monkeypatch.setattr(quadrature, "_integrate", counting)
+    for call in (lambda: geometric_mean_adaptive(a, b, 0.3), lambda: relative_entropy_adaptive(a, b)):
+        counts.clear()
+        res = call()
+        assert res.nodes_used == 128
+        assert counts == [128]
+
+
+def test_doubling_falls_back_to_the_stacked_rule(monkeypatch):
+    # A defective A B^-1 (a Jordan block) has no usable eigenbasis, and a pole
+    # on a node makes the stacked rule raise: both end as the stacked doubling does.
+    from sectorlab.entropy import relative_entropy_adaptive, tsallis_entropy_adaptive
+    from sectorlab.means import drury_mean_adaptive, geometric_mean_adaptive
+
+    jordan = (np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2, dtype=complex))
+    calls = [partial(geometric_mean_adaptive, *jordan, 0.3), partial(drury_mean_adaptive, *jordan),
+             partial(relative_entropy_adaptive, *jordan), partial(tsallis_entropy_adaptive, *jordan, 0.3)]
+    a = np.eye(2, dtype=complex)
+    failing = []
+    for call, rule in ((relative_entropy_adaptive, gauss_legendre(64)),
+                       (partial(tsallis_entropy_adaptive, lam=0.5), gauss_jacobi(64, -0.5, 0.5))):
+        t_bad = float(rule.nodes[20])
+        failing.append((partial(call, a, np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)), t_bad))
+    got = [call() for call in calls]
+    for call, t_bad in failing:
+        with pytest.raises(EvaluationFailure) as exc:
+            call()
+        assert exc.value.node == t_bad
+    monkeypatch.setattr(quadrature, "_integrate_pair", _stacked_doubling)
+    for call, res in zip(calls, got, strict=True):
+        want = call()
+        assert (res.value.tobytes(), res.nodes_used, res.error_estimate) == \
+               (want.value.tobytes(), want.nodes_used, want.error_estimate)
+    for call, t_bad in failing:
+        with pytest.raises(EvaluationFailure) as exc:
+            call()
+        assert exc.value.node == t_bad
 
 
 def test_integrals_do_not_depend_on_the_input_layout():
