@@ -126,7 +126,7 @@ _CLOSED_FORMS = {"arith": means_mod.arithmetic_mean, "harm": means_mod.harmonic_
 _INTEGRALS = {
     "geom": means_mod._geometric_mean,
     "drury": lambda a, b, lam, cfg: means_mod._drury_mean(a, b, cfg),
-    "relative": lambda a, b, lam, cfg: entropy_mod._entropy(a, b, cfg),
+    "relative": lambda a, b, lam, cfg: entropy_mod._tsallis_entropy(a, b, 0.0, cfg),
     "tsallis": entropy_mod._tsallis_entropy,
 }
 

@@ -7,13 +7,14 @@ singularity at t = 0:
     T_lam(A|B)  = sin(lam*pi)/(lam*pi)
                   * integral_0^1 t^lam (1-t)^(-lam) * (A !_t B - A)/t dt
 
-Both integrands are built on the mean's harmonic path ``means._harmonic_path``.
-The Tsallis kernel splits into a Gauss-Jacobi weight (singular Beta factor)
-and the bounded path factor, which keeps the quadrature spectral; the relative
-entropy integrand is analytic on [0, 1] (limit A - A B^-1 A at t = 0), so a
-plain Gauss-Legendre rule suffices.  (A #_lam B - A)/lam is the cheaper
+so S is T_0.  The integrand is built on the mean's harmonic path
+``means._harmonic_path``.  The Tsallis kernel splits into a Gauss-Jacobi
+weight (singular Beta factor) and the bounded path factor, which keeps the
+quadrature spectral; at lam = 0 the weight is 1, the Jacobi rule is bitwise
+Gauss-Legendre's, and the integrand is analytic on [0, 1] (limit
+A - A B^-1 A at t = 0).  (A #_lam B - A)/lam is the cheaper
 single-quadrature route to the Tsallis entropy and is what most callers want;
-the direct integral stays as an independent cross-check.  Each entropy is
+the direct integral stays as an independent cross-check.  Both entropies are
 one body over stacked pairs (jobs, d, d) on the shared integrand
 ``_entropy_path``; ``verify`` calls it on its ensembles, the public functions
 on a stack of one pair, and the ``*_adaptive`` functions are that body with
@@ -40,7 +41,6 @@ from .quadrature import (
     _evaluate,
     _Integrals,
     gauss_jacobi,
-    gauss_legendre,
 )
 
 EntropyConfig = QuadratureConfig
@@ -67,15 +67,9 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
     return path
 
 
-def _entropy(a: np.ndarray, b: np.ndarray, cfg: EntropyConfig,
-             max_nodes: int = MAX_NODES) -> _Integrals:
-    # S(A_k|B_k) for every pair of the stacks (jobs, d, d)
-    return _evaluate(_entropy_path, a, b, None, gauss_legendre, cfg, max_nodes=max_nodes)
-
-
 def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Relative operator entropy S(A|B) by Gauss-Legendre quadrature."""
-    return _entropy(*_lone(a, b), cfg).value[0]
+    return _tsallis_entropy(*_lone(a, b), 0.0, cfg).value[0]
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
@@ -90,7 +84,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     :class:`NoConvergence` the payload is the entropy at the last node count,
     with its error estimate.
     """
-    return _entropy(*_lone(a, b), EntropyConfig(adaptive=True, tol=tol), max_nodes=max_nodes)[0]
+    return _tsallis_entropy(*_lone(a, b), 0.0, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -100,9 +94,11 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
 
 def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig,
                      max_nodes: int = MAX_NODES) -> _Integrals:
-    # T_lam(A_k|B_k) for every pair of the stacks (jobs, d, d); lam is checked
-    return _evaluate(_entropy_path, a, b, [math.sin(lam * math.pi) / (lam * math.pi)] * len(a),
-                     partial(gauss_jacobi, alpha=-lam, beta=lam), cfg, max_nodes=max_nodes)
+    # T_lam(A_k|B_k) for every pair of the stacks (jobs, d, d); lam is checked.  lam = 0
+    # gives S(A_k|B_k), bitwise: Jacobi(-0.0, 0.0) is the Gauss-Legendre rule, with no factor.
+    scale = [math.sin(lam * math.pi) / (lam * math.pi)] * len(a) if lam else None
+    families = [partial(gauss_jacobi, alpha=-lam, beta=lam)] * len(a)
+    return _evaluate(_entropy_path, a, b, scale, families, cfg, max_nodes=max_nodes)
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -85,9 +85,14 @@ def imag_part(a) -> np.ndarray:
     return (m - m.conj().T) / 2j
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frob(a) -> float:
-    """Frobenius norm, summed in C order whatever the argument's memory layout."""
-    return float(np.linalg.norm(np.ascontiguousarray(a)))
+    """Frobenius norm, summed in C order whatever the argument's memory layout, and
+    scaled by the largest modulus where the sum of squares overflows or underflows to 0."""
+    norm = float(np.linalg.norm(np.ascontiguousarray(a)))
+    if norm == math.inf or (norm == 0.0 and np.any(a)):
+        norm = float(_frob_scaled(np.reshape(a, (1, -1))))
+    return norm
 
 
 def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:

@@ -119,7 +119,7 @@ def _harmonic_path(a: np.ndarray, b: np.ndarray):
     return _convex_inverse_path(_inv(a), _inv(b), a)
 
 
-def _gauges(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, list]:
+def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, np.ndarray, list]:
     # The mean is homogeneous: (aA) #_lam (bB) = a^(1-lam) b^lam (A #_lam B).
     # Normalizing each argument of each pair to unit Frobenius norm before
     # quadrature makes the computed mean scaling-equivariant to rounding and
@@ -127,15 +127,18 @@ def _gauges(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[np.ndarray, np.nd
     norms = [(frob(x), frob(y)) for x, y in zip(a, b)]
     norms = [(sa, sb) if sa > 0.0 and sb > 0.0 else (1.0, 1.0) for sa, sb in norms]
     div = np.array(norms).T[..., None, None]
-    return a / div[0], b / div[1], [sa ** (1.0 - lam) * sb**lam for sa, sb in norms]
+    return a / div[0], b / div[1], [sa ** (1.0 - lam) * sb**lam for (sa, sb), lam in zip(norms, lams)]
 
 
-def _geometric_mean(a: np.ndarray, b: np.ndarray, lam: float, cfg: GeometricMeanConfig,
+def _geometric_mean(a: np.ndarray, b: np.ndarray, lam, cfg: GeometricMeanConfig,
                     max_nodes: int = MAX_NODES) -> _Integrals:
-    # A_k #_lam B_k for every pair of the stacks (jobs, d, d); lam is checked
-    a, b, gauges = _gauges(a, b, lam)
-    return _evaluate(_harmonic_path, a, b, [g * math.sin(lam * math.pi) / math.pi for g in gauges],
-                     partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0), cfg, max_nodes=max_nodes)
+    # A_k #_lam_k B_k for every pair of the stacks (jobs, d, d), at one checked
+    # weight for all pairs or a list of one per pair
+    lams = lam if isinstance(lam, list) else [lam] * len(a)
+    a, b, gauges = _gauges(a, b, lams)
+    scale = [g * math.sin(lam * math.pi) / math.pi for g, lam in zip(gauges, lams)]
+    families = [partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0) for lam in lams]
+    return _evaluate(_harmonic_path, a, b, scale, families, cfg, max_nodes=max_nodes)
 
 
 def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -173,9 +176,10 @@ def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig,
                 max_nodes: int = MAX_NODES) -> _Integrals:
     # A_k # B_k for every pair of the stacks (jobs, d, d); the
     # integrand (uA + (1-u)B)^-1 is the convex path from B to A
-    a, b, gauges = _gauges(a, b, 0.5)
+    a, b, gauges = _gauges(a, b, [0.5] * len(a))
     return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b, gauges,
-                     partial(gauss_jacobi, alpha=-0.5, beta=-0.5), cfg, _drury_finish, max_nodes)
+                     [partial(gauss_jacobi, alpha=-0.5, beta=-0.5)] * len(a), cfg, _drury_finish,
+                     max_nodes)
 
 
 def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:

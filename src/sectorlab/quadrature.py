@@ -20,8 +20,9 @@ node.  The public ``integrate_matrix`` and ``integrate_adaptive`` take a
 per-node integrand and stack its values node by node onto the same engine.
 Rules are cached as validated objects.  One :class:`QuadratureConfig` sets
 every library integral, and ``_evaluate`` alone applies it, to stacked pairs
-in batches or one by one; it returns their values as one stack, with each
-pair's estimate and node count.
+with one rule family each: under a fixed rule the pairs that share a rule are
+integrated together, in batches, and under node doubling one by one.  It
+returns their values as one stack, with each pair's estimate and node count.
 
 Node doubling evaluates 16, 32, ... nodes until two successive integrals agree
 to the tolerance.  Gauss rules are not nested, so doing that on the stacked
@@ -139,9 +140,6 @@ def _rule_cached(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule
     # Rescale so the weights carry the analytic total mass to one ulp; the
     # raw |v_0|^2 components sum to 1 only up to eigensolver rounding.
     weights = (mass / float(np.sum(first))) * first
-    order = np.argsort(nodes, kind="stable")
-    nodes = nodes[order]
-    weights = weights[order]
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(kind, alpha, beta, nodes, weights)
@@ -204,23 +202,23 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
     # Sum w_k * f(t)_k over the stacked values f(nodes), in ascending node order.
     # A batch (jobs, n, d, d) reduces over its node axis in one sum, which
     # leaves every job bitwise the sum it would get alone.
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=np.complex128)
-    except EvaluationFailure:
-        raise
-    except SectorlabError:
-        # A stacked LAPACK failure does not say which slice failed: evaluate
-        # the nodes one at a time and report the first that raises.
-        for t in rule.nodes:
-            try:
-                f(np.array([t]))
-            except SectorlabError as exc:
-                raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
-                                        node=float(t)) from exc
-        raise
     # A non-finite node value makes its job's sum non-finite, so the sum is
     # checked; only a non-finite sum pays for the scan of the node stack.
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            vals = np.asarray(f(rule.nodes), dtype=np.complex128)
+        except EvaluationFailure:
+            raise
+        except SectorlabError:
+            # A stacked LAPACK failure does not say which slice failed: evaluate
+            # the nodes one at a time and report the first that raises.
+            for t in rule.nodes:
+                try:
+                    f(np.array([t]))
+                except SectorlabError as exc:
+                    raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
+                                            node=float(t)) from exc
+            raise
         total = np.sum(vals * rule.weights[:, None, None], axis=-3)
     if not np.isfinite(total).all():
         finite = np.isfinite(vals).all(axis=(-2, -1)).reshape(-1, rule.count).all(axis=0)
@@ -347,30 +345,37 @@ class _Integrals:
         return IntegralResult(self.value[k], self.error_estimates[k], self.nodes_used[k])
 
 
-def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, family, cfg: QuadratureConfig,
+def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: QuadratureConfig,
               finish=_scaled, max_nodes: int = MAX_NODES) -> _Integrals:
-    # path(A_k, B_k) integrated over family(n)'s rules for the stacked pairs, then
-    # finish(res, scale_k) with the pair's factor from the list scale, or None.  A fixed
-    # rule integrates batches of at most _BATCH_ENTRIES node-stack entries and finishes
-    # all pairs at once.  Node doubling takes each pair alone, payload included, until
-    # successive integrals agree to cfg.tol * ||A_k||_F (cfg.tol if A_k = 0), as they
-    # scale with the pair; each result is bitwise the fixed rule's at its node count,
-    # which the pair's eigenbasis picks (see _integrate_pair).
+    # path(A_k, B_k) integrated over families[k](n)'s rules for the stacked pairs, then
+    # finish(res, scale_k) with the pair's factor from the list scale, or None.  A fixed rule
+    # integrates the pairs sharing a rule together, in batches of at most _BATCH_ENTRIES
+    # node-stack entries, and finishes all pairs at once.  Node doubling takes each pair alone,
+    # payload included, until successive integrals agree to cfg.tol * ||A_k||_F (cfg.tol if
+    # A_k = 0), as they scale with the pair; each result is bitwise the fixed rule's at its
+    # node count, which the pair's eigenbasis picks (see _integrate_pair).
     if cfg.adaptive:
         out = [_integrate_pair(path(x, y), family, cfg.tol, max_nodes,
                                lambda res, s=s: finish(res, s), frob(x) or 1.0)
-               for x, y, s in zip(a, b, scale or [None] * len(a))]
+               for x, y, family, s in zip(a, b, families, scale or [None] * len(a))]
         return _Integrals(np.stack([r.value for r in out]), [r.error_estimate for r in out],
                           [r.nodes_used for r in out])
-    rule = family(cfg.rule_nodes)
-    step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
-    # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
-    raw = (_integrate(rule, path(a[0], b[0]))[None] if len(a) == 1 else
-           np.concatenate([_integrate(rule, path(a[k:k + step], b[k:k + step]))
-                           for k in range(0, len(a), step)]))
-    res = finish(IntegralResult(value=raw, error_estimate=None, nodes_used=rule.count),
+    rules = [family(cfg.rule_nodes) for family in families]
+    if len(a) == 1:
+        # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
+        raw = _integrate(rules[0], path(a[0], b[0]))[None]
+    else:
+        shared = {}
+        for k, rule in enumerate(rules):
+            shared.setdefault((rule.kind, rule.count, rule.alpha, rule.beta), []).append(k)
+        step = max(1, _BATCH_ENTRIES // (cfg.rule_nodes * a[0].size))
+        raw = np.empty(a.shape, dtype=np.complex128)
+        for jobs in shared.values():
+            for batch in (jobs[k:k + step] for k in range(0, len(jobs), step)):
+                raw[batch] = _integrate(rules[batch[0]], path(a[batch], b[batch]))
+    res = finish(IntegralResult(value=raw, error_estimate=None, nodes_used=cfg.rule_nodes),
                  None if scale is None else np.array(scale)[:, None, None])
-    return _Integrals(res.value, [None] * len(a), [rule.count] * len(a))
+    return _Integrals(res.value, [None] * len(a), [cfg.rule_nodes] * len(a))
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

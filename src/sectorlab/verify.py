@@ -11,9 +11,9 @@ deliberate exception is the arithmetic-geometric-harmonic chain search, which
 
 The checks are small predicates over two evaluations of their ensemble,
 stacked over trials: the pairs (every trial pair drawn once, with Re A, Re B
-and their inverses) and the means (A #_lam B, B #_(1-lam) A, the homogeneity
-means and the HPD means (Re A) #_lam (Re B), each weight's means over all
-trials one batch through the quadrature engine).  A predicate returns whether
+and their inverses) and the means (A #_lam B, B #_(1-lam) A and the homogeneity
+means of every weight and trial in one call, which the quadrature engine
+batches by rule, and the HPD means (Re A) #_lam (Re B) in closed form).  A predicate returns whether
 each comparison holds and its margin as arrays indexed [trial, ...], and one
 reduction makes the report: a trial with a failed comparison is a violation,
 and the worst margin is the first minimum in trial order.  ``run_all`` makes
@@ -26,7 +26,6 @@ trial alone, so a report does not depend on the stacking.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -41,7 +40,7 @@ from .ensemble import (
     random_accretive,
     random_unit_vectors,
 )
-from .entropy import EntropyConfig, _entropy
+from .entropy import EntropyConfig, _tsallis_entropy
 from .errors import SectorlabError
 from .linalg import (
     MAX_DIM,
@@ -174,39 +173,28 @@ class _Means(NamedTuple):
 
 def _evaluate_means(spec: EnsembleSpec, p: _Pairs, cfg: GeometricMeanConfig,
                     scales=HOMOGENEITY_SCALES) -> _Means:
-    # Every mean of one weight, over all trials, is one batch; B #_(1-lam) A
-    # joins the batch of 1-lam when that weight is also on the grid.  The
-    # unit homogeneity scale is A #_lam B itself, bitwise, as 1.0 * A == A.
+    # All the means are one call: per weight, the homogeneity means and
+    # B #_(1-lam) A, each over all trials.  The unit scale's mean is A #_lam B
+    # itself, bitwise, as 1.0 * A == A.
     scales = tuple((float(alpha), float(beta)) for alpha, beta in scales)
-    batches = defaultdict(list)
-    for j, lam in enumerate(spec.lambda_grid):
-        batches[lam].append((("sharp", j), p.a, p.b))
-        for k, (alpha, beta) in enumerate(scales):
-            if (alpha, beta) != (1.0, 1.0):
-                batches[lam].append((("scaled", j, k), alpha * p.a, beta * p.b))
-        batches[1.0 - lam].append((("flip", j), p.b, p.a))
-    got = {}
-    for lam, jobs in batches.items():
-        means = _geometric_mean(np.concatenate([x for _, x, _ in jobs]),
-                                np.concatenate([y for _, _, y in jobs]), lam, cfg).value
-        got.update(zip([slot for slot, _, _ in jobs], np.split(means, len(jobs))))
-    grid = range(len(spec.lambda_grid))
-    for j in grid:
-        for k in range(len(scales)):
-            got.setdefault(("scaled", j, k), got["sharp", j])
-
-    def over_grid(*slot):
-        return np.stack([got[(slot[0], j) + slot[1:]] for j in grid], axis=1)
-
-    sharp = over_grid("sharp")
+    own = list(dict.fromkeys([(1.0, 1.0), *scales]))  # each scale once, the unit first
+    jobs = []
+    for lam in spec.lambda_grid:
+        jobs += [(alpha * p.a, beta * p.b, lam) for alpha, beta in own] + [(p.b, p.a, 1.0 - lam)]
+    x, y, lams = zip(*jobs)
+    means = _geometric_mean(np.concatenate(x), np.concatenate(y),
+                            [lam for lam in lams for _ in range(spec.trials)], cfg).value
+    # indexed [trial, weight, job of the weight]
+    means = np.moveaxis(means.reshape(len(spec.lambda_grid), len(own) + 1, *p.a.shape), 2, 0)
+    sharp = means[:, :, 0]
     re_sharp = real_part(sharp)
     return _Means(
         sharp=sharp,
         re_sharp=re_sharp,
         inv_re_sharp=inverse(re_sharp),
-        flip=over_grid("flip"),
+        flip=means[:, :, -1],
         scales=scales,
-        scaled=np.stack([over_grid("scaled", k) for k in range(len(scales))], axis=2),
+        scaled=means[:, :, [own.index(s) for s in scales]],
         # geometric_mean_hpd of every trial: the closed form on the stack
         hpd=np.stack([_hpd_congruence(*p.re, partial(hpd_power, p=lam))
                       for lam in spec.lambda_grid], axis=1),
@@ -268,7 +256,7 @@ def _re_harmonic(spec, p: _Pairs, m, tol):
 
 def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
     # relative_entropy_hpd of every trial: the closed form on the stack
-    return loewner_margin(real_part(_entropy(p.a, p.b, cfg).value),
+    return loewner_margin(real_part(_tsallis_entropy(p.a, p.b, 0.0, cfg).value),
                           _hpd_congruence(*p.re, hpd_log), tol)[::2]
 
 

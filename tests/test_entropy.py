@@ -38,6 +38,24 @@ def test_relative_entropy_identical_arguments():
     assert np.linalg.norm(got) <= 1e-12
 
 
+def test_relative_entropy_is_the_tsallis_integral_at_zero():
+    # S = T_0: the lam = 0 kernel's Jacobi(-0.0, 0.0) rule is bitwise the
+    # Gauss-Legendre rule, on both eigensolver routes, and relative_entropy is
+    # the Legendre integral of the entropy path, bitwise.  (Every size up to
+    # 512 agrees as well; sampling the large ones keeps the suite fast.)
+    from sectorlab.entropy import _entropy_path
+    from sectorlab.quadrature import _integrate, gauss_jacobi, gauss_legendre
+
+    for n in list(range(1, 65)) + [100, 128, 255, 256, 257, 511, 512, 1024]:
+        jacobi, legendre = gauss_jacobi(n, -0.0, 0.0), gauss_legendre(n)
+        assert jacobi.nodes.tobytes() == legendre.nodes.tobytes()
+        assert jacobi.weights.tobytes() == legendre.weights.tobytes()
+    for a, b in accretive_pairs(4, (1, 2, 3, 6), 0.8, seed=61):
+        for n in (16, 24, 64):
+            want = _integrate(gauss_legendre(n), _entropy_path(a, b))
+            assert relative_entropy(a, b, EntropyConfig(rule_nodes=n)).tobytes() == want.tobytes()
+
+
 def test_relative_entropy_hpd_examples():
     got = relative_entropy_hpd(np.eye(2), np.diag([math.e, math.e**2]))
     np.testing.assert_allclose(got, np.diag([1.0, 2.0]), atol=1e-13)

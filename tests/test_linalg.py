@@ -80,6 +80,21 @@ def test_frob_is_bitwise_independent_of_memory_layout():
             assert la.frob(view) == la.frob(m)
 
 
+def test_frob_is_scale_safe():
+    # The plain sum of squares overflows above about 1e154 and underflows to 0
+    # below about 1e-162; frob(sM) stays s frob(M) there, with no warning, and
+    # is np.linalg.norm's at ordinary scales.
+    from sectorlab.ensemble import SectorSpec, random_accretive
+
+    for k in range(5):
+        m = random_accretive(SectorSpec(dim=3 + k, angle=0.6 * math.pi / 2,
+                                        cond_cap=100.0, seed=k)).mat
+        assert la.frob(m) == np.linalg.norm(m)
+        for s in (1e160, 1e300, 1e-150, 1e-170, 1e-300):
+            assert abs(la.frob(s * m) / s - la.frob(m)) <= 1e-15 * la.frob(m)
+    assert la.frob(np.zeros((2, 2))) == 0.0
+
+
 # ------------------------------------------------------------------ inverse
 
 

@@ -233,7 +233,8 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
         for lam in (0.3, 0.5)
     ] + [
         (means._drury_mean, drury_mean, drury_mean_adaptive),
-        (entropy._entropy, entropy.relative_entropy, entropy.relative_entropy_adaptive),
+        (lambda a, b, cfg: entropy._tsallis_entropy(a, b, 0.0, cfg),
+         entropy.relative_entropy, entropy.relative_entropy_adaptive),
     ]
 
     batches = []
@@ -276,6 +277,34 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
             want = scale * integrate(gauss_jacobi(64, -lam, lam - 1.0), path)
             assert np.array_equal(got.value[k], want)
             assert np.array_equal(got.value[k], geometric_mean(x, y, lam))
+
+
+@pytest.mark.parametrize("nodes", [64, 32])
+def test_mixed_weights_are_integrated_by_rule(nodes, monkeypatch):
+    # One call over pairs of mixed weights: the pairs that share a rule are
+    # integrated together, in batches of at most _BATCH_ENTRIES entries, so
+    # there is one _integrate call per rule and batch, and each mean is
+    # bitwise the lone geometric_mean.
+    import sectorlab.quadrature as quadrature
+    from sectorlab import means
+
+    dim = 3
+    pairs = accretive_pairs(5, (dim,), 0.9, seed=43)
+    weights = (0.1, 0.5, 0.9, 1.0 - 0.9)
+    jobs = [(x, y, lam) for x, y in pairs for lam in weights]  # the weights interleaved
+    rules = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate",
+                        lambda rule, f: rules.append((rule.alpha, rule.count)) or integrate(rule, f))
+    monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
+    cfg = GeometricMeanConfig(rule_nodes=nodes)
+    got = means._geometric_mean(np.stack([x for x, _, _ in jobs]), np.stack([y for _, y, _ in jobs]),
+                                [lam for _, _, lam in jobs], cfg)
+    batches = -(-len(pairs) // (128 // nodes))
+    assert rules == [(-lam, nodes) for lam in weights for _ in range(batches)]
+    assert got.nodes_used == [nodes] * len(jobs)
+    for k, (x, y, lam) in enumerate(jobs):
+        assert np.array_equal(got.value[k], geometric_mean(x, y, lam, cfg))
 
 
 def test_drury_scalar_examples():

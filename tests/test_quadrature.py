@@ -327,13 +327,13 @@ def test_evaluate_takes_the_rule_from_the_config():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
     scale = [2.0, 3.0, 0.5]
-    fixed = _evaluate(path, a, b, scale, gauss_legendre, QuadratureConfig(rule_nodes=8))
+    fixed = _evaluate(path, a, b, scale, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
         assert fixed.nodes_used[k] == fixed[k].nodes_used == 8
         assert fixed.error_estimates[k] is fixed[k].error_estimate is None
         assert np.array_equal(fixed.value[k], s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t) + y))
     cfg = QuadratureConfig(adaptive=True, tol=1e-13)
-    got = _evaluate(path, a, b, scale, gauss_legendre, cfg, max_nodes=256)
+    got = _evaluate(path, a, b, scale, [gauss_legendre] * 3, cfg, max_nodes=256)
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
         want = integrate_adaptive(lambda t: x * f(t) + y, gauss_legendre,
                                   tol=1e-13 * np.linalg.norm(x), max_nodes=256)
@@ -341,7 +341,7 @@ def test_evaluate_takes_the_rule_from_the_config():
         assert got.error_estimates[k] == got[k].error_estimate == s * want.error_estimate
         assert np.array_equal(got.value[k], s * want.value)
     # no factor: the raw integrals
-    raw = _evaluate(path, a, b, None, gauss_legendre, QuadratureConfig(rule_nodes=8))
+    raw = _evaluate(path, a, b, None, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
     assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t) + b[1]))
 
 
@@ -707,6 +707,50 @@ def test_integrals_do_not_depend_on_the_input_layout():
             assert not la.flags.c_contiguous and np.array_equal(la, a)
             for call in calls:
                 assert raw(call(la, lb)) == raw(call(a, b))
+
+
+def test_integrals_scale_with_pairs_of_extreme_norm():
+    # Every integral is homogeneous of degree 1 in the pair.  At entries near
+    # 1e160 and 1e300 the plain sum of squares in the Frobenius norm overflows,
+    # and near 1e-170 it underflows to 0; the means' gauges and the doubling's
+    # tolerance must still see the pair's norm, so each entry point gives s
+    # times its result at s = 1, node count included.
+    from sectorlab.entropy import (
+        relative_entropy,
+        relative_entropy_adaptive,
+        tsallis_entropy,
+        tsallis_entropy_adaptive,
+    )
+    from sectorlab.means import drury_mean, drury_mean_adaptive, geometric_mean, geometric_mean_adaptive
+
+    lam = 0.3
+    calls = [lambda a, b: geometric_mean(a, b, lam), lambda a, b: geometric_mean_adaptive(a, b, lam),
+             drury_mean, drury_mean_adaptive, relative_entropy, relative_entropy_adaptive,
+             lambda a, b: tsallis_entropy(a, b, lam), lambda a, b: tsallis_entropy_adaptive(a, b, lam)]
+
+    def value(res):
+        return res if isinstance(res, np.ndarray) else res.value
+
+    pairs = (accretive_pairs(2, (3,), 0.4 * math.pi / 2, seed=5)
+             + accretive_pairs(2, (3,), 0.8 * math.pi / 2, seed=6))
+    for a, b in pairs:
+        for call in calls:
+            want = call(a, b)
+            for s in (1e160, 1e300, 1e-170):
+                got = call(s * a, s * b)
+                assert getattr(got, "nodes_used", None) == getattr(want, "nodes_used", None)
+                assert (np.linalg.norm(value(got) / s - value(want))
+                        <= 1e-13 * np.linalg.norm(value(want)))
+
+
+def test_overflowing_integrand_is_reported_without_a_warning():
+    # S(2e306 I | I) overflows at the first nodes: the engine reports the
+    # non-finite node, and the overflow in the integrand raises no warning
+    # (the suite turns a RuntimeWarning into an error).
+    from sectorlab.entropy import relative_entropy
+
+    with pytest.raises(EvaluationFailure, match="non-finite"):
+        relative_entropy(2e306 * np.eye(2), np.eye(2))
 
 
 def test_singular_interior_node_is_reported():

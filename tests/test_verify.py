@@ -188,6 +188,22 @@ def test_mean_failure_stays_with_the_mean_checks(monkeypatch):
     assert not all_theorem_checks_clean(reports)
 
 
+def test_default_report_integrates_once_per_rule(monkeypatch):
+    # A report's means are one call, and the quadrature integrates the pairs
+    # of each rule together: the default report makes one _integrate call per
+    # weight, 0.1, 0.5, 0.9 and the flipped means' 1 - 0.9, and one for the
+    # relative entropy, the lam = 0 Tsallis integral.
+    import sectorlab.quadrature as quadrature
+
+    rules = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: rules.append(
+        (rule.kind, rule.count, rule.alpha, rule.beta)) or integrate(rule, f))
+    run_all(EnsembleSpec())
+    assert sorted(rules) == sorted([("jacobi", 64, -lam, lam - 1.0) for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)]
+                                   + [("jacobi", 64, -0.0, 0.0)])
+
+
 def test_report_json_schema():
     spec = EnsembleSpec(dim=2, trials=2, seed=3)
     doc = reports_to_dict(spec, run_all(spec))
