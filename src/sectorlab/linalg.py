@@ -5,10 +5,12 @@ outputs are Hermitian *bitwise* (constructed by symmetrization), so downstream
 code may rely on ``H == H.conj().T`` exactly rather than approximately.  The
 inverse and the Hermitian eigensolver are LAPACK's, through ``np.linalg``.
 The functions that say so also take a stack ``(..., d, d)`` of matrices and
-treat each slice bitwise as they would treat it alone.  The public
-:func:`inverse` validates its input and then calls the private core ``_inv``,
-one LAPACK call and a condition estimate; the library's own paths call
-``_inv`` directly on the stacks they have already validated or built.
+treat each slice bitwise as they would treat it alone.  One validator checks
+every input: non-square or empty input raises ``DimensionMismatch``, and
+non-finite entries raise ``ValueError``.  The public :func:`inverse` validates
+its input and then calls the private core ``_inv``, one LAPACK call and a
+condition estimate; the library's own paths call ``_inv`` directly on the
+stacks they have already validated or built.
 """
 
 from __future__ import annotations
@@ -44,27 +46,23 @@ def as_matrix(a) -> np.ndarray:
     C order makes every result independent of the input's memory layout:
     some reductions sum in memory order.
     """
+    return _as_stack(a, lone=True)
+
+
+def _as_stack(a, lone: bool = False) -> np.ndarray:
+    # The one input validator: as_matrix, or unless lone a stack (..., d, d) of square
+    # matrices; a scalar is a 1x1 matrix.
     if isinstance(a, AccretiveMatrix):
         return a.mat
     m = np.asarray(a, dtype=np.complex128, order="C")
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (lone and m.ndim > 2) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise DimensionMismatch(f"expected a non-empty matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    return m
-
-
-def _as_stack(a) -> np.ndarray:
-    # as_matrix, extended to stacks (..., d, d) of square matrices
-    if np.ndim(a) <= 2:
-        return as_matrix(a)
-    m = np.asarray(a, dtype=np.complex128, order="C")
-    if m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix stack has non-finite entries")
     return m
 
 
@@ -88,9 +86,9 @@ def imag_part(a) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def frob(a) -> float:
     """Frobenius norm, summed in C order whatever the argument's memory layout, and
-    scaled by the largest modulus where the sum of squares overflows or underflows to 0."""
+    scaled by the largest modulus where the sum of squares overflows or falls below 1e-150."""
     norm = float(np.linalg.norm(np.ascontiguousarray(a)))
-    if norm == math.inf or (norm == 0.0 and np.any(a)):
+    if norm == math.inf or (norm < 1e-150 and np.any(a)):
         norm = float(_frob_scaled(np.reshape(a, (1, -1))))
     return norm
 

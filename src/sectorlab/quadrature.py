@@ -16,8 +16,10 @@ over one rule returns ``(jobs, n, d, d)`` and is still one LAPACK call and one
 sum; each job's sum is bitwise the one it would get alone.  Finiteness is
 checked on the reduced sum ``(jobs, d, d)``, which a non-finite node value
 always reaches; only a non-finite sum is traced back to its first non-finite
-node.  The public ``integrate_matrix`` and ``integrate_adaptive`` take a
-per-node integrand and stack its values node by node onto the same engine.
+node.  The engine alone names a node where the integrand raises: the first
+that raises alone, unless the integrand raised ``EvaluationFailure`` itself.
+The public ``integrate_matrix`` and ``integrate_adaptive`` take a per-node
+integrand and stack its values node by node onto the same engine.
 Rules are cached as validated objects.  One :class:`QuadratureConfig` sets
 every library integral, and ``_evaluate`` alone applies it, to stacked pairs
 with one rule family each: under a fixed rule the pairs that share a rule are
@@ -209,13 +211,13 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
             vals = np.asarray(f(rule.nodes), dtype=np.complex128)
         except EvaluationFailure:
             raise
-        except SectorlabError:
-            # A stacked LAPACK failure does not say which slice failed: evaluate
-            # the nodes one at a time and report the first that raises.
+        except Exception:
+            # A stacked failure does not say which node failed: name the first that raises
+            # alone.  If none does (per-node values that do not stack), the failure stands.
             for t in rule.nodes:
                 try:
                     f(np.array([t]))
-                except SectorlabError as exc:
+                except Exception as exc:
                     raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
                                             node=float(t)) from exc
             raise
@@ -379,20 +381,8 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: Quadratu
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:
-    # Adapt a per-node integrand to the engine, reporting the node it fails at.
-    def stacked(nodes: np.ndarray) -> np.ndarray:
-        vals = []
-        for t in nodes:
-            t = float(t)
-            try:
-                vals.append(np.asarray(f(t), dtype=np.complex128))
-            except EvaluationFailure:
-                raise
-            except Exception as exc:
-                raise EvaluationFailure(f"integrand raised at node t={t!r}: {exc}", node=t) from exc
-        return np.stack(vals)
-
-    return stacked
+    # Adapt a per-node integrand to the engine; _integrate names a node it fails at.
+    return lambda nodes: np.stack([np.asarray(f(float(t)), dtype=np.complex128) for t in nodes])
 
 
 def integrate_matrix(rule: QuadratureRule, f: Callable[[float], np.ndarray]) -> np.ndarray:

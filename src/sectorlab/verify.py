@@ -406,9 +406,10 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     """
     lams = [0.5] + [l for l in spec.lambda_grid if l != 0.5]
     p = _evaluate_pairs(spec)
-    # indexed [trial, weight]; the arithmetic mean is (1-lam) A + lam B
-    re_sharp = real_part(np.stack([_geometric_mean(p.a, p.b, lam, cfg).value for lam in lams],
-                                  axis=1))
+    # all weights in one call, indexed [trial, weight]; the arithmetic mean is (1-lam) A + lam B
+    sharp = _geometric_mean(np.concatenate([p.a] * len(lams)), np.concatenate([p.b] * len(lams)),
+                            [lam for lam in lams for _ in range(spec.trials)], cfg).value
+    re_sharp = real_part(np.moveaxis(sharp.reshape(len(lams), *p.a.shape), 0, 1))
     low = _harmonic_path(p.a, p.b)(lams)
     lam = np.array(lams)[:, None, None]
     high = (1.0 - lam) * p.a[:, None] + lam * p.b[:, None]

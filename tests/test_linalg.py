@@ -81,16 +81,17 @@ def test_frob_is_bitwise_independent_of_memory_layout():
 
 
 def test_frob_is_scale_safe():
-    # The plain sum of squares overflows above about 1e154 and underflows to 0
-    # below about 1e-162; frob(sM) stays s frob(M) there, with no warning, and
-    # is np.linalg.norm's at ordinary scales.
+    # The plain sum of squares overflows above about 1e154, holds subnormal
+    # squares below about 1e-150 and underflows to 0 below about 1e-162;
+    # frob(sM) stays s frob(M) there, with no warning, and is np.linalg.norm's
+    # at ordinary scales.  Power-of-two scales keep sM and the division exact.
     from sectorlab.ensemble import SectorSpec, random_accretive
 
     for k in range(5):
         m = random_accretive(SectorSpec(dim=3 + k, angle=0.6 * math.pi / 2,
                                         cond_cap=100.0, seed=k)).mat
         assert la.frob(m) == np.linalg.norm(m)
-        for s in (1e160, 1e300, 1e-150, 1e-170, 1e-300):
+        for s in (1e160, 1e300, 1e-150, 1e-170, 1e-300, *(2.0**-j for j in range(515, 539))):
             assert abs(la.frob(s * m) / s - la.frob(m)) <= 1e-15 * la.frob(m)
     assert la.frob(np.zeros((2, 2))) == 0.0
 
@@ -405,3 +406,45 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
         la.as_matrix(np.array([[1, 0], [complex(0.0, np.inf), 1]]))
     with pytest.raises(DimensionMismatch):
         la.as_matrix(np.ones((2, 3)))
+
+
+def test_empty_input_is_rejected():
+    # One validator guards every public function that takes matrices: a 0x0
+    # matrix and an empty stack raise DimensionMismatch, not an IndexError,
+    # numpy's zero-size ValueError or an empty result.
+    from sectorlab import entropy, means
+
+    ok = np.eye(2, dtype=complex)
+    pair_functions = [
+        lambda a, b: means.arithmetic_mean(a, b, 0.3),
+        lambda a, b: means.harmonic_mean(a, b, 0.3),
+        lambda a, b: means.geometric_mean(a, b, 0.3),
+        lambda a, b: means.geometric_mean_adaptive(a, b, 0.3),
+        lambda a, b: means.geometric_mean_hpd(a, b, 0.3),
+        means.drury_mean,
+        means.drury_mean_adaptive,
+        entropy.relative_entropy,
+        entropy.relative_entropy_adaptive,
+        entropy.relative_entropy_hpd,
+        lambda a, b: entropy.tsallis_entropy(a, b, 0.3),
+        lambda a, b: entropy.tsallis_entropy_adaptive(a, b, 0.3),
+        lambda a, b: entropy.tsallis_from_mean(a, b, 0.3),
+        lambda a, b: entropy.tsallis_limit_probe(a, b, [0.5, 0.1]),
+        la.loewner_geq,
+        la.loewner_margin,
+    ]
+    functions = [
+        la.as_matrix, la.AccretiveMatrix.from_matrix, la.inverse, la.op_norm, la.herm_eig,
+        la.symmetrize, la.real_part, la.imag_part, la.hpd_log, lambda a: la.hpd_power(a, 0.5),
+    ]
+    functions += [lambda a, f=f: f(a, a) for f in pair_functions]
+    functions += [lambda a, f=f: f(a, ok) for f in pair_functions]
+    for f in functions:
+        with pytest.raises(DimensionMismatch):
+            f(np.zeros((0, 0)))
+    stack_functions = [la.inverse, la.op_norm, la.herm_eig, la.symmetrize, la.real_part,
+                       la.hpd_log, lambda a: la.loewner_geq(a, a)]
+    for f in stack_functions:
+        for shape in ((0, 3, 3), (2, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                f(np.zeros(shape, dtype=complex))

@@ -264,6 +264,56 @@ def test_integrate_reports_failing_node():
         integrate_matrix(rule, lambda t: np.array([[math.inf]]))
 
 
+def test_failing_node_is_named_for_per_node_and_stacked_integrands():
+    # _integrate alone names a failing node: the first at which the integrand
+    # raises, with the integrand's exception as the cause, whether the
+    # integrand takes one node (integrate_matrix) or the node array.
+    rule = gauss_legendre(8)
+    bad = rule.nodes[[3, 5]]
+    first = float(rule.nodes[3])
+    cause = ZeroDivisionError("boom")
+
+    def per_node(t):
+        if t in bad:
+            raise cause
+        return t * np.eye(2)
+
+    def stacked(nodes):
+        if np.isin(nodes, bad).any():
+            raise cause
+        return nodes[:, None, None] * np.eye(2)
+
+    for call in (lambda: integrate_matrix(rule, per_node),
+                 lambda: integrate_adaptive(per_node, lambda n: rule, tol=1e-12),
+                 lambda: quadrature._integrate(rule, stacked)):
+        with pytest.raises(EvaluationFailure) as info:
+            call()
+        assert info.value.node == first
+        assert info.value.__cause__ is cause
+        assert str(info.value) == f"integrand raised at node t={first!r}: boom"
+
+
+def test_integrands_own_failures_and_stacking_errors_pass_through():
+    rule = gauss_legendre(8)
+    own = EvaluationFailure("own", node=-1.0)
+
+    def per_node(t):
+        if t > 0.5:
+            raise own
+        return t * np.eye(2)
+
+    def stacked(nodes):
+        raise own
+
+    for call in (lambda: integrate_matrix(rule, per_node), lambda: quadrature._integrate(rule, stacked)):
+        with pytest.raises(EvaluationFailure) as info:
+            call()
+        assert info.value is own
+    # per-node values of unequal shapes do not stack: numpy's error stands
+    with pytest.raises(ValueError, match="same shape"):
+        integrate_matrix(rule, lambda t: np.eye(2) if t < 0.5 else np.eye(3))
+
+
 def test_adaptive_constant_converges_immediately():
     c = np.array([[4.0, 1.0], [1.0, 4.0]], dtype=complex)
     res = integrate_adaptive(lambda t: c, gauss_legendre, tol=1e-12)
