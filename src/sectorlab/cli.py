@@ -23,7 +23,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import means as means_mod
 from .errors import NoConvergence, SectorlabError
-from .linalg import MAX_DIM, AccretiveMatrix
+from .linalg import MAX_DIM, AccretiveMatrix, _check_integer
 from .quadrature import QuadratureConfig, gauss_jacobi, gauss_legendre
 from .serialize import to_json
 from .verify import (
@@ -40,22 +40,18 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
 def matrix_to_payload(mat: np.ndarray) -> dict:
-    entries = [[[float(mat[i, j].real), float(mat[i, j].imag)]
-                for j in range(mat.shape[1])] for i in range(mat.shape[0])]
-    return {"dim": int(mat.shape[0]), "entries": entries}
+    return {"dim": int(mat.shape[0]), "entries": np.stack([mat.real, mat.imag], axis=-1).tolist()}
 
 
 def payload_to_matrix(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise UsageError('matrix file must be an object with "dim" and "entries"')
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or not (1 <= dim <= MAX_DIM):
-        raise UsageError(f'"dim" must be an integer in [1, {MAX_DIM}], got {dim!r}')
+    dim = _check_integer('"dim"', doc["dim"], 1, MAX_DIM, UsageError)
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != dim:
         raise UsageError(f'"entries" must be a list of {dim} rows')
@@ -162,8 +158,8 @@ def cmd_rule(args) -> int:
         rule = gauss_jacobi(args.nodes, alpha=-lam, beta=lam - 1.0)
     doc = {
         "kind": rule.kind,
-        "nodes": [float(t) for t in rule.nodes],
-        "weights": [float(w) for w in rule.weights],
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
         "weight_sum": float(np.sum(rule.weights)),
     }
     _write_text("-", to_json(doc))
@@ -177,11 +173,8 @@ def cmd_verify(args) -> int:
         lambdas = tuple(float(tok) for tok in args.lambdas.split(","))
     except ValueError as exc:
         raise UsageError(f"--lambdas must be a comma-separated float list: {exc}") from exc
-    try:
-        spec = EnsembleSpec(dim=args.dim, trials=args.trials, seed=args.seed,
-                            sector_angle=args.angle * (math.pi / 2), lambda_grid=lambdas)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = EnsembleSpec(dim=args.dim, trials=args.trials, seed=args.seed,
+                        sector_angle=args.angle * (math.pi / 2), lambda_grid=lambdas)
     if args.only:
         wanted = args.only.split(",")
         unknown = [w for w in wanted if w not in CHECKS_BY_ID]
@@ -254,9 +247,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -13,12 +13,11 @@ is a true dial for the numerical-range sector half-angle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, AccretiveMatrix, symmetrize
+from .linalg import MAX_DIM, AccretiveMatrix, _check_integer, symmetrize
 
 #: recorded in verification reports so frozen baselines stay portable
 GENERATOR_NAME = "pcg64-seedsequence"
@@ -32,14 +31,6 @@ _TAG_VECTORS = 3
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
-    # numpy integers count, bool does not
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
-            and (high is None or value <= high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def derive_seed(seed: int, purpose: int, index: int) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidWeight
 from .linalg import frob, hpd_log
-from .means import _harmonic_path, _hpd_congruence, _lone, _pair, check_weight, geometric_mean
+from .means import _geometric_mean, _harmonic_path, _hpd_congruence, _lone, _pair
 from .quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
@@ -40,6 +40,7 @@ from .quadrature import (
     QuadratureConfig,
     _evaluate,
     _Integrals,
+    check_weight,
     gauss_jacobi,
 )
 
@@ -122,8 +123,8 @@ def tsallis_from_mean(a, b, lam: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """T_lam(A|B) = (A #_lam B - A)/lam via the geometric mean."""
     lam = check_weight(lam)
-    am, bm = _pair(a, b)
-    return (geometric_mean(am, bm, lam, cfg) - am) / lam
+    am, bm = _lone(a, b)
+    return (_geometric_mean(am, bm, lam, cfg).value[0] - am[0]) / lam
 
 
 def tsallis_limit_probe(a, b, lambdas,
@@ -138,6 +139,6 @@ def tsallis_limit_probe(a, b, lambdas,
         raise InvalidWeight(f"probe weights must lie in (0, 1/2], got {lams}")
     if any(y >= x for x, y in zip(lams, lams[1:], strict=False)):
         raise ValueError("probe weights must be strictly decreasing")
-    am, bm = _pair(a, b)
-    base = relative_entropy(am, bm, cfg)
-    return [(lam, float(frob(tsallis_entropy(am, bm, lam, cfg) - base))) for lam in lams]
+    am, bm = _lone(a, b)
+    base = _tsallis_entropy(am, bm, 0.0, cfg).value[0]
+    return [(lam, float(frob(_tsallis_entropy(am, bm, lam, cfg).value[0] - base))) for lam in lams]

@@ -6,16 +6,20 @@ code may rely on ``H == H.conj().T`` exactly rather than approximately.  The
 inverse and the Hermitian eigensolver are LAPACK's, through ``np.linalg``.
 The functions that say so also take a stack ``(..., d, d)`` of matrices and
 treat each slice bitwise as they would treat it alone.  One validator checks
-every input: non-square or empty input raises ``DimensionMismatch``, and
-non-finite entries raise ``ValueError``.  The public :func:`inverse` validates
-its input and then calls the private core ``_inv``, one LAPACK call and a
-condition estimate; the library's own paths call ``_inv`` directly on the
-stacks they have already validated or built.
+every input: ``None`` entries raise ``TypeError``, non-square or empty input
+raises ``DimensionMismatch``, and non-finite entries raise ``ValueError``.
+One rule, ``_check_integer``, checks every integer argument of the package,
+node counts and sizes alike: a Python or numpy integer in range, not
+``bool``.  The public :func:`inverse` validates its input and then calls the
+private core ``_inv``, one LAPACK call and a condition estimate; the
+library's own paths call ``_inv`` directly on the stacks they have already
+validated or built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +58,11 @@ def _as_stack(a, lone: bool = False) -> np.ndarray:
     # matrices; a scalar is a 1x1 matrix.
     if isinstance(a, AccretiveMatrix):
         return a.mat
-    m = np.asarray(a, dtype=np.complex128, order="C")
+    m = np.asarray(a)
+    # numpy would coerce None to NaN, and the finiteness test would misname it
+    if m.dtype == object and any(x is None for x in m.flat):
+        raise TypeError("matrix entries must be numbers, got None")
+    m = np.asarray(m, dtype=np.complex128, order="C")
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim < 2 or (lone and m.ndim > 2) or m.shape[-1] != m.shape[-2]:
@@ -64,6 +72,15 @@ def _as_stack(a, lone: bool = False) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None, error=ValueError) -> int:
+    # The one integer rule, for node counts and sizes: numpy integers count, bool does not.
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+            and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def symmetrize(a) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidScalar, InvalidWeight
+from .errors import DimensionMismatch, InvalidScalar
 from .linalg import _inv, as_matrix, frob, hpd_power, inverse, symmetrize
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -33,18 +33,11 @@ from .quadrature import (
     QuadratureConfig,
     _evaluate,
     _Integrals,
+    check_weight,
     gauss_jacobi,
 )
 
 GeometricMeanConfig = QuadratureConfig
-
-
-def check_weight(lam: float) -> float:
-    """Validate a mean weight; the endpoints 0 and 1 are rejected."""
-    lam = float(lam)
-    if not (math.isfinite(lam) and 0.0 < lam < 1.0):
-        raise InvalidWeight(f"weight must lie strictly inside (0, 1), got {lam!r}")
-    return lam
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:

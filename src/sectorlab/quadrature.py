@@ -20,7 +20,10 @@ node.  The engine alone names a node where the integrand raises: the first
 that raises alone, unless the integrand raised ``EvaluationFailure`` itself.
 The public ``integrate_matrix`` and ``integrate_adaptive`` take a per-node
 integrand and stack its values node by node onto the same engine.
-Rules are cached as validated objects.  One :class:`QuadratureConfig` sets
+Rules are cached as validated objects.  Every node count, of a rule, of a
+config (checked when the config is built) or of a doubling cap, obeys the
+package's one integer rule, ``linalg._check_integer``, and every mean weight
+obeys ``check_weight``.  One :class:`QuadratureConfig` sets
 every library integral, and ``_evaluate`` alone applies it, to stacked pairs
 with one rule family each: under a fixed rule the pairs that share a rule are
 integrated together, in batches, and under node doubling one by one.  It
@@ -59,7 +62,7 @@ from .errors import (
     NoConvergence,
     SectorlabError,
 )
-from .linalg import frob
+from .linalg import _check_integer, frob
 
 MAX_NODES = 4096
 
@@ -149,25 +152,29 @@ def _rule_cached(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-node Gauss-Legendre rule on [0, 1] (weight 1)."""
-    if not (isinstance(n, int) and 1 <= n <= MAX_NODES):
-        raise InvalidNodeCount(f"node count must be an integer in [1, {MAX_NODES}], got {n!r}")
+    n = _check_integer("node count", n, 1, MAX_NODES, InvalidNodeCount)
     return _rule_cached("legendre", n, 0.0, 0.0)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     """n-node Gauss-Jacobi rule on [0, 1] for the weight t^beta (1-t)^alpha."""
-    if not (isinstance(n, int) and 1 <= n <= MAX_NODES):
-        raise InvalidNodeCount(f"node count must be an integer in [1, {MAX_NODES}], got {n!r}")
+    n = _check_integer("node count", n, 1, MAX_NODES, InvalidNodeCount)
     if not (alpha > -1.0 and beta > -1.0 and math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidParameters(f"Jacobi exponents must be > -1, got alpha={alpha}, beta={beta}")
     return _rule_cached("jacobi", n, float(alpha), float(beta))
 
 
+def check_weight(lam: float) -> float:
+    """Validate a mean weight; the endpoints 0 and 1 are rejected."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and 0.0 < lam < 1.0):
+        raise InvalidWeight(f"weight must lie strictly inside (0, 1), got {lam!r}")
+    return lam
+
+
 def beta_normalization(lam: float) -> float:
     """B(lam, 1-lam) = pi / sin(lam*pi), the total mass of the mean's kernel."""
-    if not (0.0 < lam < 1.0):
-        raise InvalidWeight(f"weight must lie strictly inside (0, 1), got {lam!r}")
-    return math.pi / math.sin(lam * math.pi)
+    return math.pi / math.sin(check_weight(lam) * math.pi)
 
 
 @dataclass(frozen=True)
@@ -244,9 +251,7 @@ def _integrate_doubling(
     # payload is the caller's best result, not the raw integral.
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not 32 <= max_nodes <= MAX_NODES:
-        raise ValueError(f"max_nodes must allow one doubling and lie in [32, {MAX_NODES}], "
-                         f"got {max_nodes}")
+    _check_integer("max_nodes", max_nodes, 32, MAX_NODES)  # 32 allows one doubling
     n = 16
     prev = value(n)
     while 2 * n <= max_nodes:
@@ -327,8 +332,8 @@ class QuadratureConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rule_nodes < 1:
-            raise ValueError(f"rule_nodes must be >= 1, got {self.rule_nodes}")
+        nodes = _check_integer("rule_nodes", self.rule_nodes, 1, MAX_NODES)
+        object.__setattr__(self, "rule_nodes", nodes)  # a Python int, so nodes_used serializes
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 

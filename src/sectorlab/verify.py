@@ -35,7 +35,6 @@ import numpy as np
 from .ensemble import (
     GENERATOR_NAME,
     SectorSpec,
-    _check_integer,
     derive_seed,
     random_accretive,
     random_unit_vectors,
@@ -45,6 +44,7 @@ from .errors import SectorlabError
 from .linalg import (
     MAX_DIM,
     LoewnerTolerance,
+    _check_integer,
     frob,
     hpd_log,
     hpd_power,

@@ -245,6 +245,64 @@ def test_verify_bad_seed_names_the_field(capsys):
     assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
 
 
+PAIR = ["--a", "a.json", "--b", "b.json"]
+MEAN = ["mean", "--kind", "geom", "--lambda", "0.3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["verify", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+    (["verify", "--dim", "65"], "dim must be an integer in [1, 64], got 65"),
+    (["verify", "--lambdas", "0.1,1.5"], "lambda grid entries must lie in (0, 1), got 1.5"),
+    (["verify", "--angle", "1.2"], "--angle is a fraction of pi/2 and must lie in [0, 1), got 1.2"),
+    (["verify", "--lambdas", "0.1,oops"],
+     "--lambdas must be a comma-separated float list: could not convert string to float: 'oops'"),
+    (["verify", "--only", "check_symmetry,check_nothing"],
+     "unknown property ids: check_nothing (known: check_bilinear, check_homogeneity, "
+     "check_norm_inequality, check_re_geometric, check_re_harmonic, check_re_relative_entropy, "
+     "check_re_tsallis, check_symmetry, check_vector_family, search_agh_counterexample)"),
+    (["verify", "--trials", "1", "--report", "no-dir/r.json"],
+     "cannot write no-dir/r.json: [Errno 2] No such file or directory: 'no-dir/r.json'"),
+    (["rule", "--kind", "jacobi", "--nodes", "8"], "--lambda is required for this kind"),
+    (["rule", "--kind", "jacobi", "--lambda", "1.5"], "--lambda must lie strictly inside (0, 1), got 1.5"),
+    (["rule", "--kind", "legendre", "--nodes", "5000"],
+     "InvalidNodeCount: node count must be an integer in [1, 4096], got 5000"),
+    (["mean", "--kind", "geom", *PAIR], "--lambda is required for this kind"),
+    (["mean", "--kind", "drury", "--lambda", "0.3", *PAIR],
+     "drury is the lambda = 1/2 mean; omit --lambda or pass 0.5"),
+    ([*MEAN, "--a", "nope.json", "--b", "b.json"],
+     "cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
+    ([*MEAN, "--a", "text.json", "--b", "b.json"],
+     "text.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ([*MEAN, "--a", "float-dim.json", "--b", "b.json"], '"dim" must be an integer in [1, 64], got 2.0'),
+    ([*MEAN, "--a", "bool-dim.json", "--b", "b.json"], '"dim" must be an integer in [1, 64], got True'),
+    ([*MEAN, "--a", "big-dim.json", "--b", "b.json"], '"dim" must be an integer in [1, 64], got 65'),
+    ([*MEAN, "--a", "null.json", "--b", "b.json"], "entry (1, 1) must be a [re, im] pair of numbers"),
+    ([*MEAN, "--a", "indefinite.json", "--b", "b.json"],
+     "input validation failed: smallest eigenvalue of the real part is -1.000000e+00 "
+     "(needs > 1e-10 * ||Re A|| = 1.000000e-10)"),
+    ([*MEAN, *PAIR, "--out", "no-dir/x.json"],
+     "cannot write no-dir/x.json: [Errno 2] No such file or directory: 'no-dir/x.json'"),
+    ([*MEAN, *PAIR, "--adaptive", "--tol", "0"], "tol must be > 0, got 0.0"),
+])
+def test_usage_errors_print_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    # Every usage error takes main's one ValueError path: nothing on stdout, one
+    # stderr line, exit 2.  The messages are pinned byte for byte.
+    monkeypatch.chdir(tmp_path)
+    files = {"a.json": '{"dim": 2, "entries": [[[2, 0], [0, 1]], [[0, 1], [2, 0]]]}',
+             "b.json": '{"dim": 2, "entries": [[[1, 0], [1, 0]], [[-1, 0], [1, 0]]]}',
+             "indefinite.json": '{"dim": 2, "entries": [[[-1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+             "null.json": '{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [null, 0]]]}',
+             "float-dim.json": '{"dim": 2.0, "entries": []}',
+             "bool-dim.json": '{"dim": true, "entries": []}',
+             "big-dim.json": '{"dim": 65, "entries": []}',
+             "text.json": "not json"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_warns_for_any_search_without_a_witness(monkeypatch, tmp_path, capsys):
     import sectorlab.cli as cli
     from sectorlab.verify import DEFAULT_TOLERANCE, PropertyReport

@@ -194,6 +194,38 @@ def test_limit_probe_monotone_and_first_order():
             assert 0.4 <= ratio <= 0.6
 
 
+def test_probe_and_tsallis_from_mean_validate_once(monkeypatch):
+    # Both validate their pair and weights once, then call the integral bodies,
+    # bitwise as the public functions would give.
+    import sectorlab.entropy as entropy
+    import sectorlab.means as means
+    from sectorlab.linalg import frob
+
+    pair = accretive_pairs(1, (3,), 0.5, seed=67)[0]
+    base = relative_entropy(*pair)
+    want_probe = [(lam, frob(tsallis_entropy(*pair, lam) - base)) for lam in (0.3, 0.1)]
+    want_mean = (means.geometric_mean(*pair, 0.3) - pair[0]) / 0.3
+    calls = {"as_matrix": 0, "check_weight": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(means, "as_matrix")
+    for module in (means, entropy):
+        counted(module, "check_weight")
+    assert tsallis_limit_probe(*pair, (0.3, 0.1)) == want_probe
+    assert calls == {"as_matrix": 2, "check_weight": 0}
+    calls.update(as_matrix=0)
+    assert tsallis_from_mean(*pair, 0.3).tobytes() == want_mean.tobytes()
+    assert calls == {"as_matrix": 2, "check_weight": 1}
+
+
 def test_limit_probe_validation():
     with pytest.raises(InvalidWeight):
         tsallis_limit_probe(PAIR_A, PAIR_B, [0.75, 0.25])

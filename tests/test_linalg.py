@@ -408,6 +408,18 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
         la.as_matrix(np.ones((2, 3)))
 
 
+def test_none_entries_are_named():
+    # numpy coerces None to NaN; the validator names None before it coerces
+    from sectorlab.means import geometric_mean
+
+    for bad in (None, [[None, 1], [2, 3]], np.array([[1, 2], [3, None]], dtype=object)):
+        for call in (la.as_matrix, la.inverse, lambda m: geometric_mean(m, np.eye(2), 0.3)):
+            with pytest.raises(TypeError, match="^matrix entries must be numbers, got None$"):
+                call(bad)
+    got = la.as_matrix(np.array([[1, 2.5], [3j, 4]], dtype=object))
+    assert got.tobytes() == la.as_matrix([[1, 2.5], [3j, 4]]).tobytes()
+
+
 def test_empty_input_is_rejected():
     # One validator guards every public function that takes matrices: a 0x0
     # matrix and an empty stack raise DimensionMismatch, not an IndexError,

@@ -43,8 +43,10 @@ def test_weight_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GeometricMeanConfig(rule_nodes=0)
+    # the node count is checked when the config is built, not when a rule is
+    for nodes in (0, 4097, 5000, 2.5, math.nan, True):
+        with pytest.raises(ValueError, match=r"^rule_nodes must be an integer in \[1, 4096\]"):
+            GeometricMeanConfig(rule_nodes=nodes)
     with pytest.raises(ValueError):
         GeometricMeanConfig(tol=0.0)
 

@@ -57,11 +57,21 @@ def test_legendre_weight_sum_is_one():
 
 
 def test_invalid_node_counts():
-    for n in (0, -1, 4097):
-        with pytest.raises(InvalidNodeCount):
-            gauss_legendre(n)
-    with pytest.raises(InvalidNodeCount):
-        gauss_jacobi(0, -0.5, -0.5)
+    # one integer rule: bool, integral floats, NaN and strings are not node counts
+    for n in (0, -1, 4097, True, 8.0, math.nan, "8"):
+        for rule in (gauss_legendre, partial(gauss_jacobi, alpha=-0.5, beta=-0.5)):
+            with pytest.raises(InvalidNodeCount,
+                               match=rf"^node count must be an integer in \[1, 4096\], got {n!r}$"):
+                rule(n)
+
+
+def test_numpy_integer_node_counts_are_node_counts():
+    from sectorlab.quadrature import QuadratureConfig
+
+    assert gauss_legendre(np.int64(8)) is gauss_legendre(8)
+    assert gauss_jacobi(np.int32(8), -0.3, -0.7) is gauss_jacobi(8, -0.3, -0.7)
+    cfg = QuadratureConfig(rule_nodes=np.int64(16))
+    assert type(cfg.rule_nodes) is int and cfg == QuadratureConfig(rule_nodes=16)
 
 
 def test_invalid_jacobi_parameters():
@@ -359,6 +369,12 @@ def test_adaptive_rejects_bad_arguments():
         integrate_adaptive(lambda t: np.eye(1), gauss_legendre, tol=1e-6, max_nodes=2 * MAX_NODES)
     with pytest.raises(ValueError):
         geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3, max_nodes=MAX_NODES + 1)
+    # a node cap is an integer, as a node count is
+    for cap in (100.5, math.nan, True):
+        with pytest.raises(ValueError, match=r"^max_nodes must be an integer in \[32, 4096\]"):
+            integrate_adaptive(lambda t: np.eye(1), gauss_legendre, tol=1e-6, max_nodes=cap)
+        with pytest.raises(ValueError, match=r"^max_nodes must be an integer in \[32, 4096\]"):
+            geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3, max_nodes=cap)
 
 
 def test_evaluate_takes_the_rule_from_the_config():
