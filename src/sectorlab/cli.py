@@ -129,7 +129,11 @@ _INTEGRALS = {
 
 def cmd_pair(args) -> int:
     # mean and entropy: one --kind of one pair, with its weight and, for an
-    # integral, the node count used and the error estimate
+    # integral, the node count used and the error estimate.  --nodes sets a
+    # fixed rule, 64 nodes if it is not given.
+    if args.nodes is not None and (args.adaptive or args.kind in _CLOSED_FORMS):
+        raise UsageError("--nodes sets the fixed rule of an integral and does not apply "
+                         + ("with --adaptive" if args.adaptive else f"to --kind {args.kind}"))
     a, b = _load_pair(args)
     if args.kind == "drury":
         if args.lam is not None and args.lam != 0.5:
@@ -141,7 +145,7 @@ def cmd_pair(args) -> int:
         value, nodes_used, error_estimate = _CLOSED_FORMS[args.kind](a, b, lam), None, None
     else:
         cfg = (QuadratureConfig(adaptive=True, tol=args.tol) if args.adaptive
-               else QuadratureConfig(rule_nodes=args.nodes))
+               else QuadratureConfig(rule_nodes=64 if args.nodes is None else args.nodes))
         res = _INTEGRALS[args.kind](*means_mod._lone(a, b), lam, cfg)[0]
         value, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
     payload = matrix_to_payload(value)
@@ -204,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--lambda", dest="lam", type=float, default=None)
     pair.add_argument("--a", required=True, help="path to the left matrix JSON file")
     pair.add_argument("--b", required=True, help="path to the right matrix JSON file")
-    pair.add_argument("--nodes", type=int, default=64)
+    pair.add_argument("--nodes", type=int, default=None,
+                      help="node count of the fixed rule of an integral kind (default 64)")
     pair.add_argument("--adaptive", action="store_true")
     pair.add_argument("--tol", type=float, default=1e-12)
     pair.add_argument("--out", default="-")

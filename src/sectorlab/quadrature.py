@@ -25,9 +25,24 @@ config (checked when the config is built) or of a doubling cap, obeys the
 package's one integer rule, ``linalg._check_integer``, and every mean weight
 obeys ``check_weight``.  One :class:`QuadratureConfig` sets
 every library integral, and ``_evaluate`` alone applies it, to stacked pairs
-with one rule family each: under a fixed rule the pairs that share a rule are
-integrated together, in batches, and under node doubling one by one.  It
-returns their values as one stack, with each pair's estimate and node count.
+with one rule family each: the pairs that share a rule, a family at a node
+count, are integrated together, in batches, and under node doubling one by one.
+It returns their values as one stack, with each pair's estimate and node count.
+
+Every library path is t -> ((1-t) X + t Y)^-1 or built on it, with poles at
+t = 1/(1 - mu) over the eigenvalues mu of its ratio X^-1 Y, and the Gauss error
+of an integrand analytic inside the Bernstein ellipse through the nearest pole
+falls like rho^(-2n) (Trefethen, "Is Gauss quadrature better than
+Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The default ``rule_nodes="auto"``
+takes mu for all pairs from one stacked ``eigvals`` and gives each pair the
+fewest nodes on a fixed ladder, 8 to 512, with K rho^(-2n) <= tol, where K is
+calibrated per integral kind against scipy's spectral forms.  That bound, times
+||A||_F of the pair and scaled like the value, is the pair's error estimate: it
+bounds the truncation error, not the rounding.  A pole on (0, 1], a real
+mu <= 0, which no accretive pair has, raises ``NoConvergence`` before anything
+is integrated, and so does a pair that needs more than 512 nodes, with its
+512-node result as payload.  An integer ``rule_nodes`` is a fixed rule of that
+many nodes for every pair, with no estimate.
 
 Node doubling evaluates 16, 32, ... nodes until two successive integrals agree
 to the tolerance.  Gauss rules are not nested, so doing that on the stacked
@@ -42,14 +57,17 @@ and stacked integrals at that count.  If the two integrals there differ by
 more than a tenth of the tolerance, or the eigenbasis fails, is too
 ill-conditioned to resolve the tolerance or does not converge, the doubling
 runs on the stacked engine instead, and the estimate is the difference of
-its last two integrals, as for ``integrate_adaptive``.
+its last two integrals, as for ``integrate_adaptive``.  If the eigenbasis puts
+a pole on (0, 1], the doubling raises at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -68,12 +86,18 @@ MAX_NODES = 4096
 
 _EPS = float(np.finfo(float).eps)
 
+_POLE_ON_INTERVAL = "the integrand has a pole on (0, 1]: the pair is not accretive"
+
 #: Rules of up to this many nodes come from one real symmetric LAPACK ``eigh``
 #: of the dense Jacobi matrix's lower triangle: at 512 nodes 39 ms and 8 MB of
 #: workspace, against 14 ms for scipy's ``eigh_tridiagonal`` plus a one-time 0.3 s,
 #: 27 MB import (one BLAS thread, 2-vCPU x86 machine).  At 1024 nodes it takes
 #: 217 ms and 33 MB against 59 ms, so larger rules, up to MAX_NODES, load scipy.
 _OWN_EIG_LIMIT = 512
+
+#: The node counts that ``rule_nodes="auto"`` chooses from.  The largest is
+#: _OWN_EIG_LIMIT, so an automatic rule never loads scipy.
+_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 
 #: Largest batch of pairs integrated in one stack, in complex entries of the
 #: (jobs, nodes, d, d) node stack (4 MiB): batching saves per-call overhead on
@@ -165,7 +189,10 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
 
 
 def check_weight(lam: float) -> float:
-    """Validate a mean weight; the endpoints 0 and 1 are rejected."""
+    """Validate a mean weight, a real number but not a bool; the endpoints 0
+    and 1 are rejected."""
+    if not isinstance(lam, numbers.Real) or isinstance(lam, bool):
+        raise InvalidWeight(f"weight must be a real number, got {lam!r}")
     lam = float(lam)
     if not (math.isfinite(lam) and 0.0 < lam < 1.0):
         raise InvalidWeight(f"weight must lie strictly inside (0, 1), got {lam!r}")
@@ -179,7 +206,13 @@ def beta_normalization(lam: float) -> float:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Integration outcome; a fixed rule gives no error estimate (``None``)."""
+    """Integration outcome: the value, its error estimate and the node count.
+
+    An integer ``rule_nodes`` gives no error estimate (``None``); the automatic
+    rule and node doubling give one.  Internally a batch of stacked pairs
+    travels as one result, whose estimate and node count may then hold one
+    entry per pair, the estimates as (jobs, 1, 1).
+    """
 
     value: np.ndarray
     error_estimate: float | None
@@ -187,7 +220,8 @@ class IntegralResult:
 
     def __post_init__(self):
         err = self.error_estimate
-        if err is not None and not (math.isfinite(err) and err >= 0.0):
+        # a batch's estimates are checked as _Integrals hands out each pair's result
+        if err is not None and getattr(err, "ndim", 0) == 0 and not (math.isfinite(err) and err >= 0.0):
             raise ValueError(f"error estimate must be finite and >= 0, got {err}")
 
 
@@ -267,12 +301,22 @@ def _integrate_doubling(
     )
 
 
-def _eigenbasis_integral(path, gate: float) -> Callable[[QuadratureRule], np.ndarray]:
-    # rule -> the rule's integral of path from its eigenbasis (c, mu, V, W), in
+def _log_rho(mu: np.ndarray) -> np.ndarray:
+    # The log Bernstein-ellipse parameter of each pole t = 1/(1 - mu) of a path.  With
+    # x = 2t - 1 and s = sqrt(mu) on the principal branch, rho = |x + sqrt(x^2 - 1)|
+    # = |1 + s| / |1 - s|, and log rho = log1p(4 Re s / |1 - s|^2) / 2 keeps its digits
+    # for poles near [0, 1].  It is 0 exactly for real mu <= 0, a pole on (0, 1].
+    s = np.sqrt(mu)
+    r = np.maximum(np.abs(1.0 - s), 1e-150)  # no pole is at least as far as mu = 1 +- 1e-150
+    return 0.5 * np.log1p(4.0 * s.real / r / r)
+
+
+def _eigenbasis_integral(basis, gate: float) -> Callable[[QuadratureRule], np.ndarray]:
+    # rule -> the rule's integral of a path from its eigenbasis (c, mu, V, W), in
     # which every node is a scalar: path(t) = V diag(c / ((1-t) + t mu)) W.  The
     # integral V diag(s) W rounds by about eps * ||V|| ||W|| max|s| (Higham,
     # Functions of Matrices, ch. 4); above the gate, or non-finite, it raises.
-    c, mu, v, w = path.eigenbasis()
+    c, mu, v, w = basis
     k = 1.0 - mu
     size = _EPS * frob(v) * frob(w)
 
@@ -296,6 +340,7 @@ def _integrate_pair(path, family: Callable[[int], QuadratureRule], tol: float, m
     # and the estimate is the eigenbasis difference plus twice their distance.
     # Otherwise, if the eigenbasis fails or does not converge, or the path has
     # none, the doubling runs on the stacked rule, as integrate_adaptive does.
+    # A pole on (0, 1] raises at once: no node count converges there.
     stacked = {}
 
     def at(n: int) -> np.ndarray:
@@ -305,9 +350,15 @@ def _integrate_pair(path, family: Callable[[int], QuadratureRule], tol: float, m
 
     gate = tol * norm / 10.0
     delta = math.inf
-    if hasattr(path, "eigenbasis"):
+    try:
+        basis = path.eigenbasis() if hasattr(path, "eigenbasis") else None
+    except (SectorlabError, np.linalg.LinAlgError):
+        basis = None
+    if basis is not None and _log_rho(basis[1]).min() <= 0.0:
+        raise NoConvergence(_POLE_ON_INTERVAL)
+    if basis is not None:
         try:
-            integral = _eigenbasis_integral(path, gate)
+            integral = _eigenbasis_integral(basis, gate)
             chosen = _integrate_doubling(lambda n: integral(family(n)), tol, max_nodes, norm=norm)
             n = chosen.nodes_used
             delta = frob(at(n) - chosen.value)
@@ -321,19 +372,23 @@ def _integrate_pair(path, family: Callable[[int], QuadratureRule], tol: float, m
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature of every integral: a fixed ``rule_nodes``-node rule, or with
-    ``adaptive`` node doubling from 16 nodes until successive results agree to
-    ``tol`` times ||A||_F of the pair being integrated.  ``GeometricMeanConfig``
-    and ``EntropyConfig`` are this class.
+    """Quadrature of every integral.  With ``rule_nodes="auto"``, each pair's
+    rule has the fewest nodes on a fixed ladder, up to 512, whose error bound
+    from the poles of the pair's path meets ``tol``; an integer gives a fixed
+    rule of that many nodes; ``adaptive`` doubles the node count from 16 until
+    successive results agree to ``tol``.  Either tolerance is relative to
+    ||A||_F of the pair being integrated.  ``GeometricMeanConfig`` and
+    ``EntropyConfig`` are this class.
     """
 
-    rule_nodes: int = 64
+    rule_nodes: int | str = "auto"
     adaptive: bool = False
     tol: float = 1e-12
 
     def __post_init__(self):
-        nodes = _check_integer("rule_nodes", self.rule_nodes, 1, MAX_NODES)
-        object.__setattr__(self, "rule_nodes", nodes)  # a Python int, so nodes_used serializes
+        if not (isinstance(self.rule_nodes, str) and self.rule_nodes == "auto"):
+            nodes = _check_integer("rule_nodes", self.rule_nodes, 1, MAX_NODES)
+            object.__setattr__(self, "rule_nodes", nodes)  # a Python int, so nodes_used serializes
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
@@ -353,36 +408,64 @@ class _Integrals:
 
 
 def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: QuadratureConfig,
-              finish=_scaled, max_nodes: int = MAX_NODES) -> _Integrals:
+              finish=_scaled, max_nodes: int = MAX_NODES, bound: float = 1.0) -> _Integrals:
     # path(A_k, B_k) integrated over families[k](n)'s rules for the stacked pairs, then
-    # finish(res, scale_k) with the pair's factor from the list scale, or None.  A fixed rule
-    # integrates the pairs sharing a rule together, in batches of at most _BATCH_ENTRIES
-    # node-stack entries, and finishes all pairs at once.  Node doubling takes each pair alone,
-    # payload included, until successive integrals agree to cfg.tol * ||A_k||_F (cfg.tol if
-    # A_k = 0), as they scale with the pair; each result is bitwise the fixed rule's at its
-    # node count, which the pair's eigenbasis picks (see _integrate_pair).
+    # finish(res, scale_k) with the pair's factor from the list scale, or None.  Node doubling
+    # takes each pair alone, payload included, until successive integrals agree to
+    # cfg.tol * ||A_k||_F (cfg.tol if A_k = 0), as they scale with the pair; each result is
+    # bitwise the fixed rule's at its node count, which the pair's eigenbasis picks (see
+    # _integrate_pair).  Otherwise the path is built once for all pairs; each pair's count is
+    # cfg.rule_nodes or, under "auto", the smallest on _LADDER with bound * rho^(-2n) <= cfg.tol
+    # (see the module docstring), with bound calibrated per integral kind; the pairs that share
+    # a rule are integrated together, in batches of at most _BATCH_ENTRIES node-stack entries,
+    # and all are finished at once.
     if cfg.adaptive:
         out = [_integrate_pair(path(x, y), family, cfg.tol, max_nodes,
                                lambda res, s=s: finish(res, s), frob(x) or 1.0)
                for x, y, family, s in zip(a, b, families, scale or [None] * len(a))]
         return _Integrals(np.stack([r.value for r in out]), [r.error_estimate for r in out],
                           [r.nodes_used for r in out])
-    rules = [family(cfg.rule_nodes) for family in families]
+    # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
+    p = path(a[0], b[0]) if len(a) == 1 else path(a, b)
+    scale = None if scale is None else np.array(scale)[:, None, None]
+    counts, errs = [cfg.rule_nodes] * len(a), None
+    if cfg.rule_nodes == "auto":
+        # Scalar work per pair: numpy's overhead on arrays this small exceeds it.
+        need = math.log(bound / cfg.tol) / 2.0
+        counts, errs = [], []
+        log_rho = _log_rho(np.linalg.eigvals(p.ratio())).reshape(len(a), -1).min(axis=1)
+        for k, (r, x) in enumerate(zip(log_rho.tolist(), a)):
+            if not r > 0.0:
+                raise NoConvergence(_POLE_ON_INTERVAL)
+            i = bisect_left(_LADDER, need / r)
+            counts.append(_LADDER[min(i, len(_LADDER) - 1)])
+            errs.append(bound * math.exp(-2.0 * counts[k] * r) * (frob(x) or 1.0))
+            if i == len(_LADDER):
+                message = f"tol={cfg.tol:g} needs more than {_LADDER[-1]} nodes"
+                try:  # the payload, unless it fails or its bound overflows to inf
+                    value = _integrate(families[k](counts[k]), partial(p, jobs=[k]))
+                    payload = finish(IntegralResult(value.reshape(a.shape[1:]), errs[k], counts[k]),
+                                     None if scale is None else scale[k, 0, 0])
+                except (SectorlabError, ValueError) as exc:
+                    raise NoConvergence(message) from exc
+                raise NoConvergence(message, payload)
+        errs = np.array(errs)[:, None, None]
     if len(a) == 1:
-        # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
-        raw = _integrate(rules[0], path(a[0], b[0]))[None]
+        raw = _integrate(families[0](counts[0]), p)[None]
     else:
         shared = {}
-        for k, rule in enumerate(rules):
-            shared.setdefault((rule.kind, rule.count, rule.alpha, rule.beta), []).append(k)
-        step = max(1, _BATCH_ENTRIES // (cfg.rule_nodes * a[0].size))
+        for k, (family, n) in enumerate(zip(families, counts)):
+            rule = family(n)
+            shared.setdefault((rule.kind, rule.count, rule.alpha, rule.beta), (rule, []))[1].append(k)
         raw = np.empty(a.shape, dtype=np.complex128)
-        for jobs in shared.values():
+        for rule, jobs in shared.values():
+            step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
             for batch in (jobs[k:k + step] for k in range(0, len(jobs), step)):
-                raw[batch] = _integrate(rules[batch[0]], path(a[batch], b[batch]))
-    res = finish(IntegralResult(value=raw, error_estimate=None, nodes_used=cfg.rule_nodes),
-                 None if scale is None else np.array(scale)[:, None, None])
-    return _Integrals(res.value, [None] * len(a), [cfg.rule_nodes] * len(a))
+                batch = ... if len(batch) == len(a) else batch  # all pairs: no index, which would copy
+                raw[batch] = _integrate(rule, partial(p, jobs=batch))
+    res = finish(IntegralResult(value=raw, error_estimate=errs, nodes_used=counts), scale)
+    return _Integrals(res.value, [None] * len(a) if errs is None else res.error_estimate.ravel().tolist(),
+                      counts)
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

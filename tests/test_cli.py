@@ -87,6 +87,24 @@ def test_mean_rejects_non_accretive_without_escape(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mean", "--kind", "geom", "--lambda", "0.3", "--adaptive"],
+    ["entropy", "--kind", "relative", "--adaptive"],
+    ["mean", "--kind", "harm", "--lambda", "0.3"],
+    ["mean", "--kind", "arith", "--lambda", "0.3"],
+])
+def test_nodes_flag_outside_a_fixed_rule_exits_2(diag_files, capsys, argv):
+    # --nodes sets the fixed rule of an integral; where there is none, an
+    # explicit --nodes is a usage error, even at its default value
+    a, b = diag_files
+    for nodes in ("5000", "64"):
+        assert main(argv + ["--a", a, "--b", b, "--nodes", nodes]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --nodes sets the fixed rule of an integral and does not apply ")
+    assert main(argv + ["--a", a, "--b", b]) == 0
+
+
 def test_mean_adaptive_metadata(diag_files, capsys):
     a, b = diag_files
     rc = main(["mean", "--kind", "geom", "--lambda", "0.5", "--a", a, "--b", b,

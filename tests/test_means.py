@@ -37,9 +37,16 @@ def rel_frob(x, y):
 
 def test_weight_validation():
     assert check_weight(0.25) == 0.25
+    assert type(check_weight(np.float32(0.25))) is float and check_weight(np.float64(0.5)) == 0.5
     for lam in (0.0, 1.0, -0.1, 2.0, math.nan):
-        with pytest.raises(InvalidWeight):
+        with pytest.raises(InvalidWeight, match="strictly inside"):
             check_weight(lam)
+    # a weight is a real number: not a string that float() would parse, nor a bool
+    for lam in ("0.3", " 0.5 ", True, np.bool_(True), None, 0.5 + 0j):
+        with pytest.raises(InvalidWeight, match="^weight must be a real number"):
+            check_weight(lam)
+    with pytest.raises(InvalidWeight):
+        geometric_mean(PAIR_A, PAIR_B, "0.3")
 
 
 def test_config_validation():
@@ -246,7 +253,7 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
     firsts = []
     for body, fixed, adaptive in cases:
-        for cfg in (GeometricMeanConfig(), GeometricMeanConfig(rule_nodes=32)):
+        for cfg in (GeometricMeanConfig(rule_nodes=64), GeometricMeanConfig(rule_nodes=32)):
             batches.clear()
             got = body(a, b, cfg)
             assert got.value.shape == a.shape
@@ -270,15 +277,16 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     assert not np.array_equal(firsts[4], firsts[5])
 
     # the mean's arithmetic, one pair at a time: gauged pair, one rule, one scale
+    cfg = GeometricMeanConfig(rule_nodes=64)
     for lam in (0.1, 0.5, 0.9, 1.0 - 0.9):
-        got = means._geometric_mean(a, b, lam, GeometricMeanConfig())
+        got = means._geometric_mean(a, b, lam, cfg)
         for k, (x, y) in enumerate(pairs):
             sx, sy = np.linalg.norm(x), np.linalg.norm(y)
             scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi
             path = means._harmonic_path(x / sx, y / sy)
             want = scale * integrate(gauss_jacobi(64, -lam, lam - 1.0), path)
             assert np.array_equal(got.value[k], want)
-            assert np.array_equal(got.value[k], geometric_mean(x, y, lam))
+            assert np.array_equal(got.value[k], geometric_mean(x, y, lam, cfg))
 
 
 @pytest.mark.parametrize("nodes", [64, 32])

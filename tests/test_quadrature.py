@@ -142,6 +142,21 @@ def test_dense_rules_up_to_512_nodes_are_accurate():
             np.testing.assert_allclose(rule.nodes, (x + 1.0) / 2.0, rtol=0.0, atol=1e-13)
 
 
+def _run_fresh(script: str):
+    # the JSON document that script prints, run in a fresh Python process
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import sectorlab
+
+    path = [os.path.dirname(os.path.dirname(sectorlab.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return json.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                     text=True, check=True).stdout)
+
+
 def test_rules_up_to_512_nodes_do_not_load_scipy():
     # In a fresh process, rules and node doubling that stay at or below 512
     # nodes never import scipy.
@@ -159,18 +174,38 @@ used = [geometric_mean_adaptive(a, b, 0.3, max_nodes=512).nodes_used,
         relative_entropy_adaptive(a, b, max_nodes=512).nodes_used]
 print(json.dumps({"nodes_used": used, "scipy": "scipy" in sys.modules}))
 """
-    import json
-    import os
-    import subprocess
-    import sys
+    assert _run_fresh(script) == {"nodes_used": [256, 512], "scipy": False}
 
-    import sectorlab
 
-    path = [os.path.dirname(os.path.dirname(sectorlab.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert json.loads(out) == {"nodes_used": [256, 512], "scipy": False}
+def test_node_doubling_raises_at_once_on_a_pole():
+    # A = I, B = diag(1, -c): A B^-1 has the real eigenvalue -1/c, a pole of the
+    # path at t = c/(1+c) inside (0, 1), here on a node of the 64-node rule.  No
+    # node count converges there, so node doubling raises before it builds a
+    # rule, instead of walking to 4096 nodes and loading scipy.
+    script = """
+import json, sys
+import numpy as np
+from sectorlab import (NoConvergence, gauss_legendre, geometric_mean_adaptive,
+                       relative_entropy_adaptive, tsallis_entropy_adaptive)
+from sectorlab import quadrature
+
+built = []
+rule_cached = quadrature._rule_cached
+quadrature._rule_cached = lambda kind, n, alpha, beta: built.append(n) or rule_cached(kind, n, alpha, beta)
+t_bad = float(gauss_legendre(64).nodes[20])
+a = np.eye(2, dtype=complex)
+b = np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)
+raised = []
+for call in (lambda: geometric_mean_adaptive(a, b, 0.3), lambda: relative_entropy_adaptive(a, b),
+             lambda: tsallis_entropy_adaptive(a, b, 0.5)):
+    try:
+        call()
+    except NoConvergence as exc:
+        raised.append([str(exc), exc.payload is None])
+print(json.dumps({"raised": raised, "largest_rule": max(built), "scipy": "scipy" in sys.modules}))
+"""
+    message = "the integrand has a pole on (0, 1]: the pair is not accretive"
+    assert _run_fresh(script) == {"raised": [[message, True]] * 3, "largest_rule": 64, "scipy": False}
 
 
 def test_large_rule_construction():
@@ -387,8 +422,10 @@ def test_evaluate_takes_the_rule_from_the_config():
         return np.array([[math.exp(t), 1.0 / (2.0 - t)], [t * t, 1.0]], dtype=complex)
 
     def path(x, y):
-        # t -> x f(t) + y over the node array, for one pair or stacked pairs
-        return lambda nodes: x[..., None, :, :] * np.stack([f(float(t)) for t in nodes]) + y[..., None, :, :]
+        # t -> x f(t) + y over the node array, for one pair or stacked pairs, or the
+        # stacked pairs listed in jobs
+        return lambda nodes, jobs=...: (x[..., None, :, :][jobs] * np.stack([f(float(t)) for t in nodes])
+                                        + y[..., None, :, :][jobs])
 
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
@@ -691,8 +728,9 @@ def test_doubling_evaluates_the_stacked_rule_once(monkeypatch):
 
 
 def test_doubling_falls_back_to_the_stacked_rule(monkeypatch):
-    # A defective A B^-1 (a Jordan block) has no usable eigenbasis, and a pole
-    # on a node makes the stacked rule raise: both end as the stacked doubling does.
+    # A defective A B^-1 (a Jordan block) has no usable eigenbasis, and ends as
+    # the stacked doubling does.  A pole on a node makes the stacked doubling
+    # raise there; the eigenbasis sees that pole and raises at once.
     from sectorlab.entropy import relative_entropy_adaptive, tsallis_entropy_adaptive
     from sectorlab.means import drury_mean_adaptive, geometric_mean_adaptive
 
@@ -706,10 +744,11 @@ def test_doubling_falls_back_to_the_stacked_rule(monkeypatch):
         t_bad = float(rule.nodes[20])
         failing.append((partial(call, a, np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)), t_bad))
     got = [call() for call in calls]
-    for call, t_bad in failing:
-        with pytest.raises(EvaluationFailure) as exc:
+    for call, _ in failing:
+        # the eigenbasis puts a pole on (0, 1], so the doubling raises before it starts
+        with pytest.raises(NoConvergence, match=r"pole on \(0, 1\]") as exc:
             call()
-        assert exc.value.node == t_bad
+        assert exc.value.payload is None
     monkeypatch.setattr(quadrature, "_integrate_pair", _stacked_doubling)
     for call, res in zip(calls, got, strict=True):
         want = call()
@@ -813,23 +852,30 @@ def test_overflowing_integrand_is_reported_without_a_warning():
     # S(2e306 I | I) overflows at the first nodes: the engine reports the
     # non-finite node, and the overflow in the integrand raises no warning
     # (the suite turns a RuntimeWarning into an error).
-    from sectorlab.entropy import relative_entropy
+    from sectorlab.entropy import EntropyConfig, relative_entropy
 
     with pytest.raises(EvaluationFailure, match="non-finite"):
+        relative_entropy(2e306 * np.eye(2), np.eye(2), EntropyConfig(rule_nodes=64))
+    # The automatic count needs more than 512 nodes there, and the 512-node
+    # payload overflows: no payload, and no warning from its bound either.
+    with pytest.raises(NoConvergence, match="more than 512 nodes") as exc:
         relative_entropy(2e306 * np.eye(2), np.eye(2))
+    assert exc.value.payload is None and isinstance(exc.value.__cause__, EvaluationFailure)
 
 
 def test_singular_interior_node_is_reported():
     # (1-t) A^-1 + t B^-1 with A = I, B = diag(1, -c) is singular at
     # t = c/(1+c); put that on an interior node of the 64-node rule.
-    from sectorlab.entropy import relative_entropy, tsallis_entropy
+    from sectorlab.entropy import EntropyConfig, relative_entropy, tsallis_entropy
+
+    cfg = EntropyConfig(rule_nodes=64)
 
     rule = gauss_legendre(64)
     t_bad = float(rule.nodes[20])
     a = np.eye(2, dtype=complex)
     b = np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)
     with pytest.raises(EvaluationFailure) as stacked:
-        relative_entropy(a, b)
+        relative_entropy(a, b, cfg)
     assert stacked.value.node == t_bad
 
     h = _per_node_harmonic(a, b)
@@ -841,5 +887,199 @@ def test_singular_interior_node_is_reported():
     t_bad = float(rule.nodes[40])
     b = np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)
     with pytest.raises(EvaluationFailure) as stacked:
-        tsallis_entropy(a, b, 0.5)
+        tsallis_entropy(a, b, 0.5, cfg)
     assert stacked.value.node == t_bad
+
+
+# ------------------------------------------------------- automatic node count
+
+
+def _spectral_cases():
+    # (library call on (A, B) at the default config, its closed form on (A, A^-1 B))
+    # for the four default integrals, with scipy's Schur-Pade power and logarithm
+    from scipy.linalg import fractional_matrix_power, logm
+
+    from sectorlab.entropy import relative_entropy, tsallis_entropy
+    from sectorlab.means import drury_mean, geometric_mean
+
+    cases = [(lambda a, b, lam=lam: geometric_mean(a, b, lam),
+              lambda a, r, lam=lam: a @ fractional_matrix_power(r, lam)) for lam in (0.1, 0.5, 0.9)]
+    cases += [(lambda a, b, lam=lam: tsallis_entropy(a, b, lam),
+               lambda a, r, lam=lam: (a @ fractional_matrix_power(r, lam) - a) / lam) for lam in (0.1, 0.9)]
+    return cases + [(relative_entropy, lambda a, r: a @ logm(r)),
+                    (drury_mean, lambda a, r: a @ fractional_matrix_power(r, 0.5))]
+
+
+def _rel(x, y):
+    return float(np.linalg.norm(x - y) / np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("frac", [0.4, 0.8, 0.95])
+def test_auto_rule_matches_the_spectral_forms(frac):
+    # The default counts come from each pair's poles; every default integral
+    # meets 1e-12 against scipy, where the 64-node rule missed by up to 3e-2.
+    for dim in (2, 3, 8):
+        for a, b in accretive_pairs(3, (dim,), frac * math.pi / 2, seed=71 + dim):
+            r = np.linalg.solve(a, b)
+            for call, closed_form in _spectral_cases():
+                assert _rel(call(a, b), closed_form(a, r)) <= 1e-12
+
+
+def test_auto_rule_meets_tol_or_raises_at_wide_angles():
+    # At 0.99 pi/2 some pairs need more than 512 nodes: those raise, with the
+    # 512-node result and its bound as payload; the others meet 1e-12.
+    outcomes = set()
+    for dim in (2, 3, 8):
+        for a, b in accretive_pairs(3, (dim,), 0.99 * math.pi / 2, seed=73 + dim):
+            r = np.linalg.solve(a, b)
+            for call, closed_form in _spectral_cases():
+                try:
+                    err = _rel(call(a, b), closed_form(a, r))
+                except NoConvergence as exc:
+                    outcomes.add("raised")
+                    assert exc.payload.nodes_used == 512
+                    assert exc.payload.error_estimate > 0.0
+                    continue
+                outcomes.add("met")
+                assert err <= 1e-12
+    assert outcomes == {"met", "raised"}
+
+
+def test_auto_stack_is_bitwise_its_lone_calls(monkeypatch):
+    # One call over stacked pairs of mixed weights takes every pair's poles from
+    # one eigvals call and integrates the pairs sharing a rule, a family at a
+    # count, together: one _integrate call per rule.  Each result is bitwise
+    # the lone call's, with its node count and its estimate.
+    from sectorlab import entropy, means
+    from sectorlab.means import GeometricMeanConfig
+
+    cfg = GeometricMeanConfig()
+    pairs = accretive_pairs(8, (3,), 0.9 * math.pi / 2, seed=79)
+    weights = [0.1, 0.5, 0.9, 1.0 - 0.9] * 2
+    a = np.stack([x for x, _ in pairs])
+    b = np.stack([y for _, y in pairs])
+    bodies = [
+        (lambda a, b: means._geometric_mean(a, b, weights[:len(a)], cfg),
+         lambda k: means._geometric_mean(a[k:k + 1], b[k:k + 1], weights[k], cfg)),
+        (lambda a, b: means._drury_mean(a, b, cfg), lambda k: means._drury_mean(a[k:k + 1], b[k:k + 1], cfg)),
+        (lambda a, b: entropy._tsallis_entropy(a, b, 0.0, cfg),
+         lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], 0.0, cfg)),
+        (lambda a, b: entropy._tsallis_entropy(a, b, 0.7, cfg),
+         lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], 0.7, cfg)),
+    ]
+    rules = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate",
+                        lambda rule, f: rules.append((rule.alpha, rule.count)) or integrate(rule, f))
+    for stacked, lone in bodies:
+        rules.clear()
+        got = stacked(a, b)
+        assert len(rules) == len(set(rules)) > 1
+        assert {n for _, n in rules} <= set(quadrature._LADDER)
+        for k in range(len(pairs)):
+            want = lone(k)
+            assert np.array_equal(got.value[k], want.value[0])
+            assert (got.nodes_used[k], got.error_estimates[k]) == (want.nodes_used[0], want.error_estimates[0])
+            assert type(got.error_estimates[k]) is float and got.error_estimates[k] >= 0.0
+    assert np.array_equal(got.value[0], entropy.tsallis_entropy(*pairs[0], 0.7))
+
+
+def test_auto_rule_raises_at_once_on_a_pole(monkeypatch):
+    # A = I, B = diag(1, -c) puts a pole on (0, 1]: the default config raises
+    # before it integrates anything, with no payload.
+    from sectorlab.entropy import relative_entropy, tsallis_entropy
+    from sectorlab.means import drury_mean, geometric_mean
+
+    calls = []
+    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: calls.append(rule))
+    a = np.eye(2, dtype=complex)
+    for c in (0.3, 5.0):
+        b = np.diag([1.0, -c]).astype(complex)
+        for call in (partial(geometric_mean, lam=0.3), drury_mean, relative_entropy,
+                     partial(tsallis_entropy, lam=0.5)):
+            with pytest.raises(NoConvergence, match=r"pole on \(0, 1\]") as exc:
+                call(a, b)
+            assert exc.value.payload is None
+    assert calls == []
+
+
+def test_auto_payload_is_the_512_node_result():
+    # A pair that needs more than 512 nodes raises NoConvergence; the payload is
+    # bitwise the 512-node fixed rule's result, with the bound at 512 nodes, which
+    # exceeds the tolerance.
+    from sectorlab.means import GeometricMeanConfig, _geometric_mean, drury_mean, geometric_mean
+
+    cfg512 = GeometricMeanConfig(rule_nodes=512)
+    seen = 0
+    for a, b in accretive_pairs(6, (2, 3), 0.99 * math.pi / 2, seed=83):
+        for call, fixed in ((partial(geometric_mean, lam=0.3), partial(geometric_mean, lam=0.3, cfg=cfg512)),
+                            (drury_mean, partial(drury_mean, cfg=cfg512))):
+            try:
+                call(a, b)
+            except NoConvergence as exc:
+                seen += 1
+                assert "more than 512 nodes" in str(exc)
+                assert np.array_equal(exc.payload.value, fixed(a, b))
+                assert exc.payload.nodes_used == 512
+                assert exc.payload.error_estimate > 1e-12
+    assert seen >= 2
+    # the estimate scales like the mean: with the pair's gauge and sin(lam pi)/pi
+    a, b = accretive_pairs(1, (3,), 0.6 * math.pi / 2, seed=89)[0]
+    res = _geometric_mean(a[None], b[None], 0.3, GeometricMeanConfig())
+    scaled = _geometric_mean(4.0 * a[None], 4.0 * b[None], 0.3, GeometricMeanConfig())
+    assert scaled.nodes_used == res.nodes_used
+    assert scaled.error_estimates[0] == pytest.approx(4.0 * res.error_estimates[0], rel=1e-13)
+
+
+def test_auto_is_the_default_config():
+    from sectorlab.quadrature import QuadratureConfig
+
+    assert QuadratureConfig().rule_nodes == "auto"
+    assert QuadratureConfig(rule_nodes="auto") == QuadratureConfig()
+    for nodes in ("AUTO", "64", None):
+        with pytest.raises(ValueError, match=r"^rule_nodes must be an integer in \[1, 4096\]"):
+            QuadratureConfig(rule_nodes=nodes)
+
+
+def _pair_default_draw(seed: int, round_: int):
+    # The dim-2 pair of a round of the pair-default benchmark, rebuilt with numpy:
+    # A = P + i tan(theta) P^(1/2) H P^(1/2), P Hermitian positive definite with
+    # log-uniform eigenvalues under a condition cap and a Haar basis, H Hermitian
+    # with its spectrum clipped to [-1, 1], all from one PCG64 stream.
+    g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, round_))))
+    theta = g.uniform(0.2, 0.8) * math.pi / 2
+    cap = math.exp(g.uniform(0.0, math.log(100.0)))
+
+    def herm(m):
+        return (m + m.conj().T) / 2
+
+    def draw():
+        q, r = np.linalg.qr(g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2)))
+        u = q * (np.diag(r).conj() / np.abs(np.diag(r)))
+        p = herm((u * np.exp(g.uniform(-0.5 * math.log(cap), 0.5 * math.log(cap), size=2))) @ u.conj().T)
+        w, v = np.linalg.eigh(herm(g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))))
+        h = herm((v * np.clip(w, -1.0, 1.0)) @ v.conj().T)
+        w, v = np.linalg.eigh(p)
+        root = (v * np.sqrt(w)) @ v.conj().T
+        return p + 1j * (math.tan(theta) * herm(root @ h @ root))
+
+    return theta, cap, draw(), draw()
+
+
+def test_auto_rule_on_the_pair_default_seed_1516_pair():
+    # Round 20 of the pair-default benchmark at seed 1516 drew a dim-2 pair
+    # (theta = 0.741 pi/2, cap 99.2) whose 64-node entropies miss scipy by
+    # 5.6e-8 and 8.1e-8; the default counts meet 1e-12.
+    from scipy.linalg import fractional_matrix_power, logm
+
+    from sectorlab.entropy import EntropyConfig, relative_entropy, tsallis_entropy
+
+    theta, cap, a, b = _pair_default_draw(1516, 20)
+    assert (round(theta / (math.pi / 2), 3), round(cap, 1)) == (0.741, 99.2)
+    r = np.linalg.solve(a, b)
+    s, t = a @ logm(r), (a @ fractional_matrix_power(r, 0.25) - a) / 0.25
+    fixed = EntropyConfig(rule_nodes=64)
+    assert _rel(relative_entropy(a, b, fixed), s) > 1e-8
+    assert _rel(tsallis_entropy(a, b, 0.25, fixed), t) > 1e-8
+    assert _rel(relative_entropy(a, b), s) <= 1e-12
+    assert _rel(tsallis_entropy(a, b, 0.25), t) <= 1e-12

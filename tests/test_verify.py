@@ -191,8 +191,9 @@ def test_mean_failure_stays_with_the_mean_checks(monkeypatch):
 def test_default_report_integrates_once_per_rule(monkeypatch):
     # A report's means are one call, and the quadrature integrates the pairs
     # of each rule together: the default report makes one _integrate call per
-    # weight, 0.1, 0.5, 0.9 and the flipped means' 1 - 0.9, and one for the
-    # relative entropy, the lam = 0 Tsallis integral.
+    # rule, that is per node count of each weight, 0.1, 0.5, 0.9 and the
+    # flipped means' 1 - 0.9, and of the relative entropy, the lam = 0 Tsallis
+    # integral.  Each pair's node count is its own, from the ladder.
     import sectorlab.quadrature as quadrature
 
     rules = []
@@ -200,8 +201,10 @@ def test_default_report_integrates_once_per_rule(monkeypatch):
     monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: rules.append(
         (rule.kind, rule.count, rule.alpha, rule.beta)) or integrate(rule, f))
     run_all(EnsembleSpec())
-    assert sorted(rules) == sorted([("jacobi", 64, -lam, lam - 1.0) for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)]
-                                   + [("jacobi", 64, -0.0, 0.0)])
+    assert len(set(rules)) == len(rules)
+    assert {count for _, count, _, _ in rules} <= set(quadrature._LADDER)
+    assert {rule[2:] for rule in rules} == {(-lam, lam - 1.0) for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)} | {
+        (-0.0, 0.0)}
 
 
 def test_report_json_schema():
