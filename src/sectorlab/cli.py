@@ -210,8 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--b", required=True, help="path to the right matrix JSON file")
     pair.add_argument("--nodes", type=int, default=None,
                       help="node count of the fixed rule of an integral kind (default 64)")
-    pair.add_argument("--adaptive", action="store_true")
-    pair.add_argument("--tol", type=float, default=1e-12)
+    pair.add_argument("--adaptive", action="store_true",
+                      help="take the node count of an integral kind from the pair's poles, "
+                           "up to 4096 nodes, to meet --tol")
+    pair.add_argument("--tol", type=float, default=1e-12,
+                      help="error bound of --adaptive, relative to ||A||_F (default 1e-12)")
     pair.add_argument("--out", default="-")
     pair.add_argument("--no-validate", action="store_true",
                       help="skip the accretivity check on inputs")

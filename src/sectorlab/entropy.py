@@ -18,10 +18,10 @@ the direct integral stays as an independent cross-check.  Both entropies are
 one body over stacked pairs (jobs, d, d) on the shared integrand
 ``_entropy_path``; ``verify`` calls it on its ensembles, the public functions
 on a stack of one pair, and the ``*_adaptive`` functions are that body with
-node doubling.  How the pairs are batched, how many nodes each gets and when
-doubling stops is up to ``quadrature``, whose tolerance relative to ||A||_F
-suits S(sA|sB) = s S(A|B) and T_lam alike, so both integrate the caller's
-pair as it is.  The entropy path has the harmonic path's poles, so by default
+node counts up to 4096.  How the pairs are batched and how many nodes each
+gets is up to ``quadrature``, whose tolerance relative to ||A||_F suits
+S(sA|sB) = s S(A|B) and T_lam alike, so both integrate the caller's pair as
+it is.  The entropy path has the harmonic path's poles, so by default
 each pair's node count comes from the eigenvalues of A B^-1, as for the mean.
 """
 
@@ -69,14 +69,7 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
         h /= np.reshape(t, (-1, 1, 1))
         return h
 
-    def eigenbasis():
-        # A !_t B = V diag(1 / ((1-t) + t mu)) V^-1 A, so the path is
-        # V diag((1 - mu) / ((1-t) + t mu)) V^-1 A, with no 1/t cancellation
-        _, mu, v, w = harmonic.eigenbasis()
-        return 1.0 - mu, mu, v, w
-
     path.ratio = harmonic.ratio
-    path.eigenbasis = eigenbasis
     return path
 
 
@@ -87,16 +80,16 @@ def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the relative-entropy integral.
+    """Relative-entropy integral with its node count chosen up to ``max_nodes``.
 
-    ``tol`` is relative to ||A||_F: doubling stops when successive results
-    agree to ``tol * ||A||_F`` in the Frobenius norm.  The value is the fixed
-    rule's at that node count.  The error estimate is the difference of the
-    last two integrals, taken in the pair's eigenbasis, plus twice that
-    integral's distance from the value; where the eigenbasis is not used, the
-    difference of the last two values (see :mod:`sectorlab.quadrature`).  On
-    :class:`NoConvergence` the payload is the entropy at the last node count,
-    with its error estimate.
+    The count is the fewest nodes on the ladder 8, 16, ... 4096, up to
+    ``max_nodes``, whose error bound from the poles of A B^-1 meets ``tol``,
+    as for :func:`relative_entropy` but past 512 nodes.  The value is the fixed
+    rule's at that count, and the error estimate that bound times ||A||_F
+    (see :mod:`sectorlab.quadrature`).  :class:`NoConvergence` is raised for a
+    ``tol`` below four rounding units, for a pole on (0, 1], and where no count
+    up to ``max_nodes`` meets ``tol``; then the payload is the entropy at the
+    largest count, with its estimate.
     """
     return _tsallis_entropy(*_lone(a, b), 0.0, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]
 
@@ -124,10 +117,10 @@ def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np
 
 def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
                              max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the Tsallis-entropy integral.
+    """Tsallis-entropy integral with its node count chosen up to ``max_nodes``.
 
-    ``tol`` is relative to ||A||_F, and the value, the error estimate and the
-    :class:`NoConvergence` payload are as in :func:`relative_entropy_adaptive`.
+    The count, the value, the error estimate, scaled like the entropy, and
+    :class:`NoConvergence` are as in :func:`relative_entropy_adaptive`.
     """
     lam = check_weight(lam)
     return _tsallis_entropy(*_lone(a, b), lam, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]

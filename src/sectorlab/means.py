@@ -9,16 +9,16 @@ here through its integral representation
 evaluated with a Gauss-Jacobi rule whose weight absorbs the Beta kernel.  By
 default each pair gets its own node count, from the poles of its path, which
 lie at t = 1/(1 - mu) over the eigenvalues mu of A B^-1 (B^-1 A for Drury's
-path); each path exposes that ratio beside its eigenbasis.  The
-path t -> A !_t B is written once, in ``_harmonic_path``: the harmonic mean is
-it at one weight, and the geometric mean and the entropies integrate it.  For
-Hermitian positive definite inputs the classical closed form is available as
-an independent oracle, and the half-weight Drury mean gives a second integral
+path); each path exposes that ratio.  The path t -> A !_t B is written once,
+in ``_harmonic_path``: the harmonic mean is it at one weight, and the
+geometric mean and the entropies integrate it.  For Hermitian positive
+definite inputs the classical closed form is available as an independent
+oracle, and the half-weight Drury mean gives a second integral
 route at lam = 1/2.  Each integral mean has one body over stacked pairs
 (jobs, d, d), which ``verify`` calls on its ensembles; the public functions
 call it on a stack of one pair, and the ``*_adaptive`` function is that body
-with node doubling.  How the pairs are batched, and how many nodes each gets,
-is up to ``quadrature``.
+with node counts up to 4096.  How the pairs are batched, and how many nodes
+each gets, is up to ``quadrature``.
 """
 
 from __future__ import annotations
@@ -112,15 +112,7 @@ def _convex_inverse_path(x: np.ndarray, y: np.ndarray, x_inv: np.ndarray | None 
         # lie at t = 1/(1 - mu) over the eigenvalues mu of X^-1 Y
         return (_inv(x) if x_inv is None else x_inv) @ y
 
-    def eigenbasis():
-        # For one pair (d, d): (c, mu, V, W) with path(t) = V diag(c / ((1-t) + t mu)) W,
-        # from X^-1 Y = V diag(mu) V^-1 and W = V^-1 X^-1; here c = 1.
-        xi = _inv(x) if x_inv is None else x_inv
-        mu, v = np.linalg.eig(xi @ y)
-        return 1.0, mu, v, np.linalg.solve(v, xi)
-
     path.ratio = ratio
-    path.eigenbasis = eigenbasis
     return path
 
 
@@ -167,15 +159,16 @@ def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) 
 
 def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
                             max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the geometric-mean integral.
+    """Geometric-mean integral with its node count chosen up to ``max_nodes``.
 
-    The value is the fixed rule's at the node count where successive integrals
-    agree to ``tol``.  The error estimate is the difference of the last two
-    integrals, taken in the pair's eigenbasis, plus twice that integral's
-    distance from the value; where the eigenbasis is not used, the difference
-    of the last two values (see :mod:`sectorlab.quadrature`).  On
-    :class:`NoConvergence` the payload is the mean at the last node count,
-    with its error estimate, scaled like a converged result.
+    The count is the fewest nodes on the ladder 8, 16, ... 4096, up to
+    ``max_nodes``, whose error bound from the pair's poles meets ``tol``, as
+    for :func:`geometric_mean` but past 512 nodes; the value is the fixed
+    rule's at that count, and the error estimate that bound, scaled like the
+    mean (see :mod:`sectorlab.quadrature`).  :class:`NoConvergence` is raised
+    for a ``tol`` below four rounding units, for a pole on (0, 1], and where no
+    count up to ``max_nodes`` meets ``tol``; then the payload is the mean at
+    the largest count, with its estimate.
     """
     lam = check_weight(lam)
     return _geometric_mean(*_lone(a, b), lam, GeometricMeanConfig(adaptive=True, tol=tol),
@@ -213,12 +206,11 @@ def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 
 def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
-    """Node-doubling evaluation of the Drury half-weight mean.
+    """Drury half-weight mean with its node count chosen up to ``max_nodes``.
 
-    The value and error estimate are formed as in :func:`geometric_mean_adaptive`,
-    with the estimate scaled like the mean.  On :class:`NoConvergence` the
-    payload is the mean at the last node count, with its error estimate,
-    scaled like a converged result.
+    The count, the value, the error estimate and :class:`NoConvergence` are
+    as in :func:`geometric_mean_adaptive`, with the estimate scaled like the
+    mean.
     """
     return _drury_mean(*_lone(a, b), GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)[0]
 

@@ -21,13 +21,13 @@ that raises alone, unless the integrand raised ``EvaluationFailure`` itself.
 The public ``integrate_matrix`` and ``integrate_adaptive`` take a per-node
 integrand and stack its values node by node onto the same engine.
 Rules are cached as validated objects.  Every node count, of a rule, of a
-config (checked when the config is built) or of a doubling cap, obeys the
+config (checked when the config is built) or of a node cap, obeys the
 package's one integer rule, ``linalg._check_integer``, and every mean weight
 obeys ``check_weight``.  One :class:`QuadratureConfig` sets
 every library integral, and ``_evaluate`` alone applies it, to stacked pairs
 with one rule family each: the pairs that share a rule, a family at a node
-count, are integrated together, in batches, and under node doubling one by one.
-It returns their values as one stack, with each pair's estimate and node count.
+count, are integrated together, in batches.  It returns their values as one
+stack, with each pair's estimate and node count.
 
 Every library path is t -> ((1-t) X + t Y)^-1 or built on it, with poles at
 t = 1/(1 - mu) over the eigenvalues mu of its ratio X^-1 Y, and the Gauss error
@@ -36,36 +36,30 @@ falls like rho^(-2n) (Trefethen, "Is Gauss quadrature better than
 Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The default ``rule_nodes="auto"``
 takes mu for all pairs from one stacked ``eigvals`` and gives each pair the
 fewest nodes on a fixed ladder, 8 to 512, with K rho^(-2n) <= tol, where K is
-calibrated per integral kind against scipy's spectral forms.  That bound, times
-||A||_F of the pair and scaled like the value, is the pair's error estimate: it
-bounds the truncation error, not the rounding.  A pole on (0, 1], a real
-mu <= 0, which no accretive pair has, raises ``NoConvergence`` before anything
-is integrated, and so does a pair that needs more than 512 nodes, with its
-512-node result as payload.  An integer ``rule_nodes`` is a fixed rule of that
-many nodes for every pair, with no estimate.
+calibrated per integral kind against scipy's spectral forms.  ``adaptive=True``
+chooses the same way on the ladder extended by 768, 1024, ... 4096 up to the
+caller's ``max_nodes``; the rules above 512 nodes load scipy.  Each pair's rule
+is evaluated once, at its count, so every result is bitwise the fixed rule's
+at its node count.  That bound, times ||A||_F of the pair and scaled like the
+value, is the pair's error estimate: it bounds the truncation error, not the
+rounding.  So a tolerance below four rounding units, which no rule can meet,
+raises ``NoConvergence`` before anything is integrated.  A pole on (0, 1], a
+real mu <= 0, which no accretive pair has, raises it too, and so does a pair
+that needs more nodes than the ladder's top, with its result at that top
+count as payload.  An integer ``rule_nodes`` is a fixed rule of that many nodes
+for every pair, with no estimate.
 
-Node doubling evaluates 16, 32, ... nodes until two successive integrals agree
-to the tolerance.  Gauss rules are not nested, so doing that on the stacked
-engine inverts 2n - 16 matrices to return the integral of n.  Every library
-path is a convex-inverse path, V diag(c / ((1-t) + t mu)) W in the eigenbasis
-of its pair, where one node costs d scalar divisions.  So for a library pair,
-the doubling runs in that eigenbasis, and the stacked rule is evaluated once,
-at the node count it picks.  The result is that stacked integral, bitwise the
-fixed rule's at its node count.  Its error estimate is the difference of the
-last two eigenbasis integrals plus twice the distance between the eigenbasis
-and stacked integrals at that count.  If the two integrals there differ by
-more than a tenth of the tolerance, or the eigenbasis fails, is too
-ill-conditioned to resolve the tolerance or does not converge, the doubling
-runs on the stacked engine instead, and the estimate is the difference of
-its last two integrals, as for ``integrate_adaptive``.  If the eigenbasis puts
-a pole on (0, 1], the doubling raises at once.
+The public ``integrate_adaptive`` takes any per-node integrand, whose poles it
+cannot see, so it doubles the node count from 16 until two successive
+integrals agree to the tolerance, and reports their difference as the
+estimate.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -95,9 +89,15 @@ _POLE_ON_INTERVAL = "the integrand has a pole on (0, 1]: the pair is not accreti
 #: 217 ms and 33 MB against 59 ms, so larger rules, up to MAX_NODES, load scipy.
 _OWN_EIG_LIMIT = 512
 
-#: The node counts that ``rule_nodes="auto"`` chooses from.  The largest is
-#: _OWN_EIG_LIMIT, so an automatic rule never loads scipy.
-_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+#: The node counts that the error bound chooses from: up to _OWN_EIG_LIMIT under
+#: ``rule_nodes="auto"``, so an automatic rule never loads scipy, and up to the
+#: caller's ``max_nodes`` under ``adaptive``.
+_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096)
+
+#: The smallest ``tol`` the error bound takes, relative to ||A||_F: four rounding
+#: units.  Below it rounding, not truncation, sets the error of every rule, so no
+#: node count can meet the tolerance, however small its bound.
+_TOL_FLOOR = 4.0 * _EPS
 
 #: Largest batch of pairs integrated in one stack, in complex entries of the
 #: (jobs, nodes, d, d) node stack (4 MiB): batching saves per-call overhead on
@@ -208,10 +208,11 @@ def beta_normalization(lam: float) -> float:
 class IntegralResult:
     """Integration outcome: the value, its error estimate and the node count.
 
-    An integer ``rule_nodes`` gives no error estimate (``None``); the automatic
-    rule and node doubling give one.  Internally a batch of stacked pairs
-    travels as one result, whose estimate and node count may then hold one
-    entry per pair, the estimates as (jobs, 1, 1).
+    An integer ``rule_nodes`` gives no error estimate (``None``); a count
+    chosen from the pair's poles, and ``integrate_adaptive``, give one.
+    Internally a batch of stacked pairs travels as one result, whose estimate
+    and node count may then hold one entry per pair, the estimates as
+    (jobs, 1, 1).
     """
 
     value: np.ndarray
@@ -271,36 +272,6 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
     return total
 
 
-def _integrate_doubling(
-    value: Callable[[int], np.ndarray],
-    tol: float,
-    max_nodes: int,
-    finish: Callable[[IntegralResult], IntegralResult] = lambda res: res,
-    norm: float = 1.0,
-) -> IntegralResult:
-    # Node doubling over value(n), the integral at n nodes; see integrate_adaptive.
-    # Doubling stops at a Frobenius difference of tol * norm.  ``finish`` turns
-    # the raw integral into the caller's result (scale factors, the Drury
-    # inverse); it is applied to the NoConvergence payload as well, so the
-    # payload is the caller's best result, not the raw integral.
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    _check_integer("max_nodes", max_nodes, 32, MAX_NODES)  # 32 allows one doubling
-    n = 16
-    prev = value(n)
-    while 2 * n <= max_nodes:
-        n *= 2
-        cur = value(n)
-        err = frob(cur - prev)
-        if err <= tol * norm:
-            return finish(IntegralResult(value=cur, error_estimate=err, nodes_used=n))
-        prev = cur
-    raise NoConvergence(
-        f"adaptive integration did not reach tol={tol:g} within {max_nodes} nodes",
-        payload=finish(IntegralResult(value=prev, error_estimate=err, nodes_used=n)),
-    )
-
-
 def _log_rho(mu: np.ndarray) -> np.ndarray:
     # The log Bernstein-ellipse parameter of each pole t = 1/(1 - mu) of a path.  With
     # x = 2t - 1 and s = sqrt(mu) on the principal branch, rho = |x + sqrt(x^2 - 1)|
@@ -311,74 +282,17 @@ def _log_rho(mu: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(4.0 * s.real / r / r)
 
 
-def _eigenbasis_integral(basis, gate: float) -> Callable[[QuadratureRule], np.ndarray]:
-    # rule -> the rule's integral of a path from its eigenbasis (c, mu, V, W), in
-    # which every node is a scalar: path(t) = V diag(c / ((1-t) + t mu)) W.  The
-    # integral V diag(s) W rounds by about eps * ||V|| ||W|| max|s| (Higham,
-    # Functions of Matrices, ch. 4); above the gate, or non-finite, it raises.
-    c, mu, v, w = basis
-    k = 1.0 - mu
-    size = _EPS * frob(v) * frob(w)
-
-    def integral(rule: QuadratureRule) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s = rule.weights @ (c / (1.0 - rule.nodes[:, None] * k))
-            if not size * np.abs(s).max() <= gate:
-                raise NoConvergence("the eigenbasis cannot resolve the tolerance")
-            return (v * s) @ w
-
-    return integral
-
-
-def _integrate_pair(path, family: Callable[[int], QuadratureRule], tol: float, max_nodes: int,
-                    finish: Callable[[IntegralResult], IntegralResult], norm: float) -> IntegralResult:
-    # Node doubling for one pair, whose result is the stacked rule's at the node
-    # count where successive integrals agree to tol * norm.  Gauss rules are not
-    # nested, so the doubling runs on the path's eigenbasis, at scalar cost per
-    # node, and the stacked rule is evaluated once, at the count it picks.  The
-    # choice stands if the two integrals there agree to a tenth of the tolerance,
-    # and the estimate is the eigenbasis difference plus twice their distance.
-    # Otherwise, if the eigenbasis fails or does not converge, or the path has
-    # none, the doubling runs on the stacked rule, as integrate_adaptive does.
-    # A pole on (0, 1] raises at once: no node count converges there.
-    stacked = {}
-
-    def at(n: int) -> np.ndarray:
-        if n not in stacked:
-            stacked[n] = _integrate(family(n), path)
-        return stacked[n]
-
-    gate = tol * norm / 10.0
-    delta = math.inf
-    try:
-        basis = path.eigenbasis() if hasattr(path, "eigenbasis") else None
-    except (SectorlabError, np.linalg.LinAlgError):
-        basis = None
-    if basis is not None and _log_rho(basis[1]).min() <= 0.0:
-        raise NoConvergence(_POLE_ON_INTERVAL)
-    if basis is not None:
-        try:
-            integral = _eigenbasis_integral(basis, gate)
-            chosen = _integrate_doubling(lambda n: integral(family(n)), tol, max_nodes, norm=norm)
-            n = chosen.nodes_used
-            delta = frob(at(n) - chosen.value)
-        except (SectorlabError, np.linalg.LinAlgError):
-            pass
-    if delta <= gate:
-        return finish(IntegralResult(value=at(n), error_estimate=chosen.error_estimate + 2.0 * delta,
-                                     nodes_used=n))
-    return _integrate_doubling(at, tol, max_nodes, finish, norm)
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Quadrature of every integral.  With ``rule_nodes="auto"``, each pair's
     rule has the fewest nodes on a fixed ladder, up to 512, whose error bound
     from the poles of the pair's path meets ``tol``; an integer gives a fixed
-    rule of that many nodes; ``adaptive`` doubles the node count from 16 until
-    successive results agree to ``tol``.  Either tolerance is relative to
-    ||A||_F of the pair being integrated.  ``GeometricMeanConfig`` and
-    ``EntropyConfig`` are this class.
+    rule of that many nodes; ``adaptive`` chooses as ``"auto"`` does, on the
+    ladder extended up to the caller's ``max_nodes`` (4096 by default).  The
+    tolerance is relative to ||A||_F of the pair being integrated; a
+    tolerance below four rounding units raises ``NoConvergence`` wherever the
+    bound chooses the count.  ``GeometricMeanConfig`` and ``EntropyConfig``
+    are this class.
     """
 
     rule_nodes: int | str = "auto"
@@ -410,26 +324,23 @@ class _Integrals:
 def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: QuadratureConfig,
               finish=_scaled, max_nodes: int = MAX_NODES, bound: float = 1.0) -> _Integrals:
     # path(A_k, B_k) integrated over families[k](n)'s rules for the stacked pairs, then
-    # finish(res, scale_k) with the pair's factor from the list scale, or None.  Node doubling
-    # takes each pair alone, payload included, until successive integrals agree to
-    # cfg.tol * ||A_k||_F (cfg.tol if A_k = 0), as they scale with the pair; each result is
-    # bitwise the fixed rule's at its node count, which the pair's eigenbasis picks (see
-    # _integrate_pair).  Otherwise the path is built once for all pairs; each pair's count is
-    # cfg.rule_nodes or, under "auto", the smallest on _LADDER with bound * rho^(-2n) <= cfg.tol
-    # (see the module docstring), with bound calibrated per integral kind; the pairs that share
-    # a rule are integrated together, in batches of at most _BATCH_ENTRIES node-stack entries,
-    # and all are finished at once.
-    if cfg.adaptive:
-        out = [_integrate_pair(path(x, y), family, cfg.tol, max_nodes,
-                               lambda res, s=s: finish(res, s), frob(x) or 1.0)
-               for x, y, family, s in zip(a, b, families, scale or [None] * len(a))]
-        return _Integrals(np.stack([r.value for r in out]), [r.error_estimate for r in out],
-                          [r.nodes_used for r in out])
+    # finish(res, scale_k) with the pair's factor from the list scale, or None.  The path is
+    # built once for all pairs; each pair's count is cfg.rule_nodes or, under "auto" and
+    # adaptive, the smallest on _LADDER, up to 512 or up to max_nodes, with
+    # bound * rho^(-2n) <= cfg.tol (see the module docstring), with bound calibrated per
+    # integral kind; the pairs that share a rule are integrated together, in batches of at
+    # most _BATCH_ENTRIES node-stack entries, and all are finished at once.
+    ladder = None
+    if cfg.adaptive or cfg.rule_nodes == "auto":
+        top = _check_integer("max_nodes", max_nodes, 32, MAX_NODES) if cfg.adaptive else _OWN_EIG_LIMIT
+        ladder = _LADDER[:bisect_right(_LADDER, top)]
+        if not cfg.tol >= _TOL_FLOOR:
+            raise NoConvergence(f"tol={cfg.tol:g} is below the rounding floor {_TOL_FLOOR:.1e}")
     # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
     p = path(a[0], b[0]) if len(a) == 1 else path(a, b)
     scale = None if scale is None else np.array(scale)[:, None, None]
     counts, errs = [cfg.rule_nodes] * len(a), None
-    if cfg.rule_nodes == "auto":
+    if ladder:
         # Scalar work per pair: numpy's overhead on arrays this small exceeds it.
         need = math.log(bound / cfg.tol) / 2.0
         counts, errs = [], []
@@ -437,11 +348,11 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: Quadratu
         for k, (r, x) in enumerate(zip(log_rho.tolist(), a)):
             if not r > 0.0:
                 raise NoConvergence(_POLE_ON_INTERVAL)
-            i = bisect_left(_LADDER, need / r)
-            counts.append(_LADDER[min(i, len(_LADDER) - 1)])
+            i = bisect_left(ladder, need / r)
+            counts.append(ladder[min(i, len(ladder) - 1)])
             errs.append(bound * math.exp(-2.0 * counts[k] * r) * (frob(x) or 1.0))
-            if i == len(_LADDER):
-                message = f"tol={cfg.tol:g} needs more than {_LADDER[-1]} nodes"
+            if i == len(ladder):
+                message = f"tol={cfg.tol:g} needs more than {ladder[-1]} nodes"
                 try:  # the payload, unless it fails or its bound overflows to inf
                     value = _integrate(families[k](counts[k]), partial(p, jobs=[k]))
                     payload = finish(IntegralResult(value.reshape(a.shape[1:]), errs[k], counts[k]),
@@ -495,5 +406,20 @@ def integrate_adaptive(
     results drops to ``tol``.  Raises :class:`NoConvergence` if ``max_nodes``
     is reached first; the best result rides along as the error's ``payload``.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_integer("max_nodes", max_nodes, 32, MAX_NODES)  # 32 allows one doubling
     f = _stacked(f)
-    return _integrate_doubling(lambda n: _integrate(rule_factory(n), f), tol, max_nodes)
+    n = 16
+    prev = _integrate(rule_factory(n), f)
+    while 2 * n <= max_nodes:
+        n *= 2
+        cur = _integrate(rule_factory(n), f)
+        err = frob(cur - prev)
+        if err <= tol:
+            return IntegralResult(value=cur, error_estimate=err, nodes_used=n)
+        prev = cur
+    raise NoConvergence(
+        f"adaptive integration did not reach tol={tol:g} within {max_nodes} nodes",
+        payload=IntegralResult(value=prev, error_estimate=err, nodes_used=n),
+    )

@@ -7,11 +7,15 @@ PAIR_A = np.array([[2, 1j], [1j, 2]], dtype=complex)
 PAIR_B = np.array([[1, 1], [-1, 1]], dtype=complex)
 
 # geometric_mean(PAIR_A, PAIR_B, 0.3) at 1024 Jacobi nodes, stable to 7e-15
-# against both the 512-node rule and the adaptive oracle at tol 1e-12.
+# against both the 512-node rule and scipy's spectral form A (A^-1 B)^0.3.
 PAIR_GEOMETRIC_03 = np.array([
     [1.7754168584486452 + 0.0j, 0.46737919225481006 + 0.6540188330969174j],
     [-0.46737919225481017 + 0.6540188330969174j, 1.7754168584486452 + 0.0j],
 ])
+
+#: The node counts that the error bound chooses from: up to 512 by default, up to
+#: max_nodes under adaptive.
+LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096)
 
 
 def hpd_pairs(count, dims, seed, cond_cap=100.0):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sectorlab as sl
+from conftest import LADDER
 from sectorlab.cli import main, matrix_to_payload, payload_to_matrix
 from sectorlab.quadrature import QuadratureConfig
 from sectorlab.serialize import to_json
@@ -110,9 +111,10 @@ def test_mean_adaptive_metadata(diag_files, capsys):
     rc = main(["mean", "--kind", "geom", "--lambda", "0.5", "--a", a, "--b", b,
                "--adaptive", "--tol", "1e-10"])
     assert rc == 0
-    _, doc = read_stdout_matrix(capsys)
-    assert doc["meta"]["nodes_used"] >= 32
+    mat, doc = read_stdout_matrix(capsys)
+    assert doc["meta"]["nodes_used"] in LADDER
     assert doc["meta"]["error_estimate"] <= 1e-10
+    np.testing.assert_allclose(mat, np.diag([3.0, 2.0]), atol=1e-10)
 
 
 A_DIAG, B_DIAG = np.diag([1.0, 4.0]), np.diag([9.0, 1.0])  # the pair of diag_files
@@ -151,7 +153,8 @@ def test_integral_metadata_fixed_and_adaptive(diag_files, capsys, argv):
     assert adaptive.tobytes() == res.value.tobytes()
     assert doc["meta"] == {"lambda": lam, "nodes_used": res.nodes_used,
                            "error_estimate": res.error_estimate}
-    assert res.nodes_used >= 32
+    assert res.nodes_used in LADDER
+    assert adaptive.tobytes() == fixed_call(QuadratureConfig(rule_nodes=res.nodes_used)).tobytes()
     # tol is relative to ||A||_F (here > 1) of the pair integrated; the means integrate A/||A||_F
     assert 0.0 <= res.error_estimate <= 1e-10 * math.hypot(1.0, 4.0)
     np.testing.assert_allclose(adaptive, fixed, atol=1e-8)

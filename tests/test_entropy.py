@@ -133,7 +133,7 @@ def test_tsallis_adaptive_routes():
 
 def test_adaptive_entropies_converge_at_large_norm():
     # A 0.95*pi/2 pair scaled by 60 (||S||_F ~ 4e3): an absolute tol of 1e-12
-    # lies below the rounding floor there, so doubling must stop on a
+    # lies below the rounding floor there, so the count must meet a
     # tolerance relative to ||A||_F, under any unitary similarity.
     from scipy.linalg import fractional_matrix_power, logm
 

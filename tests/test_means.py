@@ -217,10 +217,10 @@ def test_geometric_half_line_form_consistency():
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     # Each integral body (both means, both entropies) takes stacked pairs; a
-    # fixed rule integrates them in batches of bounded size, node doubling one
-    # pair at a time.  Every slice is bitwise the result the public function
-    # gives for that pair alone, with its nodes_used and its error estimate,
-    # a Python float or None.
+    # fixed rule integrates them in batches of bounded size, and the adaptive
+    # count groups them by rule as well.  Every slice is bitwise the result the
+    # public function gives for that pair alone, with its nodes_used and its
+    # error estimate, a Python float or None.
     import sectorlab.quadrature as quadrature
     from sectorlab import entropy
     from sectorlab import means

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as scipy_special
 
-from conftest import PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs
+from conftest import LADDER, PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs
 from sectorlab import quadrature
 from sectorlab.errors import (
     EvaluationFailure,
@@ -158,30 +158,41 @@ def _run_fresh(script: str):
 
 
 def test_rules_up_to_512_nodes_do_not_load_scipy():
-    # In a fresh process, rules and node doubling that stay at or below 512
-    # nodes never import scipy.
+    # In a fresh process, rules and adaptive integrals that stay at or below 512
+    # nodes never import scipy: capped at 512 nodes, an adaptive integral is
+    # the default automatic one, bitwise, count included.  A count above 512,
+    # here 1536 for a relative entropy at 0.99 pi/2, loads it.
     script = """
 import json, math, sys
-from sectorlab import (gauss_jacobi, gauss_legendre, geometric_mean_adaptive,
-                       relative_entropy_adaptive)
+from sectorlab import (gauss_jacobi, gauss_legendre, geometric_mean, geometric_mean_adaptive,
+                       relative_entropy, relative_entropy_adaptive)
 from sectorlab.ensemble import SectorSpec, random_accretive
+
+def pair(frac):
+    return (random_accretive(SectorSpec(dim=3, angle=frac * math.pi / 2, cond_cap=1e4, seed=s)).mat
+            for s in (2, 3))
 
 gauss_legendre(512)
 gauss_jacobi(512, -0.7, -0.3)
-a, b = (random_accretive(SectorSpec(dim=3, angle=0.9 * math.pi / 2, cond_cap=1e4, seed=s)).mat
-        for s in (2, 3))
-used = [geometric_mean_adaptive(a, b, 0.3, max_nodes=512).nodes_used,
-        relative_entropy_adaptive(a, b, max_nodes=512).nodes_used]
-print(json.dumps({"nodes_used": used, "scipy": "scipy" in sys.modules}))
+a, b = pair(0.9)
+res = [geometric_mean_adaptive(a, b, 0.3, max_nodes=512), relative_entropy_adaptive(a, b, max_nodes=512)]
+auto = [geometric_mean(a, b, 0.3), relative_entropy(a, b)]
+out = {"nodes_used": [r.nodes_used for r in res],
+       "auto": [r.value.tobytes() == v.tobytes() for r, v in zip(res, auto)],
+       "scipy": "scipy" in sys.modules}
+wide = relative_entropy_adaptive(*pair(0.99))
+out["wide"] = [wide.nodes_used, "scipy" in sys.modules]
+print(json.dumps(out))
 """
-    assert _run_fresh(script) == {"nodes_used": [256, 512], "scipy": False}
+    assert _run_fresh(script) == {"nodes_used": [128, 256], "auto": [True, True], "scipy": False,
+                                  "wide": [1536, True]}
 
 
 def test_node_doubling_raises_at_once_on_a_pole():
     # A = I, B = diag(1, -c): A B^-1 has the real eigenvalue -1/c, a pole of the
     # path at t = c/(1+c) inside (0, 1), here on a node of the 64-node rule.  No
-    # node count converges there, so node doubling raises before it builds a
-    # rule, instead of walking to 4096 nodes and loading scipy.
+    # node count converges there, so the adaptive count raises before it builds
+    # a rule, instead of reaching 4096 nodes and loading scipy.
     script = """
 import json, sys
 import numpy as np
@@ -412,20 +423,44 @@ def test_adaptive_rejects_bad_arguments():
             geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3, max_nodes=cap)
 
 
+def _pole_count(mu, bound, tol, top):
+    # (n, rho^(-2n)) for the fewest nodes n on LADDER, up to top, with bound * rho^(-2n) <= tol,
+    # or for the largest n up to top if none is, with n None; rho = |x + sqrt(x^2 - 1)| >= 1
+    # at x = 2t - 1 for the nearest pole t = 1/(1 - mu) over the eigenvalues mu.
+    x = 2.0 / (1.0 - np.asarray(mu, dtype=complex)) - 1.0
+    root = np.sqrt(x * x - 1.0)
+    rho = float(np.maximum(np.abs(x + root), np.abs(x - root)).min())
+    counts = [n for n in LADDER if n <= top]
+    for n in counts:
+        if bound * rho ** (-2.0 * n) <= tol:
+            return n, rho ** (-2.0 * n)
+    return None, rho ** (-2.0 * counts[-1])
+
+
 def test_evaluate_takes_the_rule_from_the_config():
     # _evaluate alone chooses between a fixed rule, which reports no error
-    # estimate, and node doubling, pair by pair to a tolerance relative to
-    # ||A_k||_F; finish applies to both, with each pair's factor.
+    # estimate, and the count from the poles of the path's ratio, up to 512
+    # nodes by default or up to max_nodes under adaptive, whose estimate is
+    # the bound at that count times ||A_k||_F; finish applies to both, with
+    # each pair's factor.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
-    def f(t):
-        return np.array([[math.exp(t), 1.0 / (2.0 - t)], [t * t, 1.0]], dtype=complex)
+    mus = np.array([[0.2 + 0.5j, 3.0 - 1.0j], [-0.05 + 0.4j, 2.0], [0.9 + 0.1j, -0.02 + 0.05j]])
+
+    def f(t, mu):
+        g = 1.0 / ((1.0 - t) + t * mu)
+        return np.array([[g[0], g[1]], [t * t, 1.0]], dtype=complex)
 
     def path(x, y):
-        # t -> x f(t) + y over the node array, for one pair or stacked pairs, or the
-        # stacked pairs listed in jobs
-        return lambda nodes, jobs=...: (x[..., None, :, :][jobs] * np.stack([f(float(t)) for t in nodes])
-                                        + y[..., None, :, :][jobs])
+        # t -> x f(t) + y over the node array, for the three stacked pairs or those
+        # listed in jobs; f has its poles at t = 1/(1 - mu), mu over the eigenvalues
+        # of the ratio, one diagonal matrix per pair
+        def p(nodes, jobs=...):
+            vals = np.stack([np.stack([f(float(t), mu) for t in nodes]) for mu in mus])
+            return x[:, None][jobs] * vals[jobs] + y[:, None][jobs]
+
+        p.ratio = lambda: np.eye(2) * mus[:, None, :]
+        return p
 
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
@@ -434,18 +469,20 @@ def test_evaluate_takes_the_rule_from_the_config():
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
         assert fixed.nodes_used[k] == fixed[k].nodes_used == 8
         assert fixed.error_estimates[k] is fixed[k].error_estimate is None
-        assert np.array_equal(fixed.value[k], s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t) + y))
-    cfg = QuadratureConfig(adaptive=True, tol=1e-13)
-    got = _evaluate(path, a, b, scale, [gauss_legendre] * 3, cfg, max_nodes=256)
-    for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
-        want = integrate_adaptive(lambda t: x * f(t) + y, gauss_legendre,
-                                  tol=1e-13 * np.linalg.norm(x), max_nodes=256)
-        assert got.nodes_used[k] == got[k].nodes_used == want.nodes_used
-        assert got.error_estimates[k] == got[k].error_estimate == s * want.error_estimate
-        assert np.array_equal(got.value[k], s * want.value)
+        assert np.array_equal(fixed.value[k],
+                              s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t, mus[k]) + y))
+    for cfg, top in ((QuadratureConfig(adaptive=True, tol=1e-13), 256), (QuadratureConfig(tol=1e-13), 512)):
+        got = _evaluate(path, a, b, scale, [gauss_legendre] * 3, cfg, max_nodes=top, bound=10.0)
+        for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
+            n, decay = _pole_count(mus[k], 10.0, 1e-13, top)
+            assert got.nodes_used[k] == got[k].nodes_used == n
+            assert got.error_estimates[k] == got[k].error_estimate
+            assert got.error_estimates[k] == pytest.approx(s * 10.0 * decay * np.linalg.norm(x), rel=1e-9)
+            assert np.array_equal(got.value[k],
+                                  s * integrate_matrix(gauss_legendre(n), lambda t: x * f(t, mus[k]) + y))
     # no factor: the raw integrals
     raw = _evaluate(path, a, b, None, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
-    assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t) + b[1]))
+    assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t, mus[1]) + b[1]))
 
 
 def test_doubling_error_decreases_monotonically():
@@ -563,26 +600,30 @@ def test_integrate_sums_each_job_of_a_batch_alone():
 
 
 def test_adaptive_library_integrals_match_per_node_engine():
-    from sectorlab.entropy import relative_entropy_adaptive
-    from sectorlab.means import geometric_mean_adaptive
+    # Each adaptive result is bitwise the per-node engine's integral at the
+    # count the pair's poles give, the eigenvalues of A B^-1 (of the gauged pair
+    # for the mean, which integrates A/||A||_F and B/||B||_F).
+    from sectorlab.entropy import _RELATIVE_BOUND, relative_entropy_adaptive
+    from sectorlab.means import _MEAN_BOUND, geometric_mean_adaptive
 
     a, b = accretive_pairs(1, (3,), 1.2, seed=73)[0]
     lam = 0.3
     sa = np.linalg.norm(a)
     sb = np.linalg.norm(b)
+    mu = np.linalg.eigvals(a @ np.linalg.inv(b))
     got = geometric_mean_adaptive(a, b, lam)
-    ref = integrate_adaptive(_per_node_harmonic(a / sa, b / sb),
-                             lambda n: gauss_jacobi(n, -lam, lam - 1.0), tol=1e-12)
+    n, _ = _pole_count(mu * sb / sa, _MEAN_BOUND, 1e-12, 4096)
+    ref = integrate_matrix(gauss_jacobi(n, -lam, lam - 1.0), _per_node_harmonic(a / sa, b / sb))
     gauge = sa ** (1.0 - lam) * sb**lam * math.sin(lam * math.pi) / math.pi
-    assert got.nodes_used == ref.nodes_used
-    assert np.linalg.norm(got.value - gauge * ref.value) <= 1e-14 * np.linalg.norm(got.value)
+    assert got.nodes_used == n
+    assert got.value.tobytes() == (gauge * ref).tobytes()
 
-    # the entropy integrates the pair as it is, to a tolerance relative to ||A||_F
+    # the entropy integrates the pair as it is
     h = _per_node_harmonic(a, b)
     got = relative_entropy_adaptive(a, b)
-    ref = integrate_adaptive(lambda t: (h(t) - a) / t, gauss_legendre, tol=1e-12 * sa)
-    assert got.nodes_used == ref.nodes_used
-    assert np.linalg.norm(got.value - ref.value) <= 1e-14 * np.linalg.norm(got.value)
+    n, _ = _pole_count(mu, _RELATIVE_BOUND, 1e-12, 4096)
+    assert got.nodes_used == n
+    assert got.value.tobytes() == integrate_matrix(gauss_legendre(n), lambda t: (h(t) - a) / t).tobytes()
 
 
 def test_adaptive_payloads_are_scaled_like_results():
@@ -616,7 +657,7 @@ def test_adaptive_payloads_are_scaled_like_results():
 
 
 def test_adaptive_results_are_the_fixed_rule_at_their_node_count():
-    # Node doubling integrates the caller's pair as it is and stops on a
+    # The adaptive count integrates the caller's pair as it is and meets a
     # tolerance relative to ||A||_F, so every adaptive result, and every
     # NoConvergence payload, is bitwise the fixed rule's at the node count it
     # reports, for pairs of any norm.
@@ -659,12 +700,6 @@ def test_adaptive_results_are_the_fixed_rule_at_their_node_count():
         same_as_fixed(exc.value.payload, fixed, a, b)
 
 
-def _stacked_doubling(path, family, tol, max_nodes, finish, norm):
-    # node doubling on the stacked rule at every level, with the library's arguments
-    return quadrature._integrate_doubling(lambda n: quadrature._integrate(family(n), path),
-                                          tol, max_nodes, finish, norm)
-
-
 def _outcome(call):
     # a result, or a NoConvergence payload, with its status
     try:
@@ -673,17 +708,53 @@ def _outcome(call):
         return exc.payload, "NoConvergence"
 
 
-def test_eigenbasis_doubling_matches_stacked_doubling(monkeypatch):
-    # 200 adaptive calls over dims 1-8, angles up to 0.97 pi/2 and two
-    # tolerances, a fifth of them capped at 64 nodes: each is bitwise the
-    # stacked doubling's result or payload, with its node count and status,
-    # and an estimate below the stacked one by rounding at most.
-    from sectorlab.ensemble import SectorSpec, random_accretive
-    from sectorlab.entropy import relative_entropy_adaptive, tsallis_entropy_adaptive
-    from sectorlab.means import drury_mean_adaptive, geometric_mean_adaptive
+def _adaptive_kinds(lam):
+    # kind -> (adaptive function, fixed function, bound K, the eigenvalues mu of
+    # the path's ratio and the factor of the estimate, from the pair (A, B))
+    from sectorlab import entropy, means
 
+    def gauged(a, b):
+        # the means integrate A/||A||_F and B/||B||_F, and B^-1 A has the eigenvalues of A B^-1
+        sa, sb = np.linalg.norm(a), np.linalg.norm(b)
+        return np.linalg.eigvals(a @ np.linalg.inv(b)) * (sb / sa), sa, sb
+
+    def mean(a, b):
+        mu, sa, sb = gauged(a, b)
+        return mu, sa ** (1.0 - lam) * sb**lam * math.sin(lam * math.pi) / math.pi
+
+    def drury(a, b):
+        mu, sa, sb = gauged(a, b)
+        return mu, math.sqrt(sa * sb) / math.pi
+
+    def plain(factor):
+        return lambda a, b: (np.linalg.eigvals(a @ np.linalg.inv(b)), factor * np.linalg.norm(a))
+
+    return {
+        "mean": (partial(means.geometric_mean_adaptive, lam=lam), partial(means.geometric_mean, lam=lam),
+                 means._MEAN_BOUND, mean),
+        "drury": (means.drury_mean_adaptive, means.drury_mean, means._DRURY_BOUND, drury),
+        "relative": (entropy.relative_entropy_adaptive, entropy.relative_entropy, entropy._RELATIVE_BOUND,
+                     plain(1.0)),
+        "tsallis": (partial(entropy.tsallis_entropy_adaptive, lam=lam), partial(entropy.tsallis_entropy, lam=lam),
+                    entropy._TSALLIS_BOUND, plain(math.sin(lam * math.pi) / (lam * math.pi))),
+    }
+
+
+def test_adaptive_counts_are_the_pole_bound(monkeypatch):
+    # 200 adaptive calls over dims 1-8, angles up to 0.97 pi/2 and two
+    # tolerances, a fifth of them capped at 64 nodes: each takes the fewest nodes
+    # on the ladder up to its cap whose bound K rho^(-2n) meets tol, or raises
+    # NoConvergence with the result at the cap's top count; either is bitwise
+    # the fixed rule at its node count, with the bound, scaled like the value,
+    # as its estimate.  The stacked rule runs once, at that count.
+    from sectorlab.ensemble import SectorSpec, random_accretive
+    from sectorlab.quadrature import QuadratureConfig
+
+    counts = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: counts.append(rule.count) or integrate(rule, f))
     rng = np.random.default_rng(17)
-    calls = []
+    statuses = set()
     for k in range(50):
         angle = rng.uniform(0.2, 0.97) * (math.pi / 2)
         lam = rng.uniform(0.1, 0.9)
@@ -691,23 +762,23 @@ def test_eigenbasis_doubling_matches_stacked_doubling(monkeypatch):
         cap = 64 if k % 5 == 0 else 512
         a, b = (random_accretive(SectorSpec(dim=1 + k % 8, angle=angle, cond_cap=100.0,
                                             seed=int(s))).mat for s in rng.integers(1 << 30, size=2))
-        calls += [partial(geometric_mean_adaptive, a, b, lam, tol, cap),
-                  partial(drury_mean_adaptive, a, b, tol, cap),
-                  partial(relative_entropy_adaptive, a, b, tol, cap),
-                  partial(tsallis_entropy_adaptive, a, b, lam, tol, cap)]
-    got = [_outcome(call) for call in calls]
-    monkeypatch.setattr(quadrature, "_integrate_pair", _stacked_doubling)
-    for call, (res, status) in zip(calls, got, strict=True):
-        want, want_status = _outcome(call)
-        assert (status, res.nodes_used) == (want_status, want.nodes_used)
-        assert res.value.tobytes() == want.value.tobytes()
-        assert res.error_estimate >= want.error_estimate - 1e-14 * np.linalg.norm(res.value)
-    assert {status for _, status in got} == {"converged", "NoConvergence"}
+        for adaptive, fixed, bound, poles in _adaptive_kinds(lam).values():
+            counts.clear()
+            res, status = _outcome(lambda: adaptive(a, b, tol=tol, max_nodes=cap))
+            mu, factor = poles(a, b)
+            n, decay = _pole_count(mu, bound, tol, cap)
+            assert status == ("converged" if n else "NoConvergence")
+            assert counts == [res.nodes_used] == [n or max(c for c in LADDER if c <= cap)]
+            assert res.value.tobytes() == fixed(a, b, cfg=QuadratureConfig(rule_nodes=res.nodes_used)).tobytes()
+            assert res.error_estimate == pytest.approx(factor * bound * decay, rel=1e-9)
+            statuses.add(status)
+    assert statuses == {"converged", "NoConvergence"}
 
 
-def test_doubling_evaluates_the_stacked_rule_once(monkeypatch):
-    # The eigenbasis picks the node count n, and the stacked rule runs at n
-    # alone: n stacked nodes, where doubling on it runs 16 + 32 + ... + n.
+def test_adaptive_evaluates_the_stacked_rule_once(monkeypatch):
+    # The pair's poles pick the node count n, and the stacked rule runs at n
+    # alone: 48 stacked nodes for the mean and for S(A|B), where node doubling
+    # chose 128.
     from sectorlab.entropy import relative_entropy_adaptive
     from sectorlab.means import geometric_mean_adaptive
 
@@ -720,44 +791,46 @@ def test_doubling_evaluates_the_stacked_rule_once(monkeypatch):
         return integrate(rule, f)
 
     monkeypatch.setattr(quadrature, "_integrate", counting)
-    for call in (lambda: geometric_mean_adaptive(a, b, 0.3), lambda: relative_entropy_adaptive(a, b)):
+    kinds = _adaptive_kinds(0.3)
+    for kind in ("mean", "relative"):
+        adaptive, _, bound, poles = kinds[kind]
         counts.clear()
-        res = call()
-        assert res.nodes_used == 128
-        assert counts == [128]
+        res = adaptive(a, b)
+        assert res.nodes_used == _pole_count(poles(a, b)[0], bound, 1e-12, 4096)[0] == 48
+        assert counts == [48]
 
 
-def test_doubling_falls_back_to_the_stacked_rule(monkeypatch):
-    # A defective A B^-1 (a Jordan block) has no usable eigenbasis, and ends as
-    # the stacked doubling does.  A pole on a node makes the stacked doubling
-    # raise there; the eigenbasis sees that pole and raises at once.
+def test_adaptive_counts_of_defective_and_singular_pairs(monkeypatch):
+    # A defective A B^-1 (a Jordan block, mu = 1 twice): the entropies' path
+    # is linear in t, and the means' gauged path has a double pole near t = 5.4,
+    # so every adaptive integral takes the ladder's first count, 8 nodes, exact
+    # to rounding and bitwise the fixed rule's.  A pole on a node of the 64-node rule raises at once, with no
+    # payload, before any rule is integrated.
     from sectorlab.entropy import relative_entropy_adaptive, tsallis_entropy_adaptive
     from sectorlab.means import drury_mean_adaptive, geometric_mean_adaptive
+    from sectorlab.quadrature import QuadratureConfig
 
+    lam = 0.3
     jordan = (np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2, dtype=complex))
-    calls = [partial(geometric_mean_adaptive, *jordan, 0.3), partial(drury_mean_adaptive, *jordan),
-             partial(relative_entropy_adaptive, *jordan), partial(tsallis_entropy_adaptive, *jordan, 0.3)]
+    kinds = _adaptive_kinds(lam)
+    exact = {"mean": [[1, 1 - lam], [0, 1]], "drury": [[1, 0.5], [0, 1]], "relative": [[0, -1], [0, 0]],
+             "tsallis": [[0, -1], [0, 0]]}  # A^(1-lam), A^(1/2), -A log A, (A^(1-lam) - A)/lam
+    for kind, (adaptive, fixed, _, _) in kinds.items():
+        res = adaptive(*jordan)
+        assert res.nodes_used == 8
+        assert res.value.tobytes() == fixed(*jordan, cfg=QuadratureConfig(rule_nodes=8)).tobytes()
+        assert np.abs(res.value - np.array(exact[kind])).max() <= 1e-14
+    calls = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: calls.append(rule) or integrate(rule, f))
     a = np.eye(2, dtype=complex)
-    failing = []
     for call, rule in ((relative_entropy_adaptive, gauss_legendre(64)),
                        (partial(tsallis_entropy_adaptive, lam=0.5), gauss_jacobi(64, -0.5, 0.5))):
         t_bad = float(rule.nodes[20])
-        failing.append((partial(call, a, np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex)), t_bad))
-    got = [call() for call in calls]
-    for call, _ in failing:
-        # the eigenbasis puts a pole on (0, 1], so the doubling raises before it starts
         with pytest.raises(NoConvergence, match=r"pole on \(0, 1\]") as exc:
-            call()
+            call(a, np.diag([1.0, -t_bad / (1.0 - t_bad)]).astype(complex))
         assert exc.value.payload is None
-    monkeypatch.setattr(quadrature, "_integrate_pair", _stacked_doubling)
-    for call, res in zip(calls, got, strict=True):
-        want = call()
-        assert (res.value.tobytes(), res.nodes_used, res.error_estimate) == \
-               (want.value.tobytes(), want.nodes_used, want.error_estimate)
-    for call, t_bad in failing:
-        with pytest.raises(EvaluationFailure) as exc:
-            call()
-        assert exc.value.node == t_bad
+    assert calls == []
 
 
 def test_integrals_do_not_depend_on_the_input_layout():
@@ -817,7 +890,7 @@ def test_integrals_do_not_depend_on_the_input_layout():
 def test_integrals_scale_with_pairs_of_extreme_norm():
     # Every integral is homogeneous of degree 1 in the pair.  At entries near
     # 1e160 and 1e300 the plain sum of squares in the Frobenius norm overflows,
-    # and near 1e-170 it underflows to 0; the means' gauges and the doubling's
+    # and near 1e-170 it underflows to 0; the means' gauges and the adaptive
     # tolerance must still see the pair's norm, so each entry point gives s
     # times its result at s = 1, node count included.
     from sectorlab.entropy import (
@@ -894,20 +967,27 @@ def test_singular_interior_node_is_reported():
 # ------------------------------------------------------- automatic node count
 
 
-def _spectral_cases():
-    # (library call on (A, B) at the default config, its closed form on (A, A^-1 B))
-    # for the four default integrals, with scipy's Schur-Pade power and logarithm
+def _spectral_cases(tol=None):
+    # (library call on (A, B) at the default config, or its *_adaptive twin's value at
+    # tol; its closed form on (A, A^-1 B)) for the four integrals, with scipy's
+    # Schur-Pade power and logarithm
     from scipy.linalg import fractional_matrix_power, logm
 
-    from sectorlab.entropy import relative_entropy, tsallis_entropy
-    from sectorlab.means import drury_mean, geometric_mean
+    from sectorlab import entropy, means
 
-    cases = [(lambda a, b, lam=lam: geometric_mean(a, b, lam),
+    def fn(module, name):
+        if tol is None:
+            return getattr(module, name)
+        call = getattr(module, name + "_adaptive")
+        return lambda *args: call(*args, tol=tol).value
+
+    mean, tsallis = fn(means, "geometric_mean"), fn(entropy, "tsallis_entropy")
+    cases = [(lambda a, b, lam=lam: mean(a, b, lam),
               lambda a, r, lam=lam: a @ fractional_matrix_power(r, lam)) for lam in (0.1, 0.5, 0.9)]
-    cases += [(lambda a, b, lam=lam: tsallis_entropy(a, b, lam),
+    cases += [(lambda a, b, lam=lam: tsallis(a, b, lam),
                lambda a, r, lam=lam: (a @ fractional_matrix_power(r, lam) - a) / lam) for lam in (0.1, 0.9)]
-    return cases + [(relative_entropy, lambda a, r: a @ logm(r)),
-                    (drury_mean, lambda a, r: a @ fractional_matrix_power(r, 0.5))]
+    return cases + [(fn(entropy, "relative_entropy"), lambda a, r: a @ logm(r)),
+                    (fn(means, "drury_mean"), lambda a, r: a @ fractional_matrix_power(r, 0.5))]
 
 
 def _rel(x, y):
@@ -943,6 +1023,47 @@ def test_auto_rule_meets_tol_or_raises_at_wide_angles():
                 outcomes.add("met")
                 assert err <= 1e-12
     assert outcomes == {"met", "raised"}
+
+
+def test_adaptive_meets_the_spectral_forms_at_wide_angles(monkeypatch):
+    # On the pairs where the default count raises at 512 nodes, adaptive goes on
+    # up the ladder to 4096: every adaptive integral meets 1e-12, some with more
+    # than 512 nodes.
+    counts = []
+    integrate = quadrature._integrate
+    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: counts.append(rule.count) or integrate(rule, f))
+    for dim in (2, 3, 8):
+        for a, b in accretive_pairs(3, (dim,), 0.99 * math.pi / 2, seed=73 + dim):
+            r = np.linalg.solve(a, b)
+            for call, closed_form in _spectral_cases(tol=1e-12):
+                assert _rel(call(a, b), closed_form(a, r)) <= 1e-12
+    assert max(counts) > 512
+
+
+def test_tol_below_the_rounding_floor_raises(monkeypatch):
+    # No rule meets a tolerance below four rounding units, so the bound refuses
+    # one, under "auto" and adaptive alike, before anything is integrated.  At
+    # 1e-14 every adaptive integral of these pairs converges, as node doubling
+    # did on all but two Drury means, and meets the spectral forms.
+    from sectorlab.quadrature import QuadratureConfig
+
+    pairs = [(PAIR_A, PAIR_B), (np.diag([1.0, 4.0]).astype(complex), np.diag([9.0, 1.0]).astype(complex))]
+    pairs += accretive_pairs(4, (2, 3, 5), 0.5 * math.pi / 2, seed=97)
+    for a, b in pairs:
+        r = np.linalg.solve(a, b)
+        for call, closed_form in _spectral_cases(tol=1e-14):
+            assert _rel(call(a, b), closed_form(a, r)) <= 1e-13
+    assert 1e-16 < quadrature._TOL_FLOOR < 1e-15
+    calls = []
+    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: calls.append(rule))
+    for adaptive, fixed, _, _ in _adaptive_kinds(0.3).values():
+        for a, b in pairs:
+            for tol in (1e-16, 1e-30):
+                for call in (partial(adaptive, a, b, tol=tol), partial(fixed, a, b, cfg=QuadratureConfig(tol=tol))):
+                    with pytest.raises(NoConvergence, match="below the rounding floor") as exc:
+                        call()
+                    assert exc.value.payload is None
+    assert calls == []
 
 
 def test_auto_stack_is_bitwise_its_lone_calls(monkeypatch):
