@@ -8,6 +8,14 @@ Accretive draws use the construction A = P + i*tan(angle) * P^(1/2) H P^(1/2)
 with P positive definite and ||H|| <= 1: then Re A = P exactly and every
 Rayleigh quotient satisfies |Im <Ax,x>| <= tan(angle) * Re <Ax,x>, so `angle`
 is a true dial for the numerical-range sector half-angle.
+
+Matrices are drawn as a stack, in one pass: one QR for the Haar unitaries, one
+``eigh`` for the directions H, one for the roots P^(1/2), and one stacked
+accretivity check (``AccretiveMatrix``'s).  ``verify`` draws all 2 * trials
+matrices of a report so; ``random_hpd`` and ``random_accretive`` are that pass
+on a stack of one.  Each matrix still comes from its own seed's streams, and
+every stacked LAPACK call treats each slice as it would alone, so a matrix is
+bitwise the same in any stack.
 """
 
 from __future__ import annotations
@@ -57,11 +65,20 @@ class SectorSpec:
         _check_integer("seed", self.seed, 0)
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d.conj() / np.abs(d))
+def _gaussians(seeds, tag: int, dim: int) -> np.ndarray:
+    # (len(seeds), dim, dim) complex Gaussians, each from its own seed's stream
+    g = np.stack([_rng(seed, tag).standard_normal((2, dim, dim)) for seed in seeds])
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def _random_hpds(dim: int, cond_cap: float, seeds) -> np.ndarray:
+    # random_hpd of every seed, stacked: one QR for the Haar unitaries
+    q, r = np.linalg.qr(_gaussians(seeds, _TAG_UNITARY, dim))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d.conj() / np.abs(d))[:, None, :]
+    half = 0.5 * math.log(cond_cap)
+    mu = np.exp(np.stack([_rng(seed, _TAG_EIGS).uniform(-half, half, size=dim) for seed in seeds]))
+    return symmetrize((u * mu[:, None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def random_hpd(dim: int, cond_cap: float, seed: int) -> np.ndarray:
@@ -74,29 +91,27 @@ def random_hpd(dim: int, cond_cap: float, seed: int) -> np.ndarray:
     _check_integer("dim", dim, 1, MAX_DIM)
     if not cond_cap >= 1.0:
         raise ValueError(f"cond_cap must be >= 1, got {cond_cap}")
-    u = _haar_unitary(dim, _rng(seed, _TAG_UNITARY))
-    half = 0.5 * math.log(cond_cap)
-    mu = np.exp(_rng(seed, _TAG_EIGS).uniform(-half, half, size=dim))
-    return symmetrize((u * mu) @ u.conj().T)
+    return _random_hpds(dim, cond_cap, [seed])[0]
 
 
-def _clipped_hermitian_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = symmetrize(g)
-    w, v = np.linalg.eigh(h)
-    return symmetrize((v * np.clip(w, -1.0, 1.0)) @ v.conj().T)
+def _random_accretives(dim: int, angle: float, cond_cap: float, seeds) -> list[AccretiveMatrix]:
+    # random_accretive of every seed, in one stacked pass: one QR, two eigh and
+    # one accretivity check for the whole stack, each matrix from its own streams
+    p = _random_hpds(dim, cond_cap, seeds)
+    if angle == 0.0:
+        return AccretiveMatrix._from_stack(p)
+    g = symmetrize(_gaussians(seeds, _TAG_DIRECTION, dim))
+    w, v = np.linalg.eigh(g)
+    h = symmetrize((v * np.clip(w, -1.0, 1.0)[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    w, v = np.linalg.eigh(p)
+    root = (v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    m = math.tan(angle) * symmetrize(root @ h @ root)
+    return AccretiveMatrix._from_stack(p + 1j * m)
 
 
 def random_accretive(spec: SectorSpec) -> AccretiveMatrix:
     """Random accretive matrix with numerical range inside the given sector."""
-    p = random_hpd(spec.dim, spec.cond_cap, spec.seed)
-    if spec.angle == 0.0:
-        return AccretiveMatrix.from_matrix(p)
-    h = _clipped_hermitian_direction(spec.dim, _rng(spec.seed, _TAG_DIRECTION))
-    w, v = np.linalg.eigh(p)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    m = math.tan(spec.angle) * symmetrize(root @ h @ root)
-    return AccretiveMatrix.from_matrix(p + 1j * m)
+    return _random_accretives(spec.dim, spec.angle, spec.cond_cap, [spec.seed])[0]
 
 
 def random_unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:

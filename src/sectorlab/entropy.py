@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidWeight
-from .linalg import frob, hpd_log
+from .linalg import _LOG, frob
 from .means import _geometric_mean, _harmonic_path, _hpd_congruence, _lone, _pair
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -96,7 +96,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
     """Closed form A^(1/2) log(A^(-1/2) B A^(-1/2)) A^(1/2) for HPD inputs."""
-    return _hpd_congruence(*_pair(a, b), hpd_log)
+    return _hpd_congruence(*_pair(a, b))(_LOG)
 
 
 def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig,
@@ -138,10 +138,11 @@ def tsallis_limit_probe(a, b, lambdas,
                         cfg: EntropyConfig = DEFAULT_CONFIG) -> list[tuple[float, float]]:
     """Deviation ||T_lam(A|B) - S(A|B)||_F along a descending weight grid.
 
-    Every weight must lie in (0, 1/2]; the grid must be strictly decreasing.
-    Returns (lam, deviation) pairs for limit diagnostics.
+    Every weight must be a weight (see :func:`sectorlab.quadrature.check_weight`)
+    in (0, 1/2]; the grid must be strictly decreasing.  Returns (lam, deviation)
+    pairs for limit diagnostics.
     """
-    lams = [float(l) for l in lambdas]
+    lams = [check_weight(l) for l in lambdas]
     if any(not (0.0 < l <= 0.5) for l in lams):
         raise InvalidWeight(f"probe weights must lie in (0, 1/2], got {lams}")
     if any(y >= x for x, y in zip(lams, lams[1:], strict=False)):

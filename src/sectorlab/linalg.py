@@ -182,22 +182,32 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
 
 
-def _hpd_map(h, fn, what: str) -> np.ndarray:
-    w, v = herm_eig(h)
+def _hpd_apply(w: np.ndarray, v: np.ndarray, fn, what: str) -> np.ndarray:
+    # fn of the Hermitian matrix (or stack) with eigenvalues w and eigenvectors v,
+    # which must be positive definite; what names fn in the error
     if np.min(w) <= 0.0:
         raise NotPositiveDefinite(f"{what} needs a positive definite argument "
                                   f"(smallest eigenvalue {np.min(w):.3e})")
     return symmetrize((v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
+def _power(p: float):
+    # hpd_power's spectral function w -> w^p, with its name for _hpd_apply
+    return (lambda w: w**p), f"hpd_power(p={p})"
+
+
+#: hpd_log's spectral function, with its name for _hpd_apply
+_LOG = (np.log, "hpd_log")
+
+
 def hpd_power(h, p: float) -> np.ndarray:
     """Fractional power H^p of a Hermitian positive definite matrix (or stack)."""
-    return _hpd_map(h, lambda w: w**p, f"hpd_power(p={p})")
+    return _hpd_apply(*herm_eig(h), *_power(p))
 
 
 def hpd_log(h) -> np.ndarray:
     """Matrix logarithm of a Hermitian positive definite matrix (or stack)."""
-    return _hpd_map(h, np.log, "hpd_log")
+    return _hpd_apply(*herm_eig(h), *_LOG)
 
 
 def _item(x):
@@ -274,20 +284,28 @@ class AccretiveMatrix:
 
     @classmethod
     def from_matrix(cls, a) -> "AccretiveMatrix":
-        m = as_matrix(a)
-        if m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} exceeds the supported cap {MAX_DIM}")
+        return cls._from_stack(as_matrix(a)[None])[0]
+
+    @classmethod
+    def _from_stack(cls, m: np.ndarray) -> list["AccretiveMatrix"]:
+        # The one accretivity rule, on a validated stack (n, d, d): every slice
+        # as a read-only AccretiveMatrix, from one stacked eigh of the real parts,
+        # or NotAccretive for the first slice that fails.
+        if m.shape[-1] > MAX_DIM:
+            raise ValueError(f"dimension {m.shape[-1]} exceeds the supported cap {MAX_DIM}")
         w, _ = herm_eig(real_part(m))
-        lo = float(w[0])
-        norm = max(abs(float(w[0])), abs(float(w[-1])))
-        if lo <= ACCRETIVE_REL_FLOOR * norm or lo <= 0.0:
+        lo = w[:, 0]
+        norm = np.maximum(np.abs(lo), np.abs(w[:, -1]))
+        bad = np.flatnonzero((lo <= ACCRETIVE_REL_FLOOR * norm) | (lo <= 0.0))
+        if bad.size:
+            k = bad[0]
             raise NotAccretive(
-                f"smallest eigenvalue of the real part is {lo:.6e} "
-                f"(needs > {ACCRETIVE_REL_FLOOR:g} * ||Re A|| = {ACCRETIVE_REL_FLOOR * norm:.6e})"
+                f"smallest eigenvalue of the real part is {lo[k]:.6e} "
+                f"(needs > {ACCRETIVE_REL_FLOOR:g} * ||Re A|| = {ACCRETIVE_REL_FLOOR * norm[k]:.6e})"
             )
         m = m.copy()
         m.setflags(write=False)
-        return cls(mat=m, re_min_eig=lo)
+        return [cls(mat=x, re_min_eig=float(x_lo)) for x, x_lo in zip(m, lo)]
 
     @property
     def dim(self) -> int:

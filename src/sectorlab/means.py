@@ -24,12 +24,12 @@ each gets, is up to ``quadrature``.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidScalar
-from .linalg import _inv, as_matrix, frob, hpd_power, inverse, symmetrize
+from .linalg import _hpd_apply, _inv, _power, as_matrix, frob, herm_eig, inverse, symmetrize
 from .quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
@@ -78,18 +78,30 @@ def harmonic_mean(a, b, lam: float) -> np.ndarray:
     return _harmonic_path(*_pair(a, b))(lam)[0]
 
 
-def _hpd_congruence(a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
-    # A^(1/2) fn(A^(-1/2) B A^(-1/2)) A^(1/2) for HPD A, B, the closed form
-    # of the HPD geometric mean and relative entropy.
-    root = hpd_power(a, 0.5)
-    iroot = hpd_power(a, -0.5)
-    return symmetrize(root @ fn(symmetrize(iroot @ b @ iroot)) @ root)
+def _hpd_congruence(a: np.ndarray, b: np.ndarray):
+    # f -> A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for HPD A, B (or stacks), the
+    # closed form of the HPD geometric mean (f = linalg._power(lam)) and relative
+    # entropy (f = linalg._LOG).  A and the inner matrix are factored once, at the
+    # first f, for every f; each f is checked on the inner eigenvalues as
+    # hpd_power and hpd_log check theirs.  A failed factorization is not kept.
+    @cache
+    def factors():
+        w, v = herm_eig(a)
+        root = _hpd_apply(w, v, *_power(0.5))
+        iroot = _hpd_apply(w, v, *_power(-0.5))
+        return root, herm_eig(symmetrize(iroot @ b @ iroot))
+
+    def congruence(f) -> np.ndarray:
+        root, inner = factors()
+        return symmetrize(root @ _hpd_apply(*inner, *f) @ root)
+
+    return congruence
 
 
 def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
     """Closed-form A^(1/2) (A^(-1/2) B A^(-1/2))^lam A^(1/2) for HPD inputs."""
     lam = check_weight(lam)
-    return _hpd_congruence(*_pair(a, b), partial(hpd_power, p=lam))
+    return _hpd_congruence(*_pair(a, b))(_power(lam))
 
 
 def _convex_inverse_path(x: np.ndarray, y: np.ndarray, x_inv: np.ndarray | None = None):

@@ -10,44 +10,40 @@ deliberate exception is the arithmetic-geometric-harmonic chain search, which
 *expects* to find violations for strongly non-Hermitian inputs.
 
 The checks are small predicates over two evaluations of their ensemble,
-stacked over trials: the pairs (every trial pair drawn once, with Re A, Re B
-and their inverses) and the means (A #_lam B, B #_(1-lam) A and the homogeneity
-means of every weight and trial in one call, which the quadrature engine
-batches by rule, and the HPD means (Re A) #_lam (Re B) in closed form).  A predicate returns whether
-each comparison holds and its margin as arrays indexed [trial, ...], and one
-reduction makes the report: a trial with a failed comparison is a violation,
-and the worst margin is the first minimum in trial order.  ``run_all`` makes
-both evaluations once for its nine predicates, and a check called alone makes
-its own.  When the means raise, the seven checks that read them report the
-error.  Every stacked value is bitwise what the public functions give for one
-trial alone, so a report does not depend on the stacking.
+stacked over trials.  The pairs: every trial pair, all drawn in one stacked
+pass with per-trial seeding (see ``ensemble``), with Re A, Re B, their inverses
+and the HPD closed forms, which factor Re A and (Re A)^-1/2 Re B (Re A)^-1/2
+once and give (Re A) #_lam (Re B) of every weight and S(Re A | Re B).  The
+means: A #_lam B, B #_(1-lam) A and the homogeneity means of every weight and
+trial in one call, which the quadrature engine batches by rule.  A predicate
+returns whether each comparison holds and its margin as arrays indexed
+[trial, ...], and one reduction makes the report: a trial with a failed
+comparison is a violation, and the worst margin is the first minimum in trial
+order.  ``run_all`` makes both evaluations once for its nine predicates; a
+check called alone makes its own, with only the means it reads.  When the
+means raise, the seven checks that read them report the error.  Every stacked
+value is bitwise what the public functions give for one trial alone, so a
+report does not depend on the stacking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ensemble import (
-    GENERATOR_NAME,
-    SectorSpec,
-    derive_seed,
-    random_accretive,
-    random_unit_vectors,
-)
+from .ensemble import GENERATOR_NAME, _random_accretives, derive_seed, random_unit_vectors
 from .entropy import EntropyConfig, _tsallis_entropy
 from .errors import SectorlabError
 from .linalg import (
+    _LOG,
     MAX_DIM,
     LoewnerTolerance,
     _check_integer,
+    _power,
     frob,
-    hpd_log,
-    hpd_power,
     inverse,
     loewner_margin,
     op_norm,
@@ -133,12 +129,16 @@ class PropertyReport:
         return out
 
 
+def _draw(spec: EnsembleSpec, trials):
+    # the A of every listed trial, then their B, in one stacked draw
+    return _random_accretives(spec.dim, spec.sector_angle, ENSEMBLE_COND_CAP,
+                              [derive_seed(spec.seed, tag, i)
+                               for tag in (_TAG_PAIR_A, _TAG_PAIR_B) for i in trials])
+
+
 def trial_pair(spec: EnsembleSpec, trial: int):
     """The deterministic accretive pair used by every check for this trial."""
-    return tuple(random_accretive(SectorSpec(dim=spec.dim, angle=spec.sector_angle,
-                                             cond_cap=ENSEMBLE_COND_CAP,
-                                             seed=derive_seed(spec.seed, tag, trial)))
-                 for tag in (_TAG_PAIR_A, _TAG_PAIR_B))
+    return tuple(_draw(spec, [trial]))
 
 
 # --------------------------------------------------------------- evaluation
@@ -151,16 +151,20 @@ class _Pairs(NamedTuple):
     b: np.ndarray
     re: np.ndarray  # Re A and Re B, indexed [side, trial]
     inv_re: np.ndarray  # (Re A)^-1 and (Re B)^-1, indexed [side, trial]
+    hpd: Callable  # means._hpd_congruence of (Re A, Re B), stacked over trials
 
 
 def _evaluate_pairs(spec: EnsembleSpec) -> _Pairs:
-    pairs = np.stack([[x.mat for x in trial_pair(spec, i)] for i in range(spec.trials)], axis=1)
+    # every trial pair of the report from one stacked draw, bitwise trial_pair's
+    pairs = np.stack([x.mat for x in _draw(spec, range(spec.trials))])
+    pairs = pairs.reshape(2, spec.trials, *pairs.shape[1:])
     re = real_part(pairs)
-    return _Pairs(*pairs, re, inverse(re))
+    return _Pairs(*pairs, re, inverse(re), _hpd_congruence(*re))
 
 
 class _Means(NamedTuple):
-    """The means of an ensemble, indexed [trial, weight] (then [scale])."""
+    """The means of an ensemble, indexed [trial, weight] (then [scale]); flip is
+    None and scaled empty where the evaluation was not asked for them."""
 
     sharp: np.ndarray  # A #_lam B
     re_sharp: np.ndarray  # Re(A #_lam B)
@@ -172,32 +176,35 @@ class _Means(NamedTuple):
 
 
 def _evaluate_means(spec: EnsembleSpec, p: _Pairs, cfg: GeometricMeanConfig,
-                    scales=HOMOGENEITY_SCALES) -> _Means:
-    # All the means are one call: per weight, the homogeneity means and
-    # B #_(1-lam) A, each over all trials.  The unit scale's mean is A #_lam B
-    # itself, bitwise, as 1.0 * A == A.
+                    scales=HOMOGENEITY_SCALES, flip: bool = True) -> _Means:
+    # All the means are one call: per weight, A #_lam B, the homogeneity means
+    # of the given scales and, if flip, B #_(1-lam) A, each over all trials.  The
+    # unit scale's mean is A #_lam B itself, bitwise, as 1.0 * A == A.  A mean
+    # does not depend on the others in the call, so a check alone asks only for
+    # the means it reads.
     scales = tuple((float(alpha), float(beta)) for alpha, beta in scales)
     own = list(dict.fromkeys([(1.0, 1.0), *scales]))  # each scale once, the unit first
     jobs = []
     for lam in spec.lambda_grid:
-        jobs += [(alpha * p.a, beta * p.b, lam) for alpha, beta in own] + [(p.b, p.a, 1.0 - lam)]
+        jobs += [(alpha * p.a, beta * p.b, lam) for alpha, beta in own]
+        if flip:
+            jobs.append((p.b, p.a, 1.0 - lam))
     x, y, lams = zip(*jobs)
     means = _geometric_mean(np.concatenate(x), np.concatenate(y),
                             [lam for lam in lams for _ in range(spec.trials)], cfg).value
     # indexed [trial, weight, job of the weight]
-    means = np.moveaxis(means.reshape(len(spec.lambda_grid), len(own) + 1, *p.a.shape), 2, 0)
+    means = np.moveaxis(means.reshape(len(spec.lambda_grid), -1, *p.a.shape), 2, 0)
     sharp = means[:, :, 0]
     re_sharp = real_part(sharp)
     return _Means(
         sharp=sharp,
         re_sharp=re_sharp,
         inv_re_sharp=inverse(re_sharp),
-        flip=means[:, :, -1],
+        flip=means[:, :, -1] if flip else None,
         scales=scales,
         scaled=means[:, :, [own.index(s) for s in scales]],
         # geometric_mean_hpd of every trial: the closed form on the stack
-        hpd=np.stack([_hpd_congruence(*p.re, partial(hpd_power, p=lam))
-                      for lam in spec.lambda_grid], axis=1),
+        hpd=np.stack([p.hpd(_power(lam)) for lam in spec.lambda_grid], axis=1),
     )
 
 
@@ -257,7 +264,7 @@ def _re_harmonic(spec, p: _Pairs, m, tol):
 def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
     # relative_entropy_hpd of every trial: the closed form on the stack
     return loewner_margin(real_part(_tsallis_entropy(p.a, p.b, 0.0, cfg).value),
-                          _hpd_congruence(*p.re, hpd_log), tol)[::2]
+                          p.hpd(_LOG), tol)[::2]
 
 
 def _re_tsallis(spec, p: _Pairs, m: _Means, tol):
@@ -320,11 +327,13 @@ def _reduce(property_id: str, tol: LoewnerTolerance, holds, margins, **extra) ->
 
 
 def _alone(property_id: str, predicate, spec: EnsembleSpec, tol=DEFAULT_TOLERANCE,
-           means_cfg=None, scales=HOMOGENEITY_SCALES, **options) -> PropertyReport:
-    # A check called alone: its own evaluation (the means only when it reads
-    # them), its predicate, the reduction.
+           means_cfg=None, scales=(), **options) -> PropertyReport:
+    # A check called alone: its own evaluation, with only the means it reads
+    # (none, or A #_lam B with the homogeneity check's scales or the symmetry
+    # check's flipped means), its predicate, the reduction.
     p = _evaluate_pairs(spec)
-    m = None if means_cfg is None else _evaluate_means(spec, p, means_cfg, scales)
+    m = None if means_cfg is None else _evaluate_means(spec, p, means_cfg, scales,
+                                                       flip=predicate is _symmetry)
     tol = _TOLERANCES.get(predicate, tol)
     return _reduce(property_id, tol, *predicate(spec, p, m, tol, **options))
 

@@ -6,12 +6,22 @@ import pytest
 from sectorlab.ensemble import (
     GENERATOR_NAME,
     SectorSpec,
+    _random_accretives,
     derive_seed,
     random_accretive,
     random_hpd,
     random_unit_vectors,
 )
-from sectorlab.linalg import imag_part, real_part
+from sectorlab.errors import NotAccretive
+from sectorlab.linalg import AccretiveMatrix, imag_part, real_part
+from sectorlab.verify import (
+    _TAG_PAIR_A,
+    _TAG_PAIR_B,
+    ENSEMBLE_COND_CAP,
+    EnsembleSpec,
+    _evaluate_pairs,
+    trial_pair,
+)
 
 
 def test_generator_name_recorded():
@@ -129,6 +139,62 @@ def test_sector_spec_validation():
     spec = SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=np.int64(4))
     assert np.array_equal(random_accretive(spec).mat,
                           random_accretive(SectorSpec(dim=2, angle=0.1, cond_cap=10.0, seed=4)).mat)
+
+
+# ------------------------------------------------------------ stacked draws
+
+ANGLES = (0.0, 0.4 * (math.pi / 2), 0.95 * (math.pi / 2))
+
+
+def test_stacked_draws_are_the_lone_draws_bitwise():
+    # A report draws all its pairs in one stacked pass, each matrix from its own
+    # seeded streams: bitwise trial_pair's, which is random_accretive's, matrix
+    # and smallest real-part eigenvalue alike, whatever the stack around it.
+    for dim in (1, 3, 8):
+        for angle in ANGLES:
+            for seed in (0, 5, 2**40 + 3):
+                spec = EnsembleSpec(dim=dim, trials=4, seed=seed, sector_angle=angle)
+                p = _evaluate_pairs(spec)
+                for i in range(spec.trials):
+                    pair = trial_pair(spec, i)
+                    for tag, got, stacked in zip((_TAG_PAIR_A, _TAG_PAIR_B), pair, (p.a, p.b)):
+                        lone = random_accretive(SectorSpec(dim=dim, angle=angle,
+                                                           cond_cap=ENSEMBLE_COND_CAP,
+                                                           seed=derive_seed(seed, tag, i)))
+                        assert got.mat.tobytes() == lone.mat.tobytes() == stacked[i].tobytes()
+                        assert got.re_min_eig == lone.re_min_eig
+                        assert not got.mat.flags.writeable
+                seeds = [seed + k for k in range(5)]
+                for a, seed_k in zip(_random_accretives(dim, angle, 40.0, seeds), seeds):
+                    lone = random_accretive(SectorSpec(dim=dim, angle=angle, cond_cap=40.0,
+                                                       seed=seed_k))
+                    assert a.mat.tobytes() == lone.mat.tobytes()
+                    assert a.re_min_eig == lone.re_min_eig
+                    if angle == 0.0:
+                        assert random_hpd(dim, 40.0, seed_k).tobytes() == lone.mat.tobytes()
+
+
+def test_stacked_draw_raises_for_its_first_non_accretive_slice():
+    # At condition cap 1e20 the seed-2 and seed-3 draws fail the relative floor
+    # and seeds 0 and 1 pass.  A stack holding them raises NotAccretive with the
+    # message its first failing seed gives alone.
+    spec = SectorSpec(dim=3, angle=0.3, cond_cap=1e20, seed=2)
+    with pytest.raises(NotAccretive) as lone:
+        random_accretive(spec)
+    random_accretive(SectorSpec(dim=3, angle=0.3, cond_cap=1e20, seed=0))
+    random_accretive(SectorSpec(dim=3, angle=0.3, cond_cap=1e20, seed=1))
+    for seeds in ([0, 2, 1], [2, 3], [1, 0, 2]):
+        with pytest.raises(NotAccretive) as stacked:
+            _random_accretives(3, 0.3, 1e20, seeds)
+        assert str(stacked.value) == str(lone.value)
+    # the validator itself: one bad slice among good ones
+    good = np.diag([2.0, 1.0]).astype(complex)
+    bad = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(NotAccretive) as alone:
+        AccretiveMatrix.from_matrix(bad)
+    with pytest.raises(NotAccretive) as stacked:
+        AccretiveMatrix._from_stack(np.stack([good, bad, good]))
+    assert str(stacked.value) == str(alone.value)
 
 
 # ------------------------------------------------------ random_unit_vectors

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,8 +221,9 @@ def test_probe_and_tsallis_from_mean_validate_once(monkeypatch):
     for module in (means, entropy):
         counted(module, "check_weight")
     assert tsallis_limit_probe(*pair, (0.3, 0.1)) == want_probe
-    assert calls == {"as_matrix": 2, "check_weight": 0}
-    calls.update(as_matrix=0)
+    # the probe checks each of its two weights once, the bodies none
+    assert calls == {"as_matrix": 2, "check_weight": 2}
+    calls.update(as_matrix=0, check_weight=0)
     assert tsallis_from_mean(*pair, 0.3).tobytes() == want_mean.tobytes()
     assert calls == {"as_matrix": 2, "check_weight": 1}
 
@@ -231,6 +233,21 @@ def test_limit_probe_validation():
         tsallis_limit_probe(PAIR_A, PAIR_B, [0.75, 0.25])
     with pytest.raises(ValueError):
         tsallis_limit_probe(PAIR_A, PAIR_B, [0.125, 0.25])
+
+
+def test_limit_probe_checks_each_weight_as_a_weight():
+    # Each weight passes the one weight rule before the probe's own (0, 1/2]
+    # and decreasing rules: a string or a bool is not a weight, NaN lies nowhere.
+    for bad, shown in (("0.25", "'0.25'"), (True, "True"), (math.nan, "nan")):
+        with pytest.raises(InvalidWeight, match=re.escape(f"got {shown}")):
+            tsallis_limit_probe(PAIR_A, PAIR_B, [0.5, bad])
+    with pytest.raises(InvalidWeight, match=re.escape("(0, 1/2], got [0.75, 0.25]")):
+        tsallis_limit_probe(PAIR_A, PAIR_B, [0.75, 0.25])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        tsallis_limit_probe(PAIR_A, PAIR_B, [0.125, np.float64(0.25)])
+    # numpy weights are weights, and probe as the equal Python floats
+    assert tsallis_limit_probe(PAIR_A, PAIR_B, [np.float64(0.25), 0.125]) == \
+        tsallis_limit_probe(PAIR_A, PAIR_B, [0.25, 0.125])
 
 
 # ------------------------------------------------------------ configuration

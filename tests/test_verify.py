@@ -532,6 +532,63 @@ def test_predicate_margins_equal_the_per_trial_reference():
                                   [[ok for ok, _ in got] for got in trials]), name
 
 
+def test_shared_hpd_forms_are_the_public_closed_forms_bitwise(monkeypatch):
+    # A report factors Re A and the inner matrix (Re A)^-1/2 Re B (Re A)^-1/2 of
+    # all its trials once, in two stacked eigh calls, and applies to them the power
+    # of every weight and the log: bitwise geometric_mean_hpd and
+    # relative_entropy_hpd of each trial alone.
+    import sectorlab.means as means
+    from sectorlab.errors import NotPositiveDefinite
+    from sectorlab.linalg import _LOG, _power
+    from sectorlab.verify import _evaluate_means, _evaluate_pairs
+
+    herm_eig = means.herm_eig
+    calls = []
+    monkeypatch.setattr(means, "herm_eig", lambda h: calls.append(h.shape) or herm_eig(h))
+    for spec in REFERENCE_SPECS:
+        calls.clear()
+        p = _evaluate_pairs(spec)
+        m = _evaluate_means(spec, p, GeometricMeanConfig())
+        entropies = p.hpd(_LOG)
+        assert calls == [(spec.trials, spec.dim, spec.dim)] * 2
+        for i in range(spec.trials):
+            re_a, re_b = p.re[:, i]
+            for j, lam in enumerate(spec.lambda_grid):
+                assert m.hpd[i, j].tobytes() == geometric_mean_hpd(re_a, re_b, lam).tobytes()
+            assert entropies[i].tobytes() == relative_entropy_hpd(re_a, re_b).tobytes()
+    # each function is checked on the inner eigenvalues under its own name
+    congruence = means._hpd_congruence(np.eye(2)[None], np.diag([1.0, -1.0])[None])
+    for f, name in ((_power(0.3), "hpd_power(p=0.3)"), (_LOG, "hpd_log")):
+        with pytest.raises(NotPositiveDefinite, match=re.escape(name)):
+            congruence(f)
+    # a failed factorization is not kept: every call raises again
+    congruence = means._hpd_congruence(np.diag([1.0, -1.0])[None], np.eye(2)[None])
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite, match=re.escape("hpd_power(p=0.5)")):
+            congruence(_LOG)
+
+
+def test_lone_checks_evaluate_only_the_means_they_read(monkeypatch):
+    # A check called alone integrates A #_lam B of every trial and weight, plus
+    # the homogeneity check's scaled means or the symmetry check's flipped ones;
+    # the pair checks integrate no mean.
+    import sectorlab.verify as verify
+
+    spec = EnsembleSpec(dim=2, trials=3, seed=5, lambda_grid=(0.2, 0.7))
+    geometric_mean = verify._geometric_mean
+    jobs = []
+    monkeypatch.setattr(verify, "_geometric_mean", lambda a, *args: jobs.append(len(a))
+                        or geometric_mean(a, *args))
+    # the default scales hold the unit scale, whose mean is A #_lam B itself
+    per_weight = {"check_homogeneity": len(HOMOGENEITY_SCALES), "check_symmetry": 2,
+                  "check_re_harmonic": 0, "check_re_relative_entropy": 0}
+    for fn in THEOREM_CHECKS:
+        jobs.clear()
+        fn(spec)
+        want = per_weight.get(fn.__name__, 1) * len(spec.lambda_grid) * spec.trials
+        assert sum(jobs) == want, fn.__name__
+
+
 def test_report_fields_are_python_scalars():
     # to_json writes Python numbers only: a numpy integer would raise.
     with pytest.raises(TypeError):
