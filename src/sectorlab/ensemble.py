@@ -104,7 +104,9 @@ def _random_accretives(dim: int, angle: float, cond_cap: float, seeds) -> list[A
     w, v = np.linalg.eigh(g)
     h = symmetrize((v * np.clip(w, -1.0, 1.0)[:, None, :]) @ v.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(p)
-    root = (v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    # rounding can leave an eigenvalue of an ill-conditioned P below 0: its root
+    # is 0, so the accretivity check below, not a NaN, reports the draw
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     m = math.tan(angle) * symmetrize(root @ h @ root)
     return AccretiveMatrix._from_stack(p + 1j * m)
 

@@ -17,12 +17,13 @@ single-quadrature route to the Tsallis entropy and is what most callers want;
 the direct integral stays as an independent cross-check.  Both entropies are
 one body over stacked pairs (jobs, d, d) on the shared integrand
 ``_entropy_path``; ``verify`` calls it on its ensembles, the public functions
-on a stack of one pair, and the ``*_adaptive`` functions are that body with
-node counts up to 4096.  How the pairs are batched and how many nodes each
-gets is up to ``quadrature``, whose tolerance relative to ||A||_F suits
-S(sA|sB) = s S(A|B) and T_lam alike, so both integrate the caller's pair as
-it is.  The entropy path has the harmonic path's poles, so by default
-each pair's node count comes from the eigenvalues of A B^-1, as for the mean.
+on a stack of one pair, and the ``*_adaptive`` functions are that body under
+a config whose ladder goes up to their ``max_nodes``.  How the pairs are
+batched and how many nodes each gets is up to ``quadrature``, whose tolerance
+relative to ||A||_F suits S(sA|sB) = s S(A|B) and T_lam alike, so both
+integrate the caller's pair as it is.  The entropy path has the harmonic
+path's poles, so by default each pair's node count comes from the eigenvalues
+of A B^-1, as for the mean.
 """
 
 from __future__ import annotations
@@ -83,15 +84,16 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     """Relative-entropy integral with its node count chosen up to ``max_nodes``.
 
     The count is the fewest nodes on the ladder 8, 16, ... 4096, up to
-    ``max_nodes``, whose error bound from the poles of A B^-1 meets ``tol``,
-    as for :func:`relative_entropy` but past 512 nodes.  The value is the fixed
-    rule's at that count, and the error estimate that bound times ||A||_F
+    ``max_nodes``, whose error bound from the poles of A B^-1 meets ``tol``.
+    The value is :func:`relative_entropy`'s under ``EntropyConfig(tol=tol,
+    max_nodes=max_nodes)``, the fixed rule's at that count, and the error
+    estimate that bound times ||A||_F
     (see :mod:`sectorlab.quadrature`).  :class:`NoConvergence` is raised for a
     ``tol`` below four rounding units, for a pole on (0, 1], and where no count
     up to ``max_nodes`` meets ``tol``; then the payload is the entropy at the
     largest count, with its estimate.
     """
-    return _tsallis_entropy(*_lone(a, b), 0.0, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]
+    return _tsallis_entropy(*_lone(a, b), 0.0, EntropyConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -99,13 +101,12 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
     return _hpd_congruence(*_pair(a, b))(_LOG)
 
 
-def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig,
-                     max_nodes: int = MAX_NODES) -> _Integrals:
+def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig) -> _Integrals:
     # T_lam(A_k|B_k) for every pair of the stacks (jobs, d, d); lam is checked.  lam = 0
     # gives S(A_k|B_k), bitwise: Jacobi(-0.0, 0.0) is the Gauss-Legendre rule, with no factor.
     scale = [math.sin(lam * math.pi) / (lam * math.pi)] * len(a) if lam else None
     families = [partial(gauss_jacobi, alpha=-lam, beta=lam)] * len(a)
-    return _evaluate(_entropy_path, a, b, scale, families, cfg, max_nodes=max_nodes,
+    return _evaluate(_entropy_path, a, b, scale, families, cfg,
                      bound=_TSALLIS_BOUND if lam else _RELATIVE_BOUND)
 
 
@@ -123,7 +124,7 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
     :class:`NoConvergence` are as in :func:`relative_entropy_adaptive`.
     """
     lam = check_weight(lam)
-    return _tsallis_entropy(*_lone(a, b), lam, EntropyConfig(adaptive=True, tol=tol), max_nodes)[0]
+    return _tsallis_entropy(*_lone(a, b), lam, EntropyConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
 def tsallis_from_mean(a, b, lam: float,

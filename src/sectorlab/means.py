@@ -16,9 +16,9 @@ definite inputs the classical closed form is available as an independent
 oracle, and the half-weight Drury mean gives a second integral
 route at lam = 1/2.  Each integral mean has one body over stacked pairs
 (jobs, d, d), which ``verify`` calls on its ensembles; the public functions
-call it on a stack of one pair, and the ``*_adaptive`` function is that body
-with node counts up to 4096.  How the pairs are batched, and how many nodes
-each gets, is up to ``quadrature``.
+call it on a stack of one pair, and each ``*_adaptive`` function is that body
+under a config whose ladder goes up to its ``max_nodes``.  How the pairs are
+batched, and how many nodes each gets, is up to ``quadrature``.
 """
 
 from __future__ import annotations
@@ -145,25 +145,23 @@ def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, np.nd
     return a / div[0], b / div[1], [sa ** (1.0 - lam) * sb**lam for (sa, sb), lam in zip(norms, lams)]
 
 
-def _geometric_mean(a: np.ndarray, b: np.ndarray, lam, cfg: GeometricMeanConfig,
-                    max_nodes: int = MAX_NODES) -> _Integrals:
+def _geometric_mean(a: np.ndarray, b: np.ndarray, lam, cfg: GeometricMeanConfig) -> _Integrals:
     # A_k #_lam_k B_k for every pair of the stacks (jobs, d, d), at one checked
     # weight for all pairs or a list of one per pair
     lams = lam if isinstance(lam, list) else [lam] * len(a)
     a, b, gauges = _gauges(a, b, lams)
     scale = [g * math.sin(lam * math.pi) / math.pi for g, lam in zip(gauges, lams)]
     families = [partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0) for lam in lams]
-    return _evaluate(_harmonic_path, a, b, scale, families, cfg, max_nodes=max_nodes,
-                     bound=_MEAN_BOUND)
+    return _evaluate(_harmonic_path, a, b, scale, families, cfg, bound=_MEAN_BOUND)
 
 
 def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Weighted geometric mean of two accretive matrices (integral form).
 
-    By default the rule has the fewest nodes, up to 512, whose bound from the
-    pair's poles meets ``cfg.tol``; :class:`NoConvergence` is raised where none
-    does, or where the path has a pole on (0, 1], as no accretive pair's path
-    has (see :mod:`sectorlab.quadrature`).
+    By default the rule has the fewest nodes, up to ``cfg.max_nodes`` (512),
+    whose bound from the pair's poles meets ``cfg.tol``; :class:`NoConvergence`
+    is raised where none does, or where the path has a pole on (0, 1], as no
+    accretive pair's path has (see :mod:`sectorlab.quadrature`).
     """
     lam = check_weight(lam)
     return _geometric_mean(*_lone(a, b), lam, cfg).value[0]
@@ -174,35 +172,31 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
     """Geometric-mean integral with its node count chosen up to ``max_nodes``.
 
     The count is the fewest nodes on the ladder 8, 16, ... 4096, up to
-    ``max_nodes``, whose error bound from the pair's poles meets ``tol``, as
-    for :func:`geometric_mean` but past 512 nodes; the value is the fixed
-    rule's at that count, and the error estimate that bound, scaled like the
-    mean (see :mod:`sectorlab.quadrature`).  :class:`NoConvergence` is raised
-    for a ``tol`` below four rounding units, for a pole on (0, 1], and where no
-    count up to ``max_nodes`` meets ``tol``; then the payload is the mean at
-    the largest count, with its estimate.
+    ``max_nodes``, whose error bound from the pair's poles meets ``tol``; the
+    value is :func:`geometric_mean`'s under ``GeometricMeanConfig(tol=tol,
+    max_nodes=max_nodes)``, the fixed rule's at that count, and the error
+    estimate that bound, scaled like the mean (see
+    :mod:`sectorlab.quadrature`).  :class:`NoConvergence` is raised for a
+    ``tol`` below four rounding units, for a pole on (0, 1], and where no count
+    up to ``max_nodes`` meets ``tol``; then the payload is the mean at the
+    largest count, with its estimate.
     """
     lam = check_weight(lam)
-    return _geometric_mean(*_lone(a, b), lam, GeometricMeanConfig(adaptive=True, tol=tol),
-                           max_nodes)[0]
+    return _geometric_mean(*_lone(a, b), lam, GeometricMeanConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
-def _drury_finish(res: IntegralResult, gauge) -> IntegralResult:
-    # The mean inverts the integral; the estimate is the integral's, scaled.
-    err = res.error_estimate
-    return IntegralResult(value=gauge * inverse(res.value / math.pi),
-                          error_estimate=None if err is None else gauge * err / math.pi,
-                          nodes_used=res.nodes_used)
+def _drury_finish(value, err, gauge):
+    # The mean inverts the integrals; the estimates are the integrals', scaled.
+    return gauge * inverse(value / math.pi), None if err is None else gauge * err / math.pi
 
 
-def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig,
-                max_nodes: int = MAX_NODES) -> _Integrals:
+def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig) -> _Integrals:
     # A_k # B_k for every pair of the stacks (jobs, d, d); the
     # integrand (uA + (1-u)B)^-1 is the convex path from B to A
     a, b, gauges = _gauges(a, b, [0.5] * len(a))
     return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b, gauges,
                      [partial(gauss_jacobi, alpha=-0.5, beta=-0.5)] * len(a), cfg, _drury_finish,
-                     max_nodes, _DRURY_BOUND)
+                     _DRURY_BOUND)
 
 
 def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -224,7 +218,7 @@ def drury_mean_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) ->
     as in :func:`geometric_mean_adaptive`, with the estimate scaled like the
     mean.
     """
-    return _drury_mean(*_lone(a, b), GeometricMeanConfig(adaptive=True, tol=tol), max_nodes)[0]
+    return _drury_mean(*_lone(a, b), GeometricMeanConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
 def scalar_geometric(alpha: float, beta: float, lam: float) -> float:

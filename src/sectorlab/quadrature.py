@@ -21,12 +21,12 @@ that raises alone, unless the integrand raised ``EvaluationFailure`` itself.
 The public ``integrate_matrix`` and ``integrate_adaptive`` take a per-node
 integrand and stack its values node by node onto the same engine.
 Rules are cached as validated objects.  Every node count, of a rule, of a
-config (checked when the config is built) or of a node cap, obeys the
-package's one integer rule, ``linalg._check_integer``, and every mean weight
-obeys ``check_weight``.  One :class:`QuadratureConfig` sets
-every library integral, and ``_evaluate`` alone applies it, to stacked pairs
-with one rule family each: the pairs that share a rule, a family at a node
-count, are integrated together, in batches.  It returns their values as one
+config (its fixed count and its cap, checked when the config is built) or of
+``integrate_adaptive``'s cap, obeys the package's one integer rule,
+``linalg._check_integer``, and every mean weight obeys ``check_weight``.
+One :class:`QuadratureConfig` sets every library integral, and ``_evaluate``
+alone applies it, to stacked pairs with one rule family each: the pairs that
+share a rule, a family at a node count, are integrated together, in batches.  It returns their values as one
 stack, with each pair's estimate and node count.
 
 Every library path is t -> ((1-t) X + t Y)^-1 or built on it, with poles at
@@ -35,19 +35,19 @@ of an integrand analytic inside the Bernstein ellipse through the nearest pole
 falls like rho^(-2n) (Trefethen, "Is Gauss quadrature better than
 Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The default ``rule_nodes="auto"``
 takes mu for all pairs from one stacked ``eigvals`` and gives each pair the
-fewest nodes on a fixed ladder, 8 to 512, with K rho^(-2n) <= tol, where K is
-calibrated per integral kind against scipy's spectral forms.  ``adaptive=True``
-chooses the same way on the ladder extended by 768, 1024, ... 4096 up to the
-caller's ``max_nodes``; the rules above 512 nodes load scipy.  Each pair's rule
-is evaluated once, at its count, so every result is bitwise the fixed rule's
-at its node count.  That bound, times ||A||_F of the pair and scaled like the
-value, is the pair's error estimate: it bounds the truncation error, not the
-rounding.  So a tolerance below four rounding units, which no rule can meet,
-raises ``NoConvergence`` before anything is integrated.  A pole on (0, 1], a
-real mu <= 0, which no accretive pair has, raises it too, and so does a pair
-that needs more nodes than the ladder's top, with its result at that top
-count as payload.  An integer ``rule_nodes`` is a fixed rule of that many nodes
-for every pair, with no estimate.
+fewest nodes on a fixed ladder, 8, 16, ... 512, 768, ... 4096, up to the
+config's ``max_nodes`` (512 by default), with K rho^(-2n) <= tol, where K is
+calibrated per integral kind against scipy's spectral forms; the rules above
+512 nodes load scipy.  Each pair's rule is evaluated once, at its count, so
+every result is bitwise the fixed rule's at its node count.  That bound, times
+||A||_F of the pair and scaled like the value, is the pair's error estimate: it
+bounds the truncation error, not the rounding.  So a tolerance below four
+rounding units, which no rule can meet, raises ``NoConvergence`` before
+anything is integrated.  A pole on (0, 1], a real mu <= 0, which no accretive
+pair has, raises it too, and so does a pair that needs more nodes than the
+ladder's top, with its result at that top count as payload.  An integer
+``rule_nodes`` is a fixed rule of that many nodes for every pair, with no
+estimate.
 
 The public ``integrate_adaptive`` takes any per-node integrand, whose poles it
 cannot see, so it doubles the node count from 16 until two successive
@@ -89,9 +89,9 @@ _POLE_ON_INTERVAL = "the integrand has a pole on (0, 1]: the pair is not accreti
 #: 217 ms and 33 MB against 59 ms, so larger rules, up to MAX_NODES, load scipy.
 _OWN_EIG_LIMIT = 512
 
-#: The node counts that the error bound chooses from: up to _OWN_EIG_LIMIT under
-#: ``rule_nodes="auto"``, so an automatic rule never loads scipy, and up to the
-#: caller's ``max_nodes`` under ``adaptive``.
+#: The node counts that the error bound chooses from, up to the config's
+#: ``max_nodes``; its default, _OWN_EIG_LIMIT, keeps an automatic rule from
+#: loading scipy.
 _LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096)
 
 #: The smallest ``tol`` the error bound takes, relative to ||A||_F: four rounding
@@ -210,9 +210,6 @@ class IntegralResult:
 
     An integer ``rule_nodes`` gives no error estimate (``None``); a count
     chosen from the pair's poles, and ``integrate_adaptive``, give one.
-    Internally a batch of stacked pairs travels as one result, whose estimate
-    and node count may then hold one entry per pair, the estimates as
-    (jobs, 1, 1).
     """
 
     value: np.ndarray
@@ -221,20 +218,16 @@ class IntegralResult:
 
     def __post_init__(self):
         err = self.error_estimate
-        # a batch's estimates are checked as _Integrals hands out each pair's result
-        if err is not None and getattr(err, "ndim", 0) == 0 and not (math.isfinite(err) and err >= 0.0):
+        if err is not None and not (math.isfinite(err) and err >= 0.0):
             raise ValueError(f"error estimate must be finite and >= 0, got {err}")
 
 
-def _scaled(res: IntegralResult, scale) -> IntegralResult:
-    # Multiply an integral's value and error estimate by scale: a float, one
-    # factor per job (jobs, 1, 1), or None for none.  No estimate stays None.
+def _scaled(value, err, scale):
+    # Multiply integrals and their error estimates by scale: a float, one factor
+    # per job (jobs, 1, 1), or None for none.  No estimate stays None.
     if scale is None:
-        return res
-    err = res.error_estimate
-    return IntegralResult(value=scale * res.value,
-                          error_estimate=None if err is None else scale * err,
-                          nodes_used=res.nodes_used)
+        return value, err
+    return scale * value, None if err is None else scale * err
 
 
 #: An integrand over the whole node array: nodes (n,) -> values (n, d, d).
@@ -285,19 +278,19 @@ def _log_rho(mu: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Quadrature of every integral.  With ``rule_nodes="auto"``, each pair's
-    rule has the fewest nodes on a fixed ladder, up to 512, whose error bound
-    from the poles of the pair's path meets ``tol``; an integer gives a fixed
-    rule of that many nodes; ``adaptive`` chooses as ``"auto"`` does, on the
-    ladder extended up to the caller's ``max_nodes`` (4096 by default).  The
-    tolerance is relative to ||A||_F of the pair being integrated; a
-    tolerance below four rounding units raises ``NoConvergence`` wherever the
-    bound chooses the count.  ``GeometricMeanConfig`` and ``EntropyConfig``
-    are this class.
+    rule has the fewest nodes on a fixed ladder, up to ``max_nodes``, whose
+    error bound from the poles of the pair's path meets ``tol``; an integer
+    gives a fixed rule of that many nodes.  ``max_nodes``, in [32, 4096], is
+    512 by default, so an automatic rule never loads scipy; 4096 is the
+    ``*_adaptive`` functions' default.  The tolerance is relative to ||A||_F
+    of the pair being integrated; a tolerance below four rounding units
+    raises ``NoConvergence`` wherever the bound chooses the count.
+    ``GeometricMeanConfig`` and ``EntropyConfig`` are this class.
     """
 
     rule_nodes: int | str = "auto"
-    adaptive: bool = False
     tol: float = 1e-12
+    max_nodes: int = _OWN_EIG_LIMIT
 
     def __post_init__(self):
         if not (isinstance(self.rule_nodes, str) and self.rule_nodes == "auto"):
@@ -305,6 +298,7 @@ class QuadratureConfig:
             object.__setattr__(self, "rule_nodes", nodes)  # a Python int, so nodes_used serializes
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        object.__setattr__(self, "max_nodes", _check_integer("max_nodes", self.max_nodes, 32, MAX_NODES))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -322,18 +316,17 @@ class _Integrals:
 
 
 def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: QuadratureConfig,
-              finish=_scaled, max_nodes: int = MAX_NODES, bound: float = 1.0) -> _Integrals:
+              finish=_scaled, bound: float = 1.0) -> _Integrals:
     # path(A_k, B_k) integrated over families[k](n)'s rules for the stacked pairs, then
-    # finish(res, scale_k) with the pair's factor from the list scale, or None.  The path is
-    # built once for all pairs; each pair's count is cfg.rule_nodes or, under "auto" and
-    # adaptive, the smallest on _LADDER, up to 512 or up to max_nodes, with
+    # finish(values, estimates, scales) -> (values, estimates), with the pairs' factors from
+    # the list scale, or None.  The path is built once for all pairs; each pair's count is
+    # cfg.rule_nodes or, under "auto", the smallest on _LADDER, up to cfg.max_nodes, with
     # bound * rho^(-2n) <= cfg.tol (see the module docstring), with bound calibrated per
     # integral kind; the pairs that share a rule are integrated together, in batches of at
     # most _BATCH_ENTRIES node-stack entries, and all are finished at once.
     ladder = None
-    if cfg.adaptive or cfg.rule_nodes == "auto":
-        top = _check_integer("max_nodes", max_nodes, 32, MAX_NODES) if cfg.adaptive else _OWN_EIG_LIMIT
-        ladder = _LADDER[:bisect_right(_LADDER, top)]
+    if cfg.rule_nodes == "auto":
+        ladder = _LADDER[:bisect_right(_LADDER, cfg.max_nodes)]
         if not cfg.tol >= _TOL_FLOOR:
             raise NoConvergence(f"tol={cfg.tol:g} is below the rounding floor {_TOL_FLOOR:.1e}")
     # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
@@ -355,8 +348,8 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: Quadratu
                 message = f"tol={cfg.tol:g} needs more than {ladder[-1]} nodes"
                 try:  # the payload, unless it fails or its bound overflows to inf
                     value = _integrate(families[k](counts[k]), partial(p, jobs=[k]))
-                    payload = finish(IntegralResult(value.reshape(a.shape[1:]), errs[k], counts[k]),
-                                     None if scale is None else scale[k, 0, 0])
+                    payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k],
+                                                     None if scale is None else scale[k, 0, 0]), counts[k])
                 except (SectorlabError, ValueError) as exc:
                     raise NoConvergence(message) from exc
                 raise NoConvergence(message, payload)
@@ -374,9 +367,8 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: Quadratu
             for batch in (jobs[k:k + step] for k in range(0, len(jobs), step)):
                 batch = ... if len(batch) == len(a) else batch  # all pairs: no index, which would copy
                 raw[batch] = _integrate(rule, partial(p, jobs=batch))
-    res = finish(IntegralResult(value=raw, error_estimate=errs, nodes_used=counts), scale)
-    return _Integrals(res.value, [None] * len(a) if errs is None else res.error_estimate.ravel().tolist(),
-                      counts)
+    value, errs = finish(raw, errs, scale)
+    return _Integrals(value, [None] * len(a) if errs is None else errs.ravel().tolist(), counts)
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

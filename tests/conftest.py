@@ -13,8 +13,8 @@ PAIR_GEOMETRIC_03 = np.array([
     [-0.46737919225481017 + 0.6540188330969174j, 1.7754168584486452 + 0.0j],
 ])
 
-#: The node counts that the error bound chooses from: up to 512 by default, up to
-#: max_nodes under adaptive.
+#: The node counts that the error bound chooses from, up to a config's max_nodes:
+#: 512 by default, 4096 for the *_adaptive functions.
 LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096)
 
 

@@ -106,6 +106,24 @@ def test_nodes_flag_outside_a_fixed_rule_exits_2(diag_files, capsys, argv):
     assert main(argv + ["--a", a, "--b", b]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["mean", "--kind", "geom", "--lambda", "0.3"],
+    ["mean", "--kind", "geom", "--lambda", "0.3", "--nodes", "32"],
+    ["mean", "--kind", "harm", "--lambda", "0.3"],
+    ["entropy", "--kind", "relative"],
+])
+def test_tol_flag_without_adaptive_exits_2(diag_files, capsys, argv):
+    # --tol is the error bound of --adaptive; without it, an explicit --tol is
+    # a usage error, even at its default value or below the rounding floor
+    # (which --adaptive refuses with exit 3)
+    a, b = diag_files
+    for tol in ("1e-30", "1e-12", "1e-6"):
+        assert main(argv + ["--a", a, "--b", b, "--tol", tol]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --tol sets the error bound of --adaptive and does not apply without it\n")
+    assert main(argv + ["--a", a, "--b", b]) == 0
+
+
 def test_mean_adaptive_metadata(diag_files, capsys):
     a, b = diag_files
     rc = main(["mean", "--kind", "geom", "--lambda", "0.5", "--a", a, "--b", b,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ def test_stacked_draw_raises_for_its_first_non_accretive_slice():
     with pytest.raises(NotAccretive) as stacked:
         AccretiveMatrix._from_stack(np.stack([good, bad, good]))
     assert str(stacked.value) == str(alone.value)
+
+
+def test_draw_with_a_rounded_negative_eigenvalue_raises_not_accretive():
+    # At condition cap 1e24, eigh leaves the seed-5 P a smallest eigenvalue of
+    # about -1e-9.  Its root is 0, not NaN, so a sectorial draw raises the
+    # accretivity check's NotAccretive, with no warning on the way, as P alone
+    # (angle 0) does.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for angle in (0.0, 0.3, 1.2):
+            with pytest.raises(NotAccretive, match=r"^smallest eigenvalue of the real part is -"):
+                random_accretive(SectorSpec(dim=3, angle=angle, cond_cap=1e24, seed=5))
 
 
 # ------------------------------------------------------ random_unit_vectors

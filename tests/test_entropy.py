@@ -269,7 +269,7 @@ def test_one_config_routes_fixed_functions_to_node_doubling():
     # cannot split on which module built it.
     assert EntropyConfig is GeometricMeanConfig
     assert EntropyConfig() == GeometricMeanConfig()
-    cfg = EntropyConfig(adaptive=True, tol=1e-11)
+    cfg = EntropyConfig(tol=1e-11, max_nodes=4096)
     for a, b in ((PAIR_A, PAIR_B), (60.0 * PAIR_A, 60.0 * PAIR_B)):
         assert np.array_equal(drury_mean(a, b, cfg), drury_mean_adaptive(a, b, tol=1e-11).value)
         assert np.array_equal(relative_entropy(a, b, cfg),

@@ -184,7 +184,7 @@ def test_geometric_adaptive_matches_fixed_rule():
     res = geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3, tol=1e-12)
     assert res.error_estimate <= 1e-12
     assert np.linalg.norm(res.value - PAIR_GEOMETRIC_03) <= 1e-11
-    cfg = GeometricMeanConfig(adaptive=True, tol=1e-12)
+    cfg = GeometricMeanConfig(tol=1e-12, max_nodes=4096)
     np.testing.assert_allclose(geometric_mean(PAIR_A, PAIR_B, 0.3, cfg), res.value, atol=0)
 
 
@@ -263,7 +263,7 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
                 assert got.error_estimates[k] is got[k].error_estimate is None
                 assert np.array_equal(got.value[k], fixed(x, y, cfg))
         firsts.append(got.value[0])
-        cfg = GeometricMeanConfig(adaptive=True, tol=1e-10)
+        cfg = GeometricMeanConfig(tol=1e-10, max_nodes=4096)
         got = body(a[:2], b[:2], cfg)
         for k, (x, y) in enumerate(pairs[:2]):
             want = adaptive(x, y, cfg.tol)

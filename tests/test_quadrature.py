@@ -439,8 +439,8 @@ def _pole_count(mu, bound, tol, top):
 
 def test_evaluate_takes_the_rule_from_the_config():
     # _evaluate alone chooses between a fixed rule, which reports no error
-    # estimate, and the count from the poles of the path's ratio, up to 512
-    # nodes by default or up to max_nodes under adaptive, whose estimate is
+    # estimate, and the count from the poles of the path's ratio, up to the
+    # config's max_nodes, 512 by default, whose estimate is
     # the bound at that count times ||A_k||_F; finish applies to both, with
     # each pair's factor.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
@@ -471,10 +471,10 @@ def test_evaluate_takes_the_rule_from_the_config():
         assert fixed.error_estimates[k] is fixed[k].error_estimate is None
         assert np.array_equal(fixed.value[k],
                               s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t, mus[k]) + y))
-    for cfg, top in ((QuadratureConfig(adaptive=True, tol=1e-13), 256), (QuadratureConfig(tol=1e-13), 512)):
-        got = _evaluate(path, a, b, scale, [gauss_legendre] * 3, cfg, max_nodes=top, bound=10.0)
+    for cfg in (QuadratureConfig(tol=1e-13, max_nodes=256), QuadratureConfig(tol=1e-13)):
+        got = _evaluate(path, a, b, scale, [gauss_legendre] * 3, cfg, bound=10.0)
         for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
-            n, decay = _pole_count(mus[k], 10.0, 1e-13, top)
+            n, decay = _pole_count(mus[k], 10.0, 1e-13, cfg.max_nodes)
             assert got.nodes_used[k] == got[k].nodes_used == n
             assert got.error_estimates[k] == got[k].error_estimate
             assert got.error_estimates[k] == pytest.approx(s * 10.0 * decay * np.linalg.norm(x), rel=1e-9)
@@ -1160,6 +1160,52 @@ def test_auto_is_the_default_config():
     for nodes in ("AUTO", "64", None):
         with pytest.raises(ValueError, match=r"^rule_nodes must be an integer in \[1, 4096\]"):
             QuadratureConfig(rule_nodes=nodes)
+
+
+def test_max_nodes_is_checked_when_the_config_is_built():
+    # The top of the automatic ladder is the config's max_nodes, 512 by default,
+    # checked by the one integer rule as the config is built, with the message
+    # the *_adaptive functions give for their cap.  No adaptive flag is left.
+    from sectorlab.means import geometric_mean_adaptive
+    from sectorlab.quadrature import QuadratureConfig
+
+    assert QuadratureConfig().max_nodes == 512
+    cfg = QuadratureConfig(max_nodes=np.int64(1024))
+    assert type(cfg.max_nodes) is int and cfg == QuadratureConfig(max_nodes=1024)
+    for cap in (31, 4097, True, 64.0):
+        message = f"max_nodes must be an integer in [32, 4096], got {cap!r}"
+        with pytest.raises(ValueError) as built:
+            QuadratureConfig(max_nodes=cap)
+        assert str(built.value) == message
+        with pytest.raises(ValueError) as called:
+            geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3, max_nodes=cap)
+        assert str(called.value) == message
+    with pytest.raises(TypeError):
+        QuadratureConfig(adaptive=True)
+
+
+def test_a_config_capped_at_4096_is_the_adaptive_functions_bitwise():
+    # On the wide pairs of test_adaptive_meets_the_spectral_forms_at_wide_angles,
+    # where some counts pass 512, the public functions under max_nodes=4096 give
+    # the *_adaptive values bitwise.
+    from sectorlab.entropy import (relative_entropy, relative_entropy_adaptive, tsallis_entropy,
+                                   tsallis_entropy_adaptive)
+    from sectorlab.means import drury_mean, drury_mean_adaptive, geometric_mean, geometric_mean_adaptive
+    from sectorlab.quadrature import QuadratureConfig
+
+    cfg = QuadratureConfig(max_nodes=4096)
+    counts = []
+    for dim in (2, 3, 8):
+        for a, b in accretive_pairs(3, (dim,), 0.99 * math.pi / 2, seed=73 + dim):
+            calls = [(drury_mean(a, b, cfg), drury_mean_adaptive(a, b)),
+                     (relative_entropy(a, b, cfg), relative_entropy_adaptive(a, b))]
+            for lam in (0.1, 0.9):
+                calls += [(geometric_mean(a, b, lam, cfg), geometric_mean_adaptive(a, b, lam)),
+                          (tsallis_entropy(a, b, lam, cfg), tsallis_entropy_adaptive(a, b, lam))]
+            for value, res in calls:
+                assert value.tobytes() == res.value.tobytes()
+                counts.append(res.nodes_used)
+    assert max(counts) > 512
 
 
 def _pair_default_draw(seed: int, round_: int):
