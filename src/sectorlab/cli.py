@@ -135,6 +135,9 @@ def cmd_pair(args) -> int:
     if args.nodes is not None and (args.adaptive or args.kind in _CLOSED_FORMS):
         raise UsageError("--nodes sets the fixed rule of an integral and does not apply "
                          + ("with --adaptive" if args.adaptive else f"to --kind {args.kind}"))
+    if args.adaptive and args.kind in _CLOSED_FORMS:
+        raise UsageError("--adaptive chooses the rule of an integral and does not apply "
+                         f"to --kind {args.kind}")
     if args.tol is not None and not args.adaptive:
         raise UsageError("--tol sets the error bound of --adaptive and does not apply without it")
     a, b = _load_pair(args)

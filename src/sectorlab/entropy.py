@@ -23,7 +23,9 @@ batched and how many nodes each gets is up to ``quadrature``, whose tolerance
 relative to ||A||_F suits S(sA|sB) = s S(A|B) and T_lam alike, so both
 integrate the caller's pair as it is.  The entropy path has the harmonic
 path's poles, so by default each pair's node count comes from the eigenvalues
-of A B^-1, as for the mean.
+of A B^-1, as for the mean.  The body takes one weight per pair, so
+``tsallis_limit_probe`` is one evaluation: S and every T_lam of its pair, from
+one path and one ``eigvals`` call, each bitwise its lone call.
 """
 
 from __future__ import annotations
@@ -101,13 +103,17 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
     return _hpd_congruence(*_pair(a, b))(_LOG)
 
 
-def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam: float, cfg: EntropyConfig) -> _Integrals:
-    # T_lam(A_k|B_k) for every pair of the stacks (jobs, d, d); lam is checked.  lam = 0
-    # gives S(A_k|B_k), bitwise: Jacobi(-0.0, 0.0) is the Gauss-Legendre rule, with no factor.
-    scale = [math.sin(lam * math.pi) / (lam * math.pi)] * len(a) if lam else None
-    families = [partial(gauss_jacobi, alpha=-lam, beta=lam)] * len(a)
+def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam, cfg: EntropyConfig) -> _Integrals:
+    # T_lam_k(A_k|B_k) for every pair of the stacks (jobs, d, d), at one checked weight for
+    # all pairs or a list of one per pair.  lam = 0 gives S(A_k|B_k), bitwise: Jacobi(-0.0, 0.0)
+    # is the Gauss-Legendre rule, and S's factor is 1.0, or none if every weight is 0.
+    lams = lam if isinstance(lam, list) else [lam] * len(a)
+    scale = None
+    if any(lams):
+        scale = [math.sin(lam * math.pi) / (lam * math.pi) if lam else 1.0 for lam in lams]
+    families = [partial(gauss_jacobi, alpha=-lam, beta=lam) for lam in lams]
     return _evaluate(_entropy_path, a, b, scale, families, cfg,
-                     bound=_TSALLIS_BOUND if lam else _RELATIVE_BOUND)
+                     bound=[_TSALLIS_BOUND if lam else _RELATIVE_BOUND for lam in lams])
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -141,13 +147,16 @@ def tsallis_limit_probe(a, b, lambdas,
 
     Every weight must be a weight (see :func:`sectorlab.quadrature.check_weight`)
     in (0, 1/2]; the grid must be strictly decreasing.  Returns (lam, deviation)
-    pairs for limit diagnostics.
+    pairs for limit diagnostics.  S and every T_lam are one evaluation of the
+    pair stacked once per weight, each with its own rule and node count, and
+    bitwise the lone calls'; where more than one of them raises, S's error does.
     """
     lams = [check_weight(l) for l in lambdas]
     if any(not (0.0 < l <= 0.5) for l in lams):
         raise InvalidWeight(f"probe weights must lie in (0, 1/2], got {lams}")
     if any(y >= x for x, y in zip(lams, lams[1:], strict=False)):
         raise ValueError("probe weights must be strictly decreasing")
-    am, bm = _lone(a, b)
-    base = _tsallis_entropy(am, bm, 0.0, cfg).value[0]
-    return [(lam, float(frob(_tsallis_entropy(am, bm, lam, cfg).value[0] - base))) for lam in lams]
+    # S first, so that its error is the one raised where several would be
+    am, bm = (np.repeat(m, len(lams) + 1, axis=0) for m in _lone(a, b))
+    values = _tsallis_entropy(am, bm, [0.0, *lams], cfg).value
+    return [(lam, float(frob(t - values[0]))) for lam, t in zip(lams, values[1:])]

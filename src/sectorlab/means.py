@@ -141,8 +141,11 @@ def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, np.nd
     # keeps the integrand's poles where the node count was calibrated.
     norms = [(frob(x), frob(y)) for x, y in zip(a, b)]
     norms = [(sa, sb) if sa > 0.0 and sb > 0.0 else (1.0, 1.0) for sa, sb in norms]
+    gauges = [sa ** (1.0 - lam) * sb**lam for (sa, sb), lam in zip(norms, lams)]
+    if len(a) == 1:  # a lone pair divides by its two norms, with no (2, 1, 1, 1) array
+        return a / norms[0][0], b / norms[0][1], gauges
     div = np.array(norms).T[..., None, None]
-    return a / div[0], b / div[1], [sa ** (1.0 - lam) * sb**lam for (sa, sb), lam in zip(norms, lams)]
+    return a / div[0], b / div[1], gauges
 
 
 def _geometric_mean(a: np.ndarray, b: np.ndarray, lam, cfg: GeometricMeanConfig) -> _Integrals:

@@ -37,9 +37,10 @@ Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The default ``rule_nodes="auto"``
 takes mu for all pairs from one stacked ``eigvals`` and gives each pair the
 fewest nodes on a fixed ladder, 8, 16, ... 512, 768, ... 4096, up to the
 config's ``max_nodes`` (512 by default), with K rho^(-2n) <= tol, where K is
-calibrated per integral kind against scipy's spectral forms; the rules above
-512 nodes load scipy.  Each pair's rule is evaluated once, at its count, so
-every result is bitwise the fixed rule's at its node count.  That bound, times
+calibrated per integral kind against scipy's spectral forms and given per
+pair, like the rule family; the rules above 512 nodes load scipy.  Each
+pair's rule is evaluated once, at its count, so every result is bitwise the
+fixed rule's at its node count.  That bound, times
 ||A||_F of the pair and scaled like the value, is the pair's error estimate: it
 bounds the truncation error, not the rounding.  So a tolerance below four
 rounding units, which no rule can meet, raises ``NoConvergence`` before
@@ -121,9 +122,13 @@ class QuadratureRule:
         w = self.weights
         if n.ndim != 1 or w.shape != n.shape:
             raise InvalidParameters("nodes and weights must be 1-d arrays of equal length")
-        if not (np.all(n > 0.0) and np.all(n < 1.0) and np.all(np.diff(n) > 0.0)):
+        if not n.size:
+            raise InvalidParameters("a rule needs at least one node")
+        # Increasing nodes lie inside (0, 1) when the end nodes do; a NaN fails a comparison,
+        # and min propagates it.
+        if not (n[0] > 0.0 and n[-1] < 1.0 and np.all(n[1:] > n[:-1])):
             raise InvalidParameters("nodes must be strictly increasing inside (0, 1)")
-        if not np.all(w > 0.0):
+        if not w.min() > 0.0:
             raise InvalidParameters("weights must be strictly positive")
 
     @property
@@ -153,8 +158,10 @@ def _rule_cached(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule
     den = (2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)
     off[1:] = np.sqrt(num / den)
     if n <= _OWN_EIG_LIMIT:
-        tri = np.diag(diag)
-        tri[np.arange(1, n), np.arange(n - 1)] = off
+        # the diagonal and, for UPLO="L", the subdiagonal, each one strided write
+        tri = np.zeros((n, n))
+        tri.ravel()[::n + 1] = diag
+        tri.ravel()[n::n + 1] = off
         try:
             x, vecs = np.linalg.eigh(tri, UPLO="L")
         except np.linalg.LinAlgError as exc:
@@ -316,58 +323,61 @@ class _Integrals:
 
 
 def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: QuadratureConfig,
-              finish=_scaled, bound: float = 1.0) -> _Integrals:
+              finish=_scaled, bound=1.0) -> _Integrals:
     # path(A_k, B_k) integrated over families[k](n)'s rules for the stacked pairs, then
     # finish(values, estimates, scales) -> (values, estimates), with the pairs' factors from
     # the list scale, or None.  The path is built once for all pairs; each pair's count is
     # cfg.rule_nodes or, under "auto", the smallest on _LADDER, up to cfg.max_nodes, with
-    # bound * rho^(-2n) <= cfg.tol (see the module docstring), with bound calibrated per
-    # integral kind; the pairs that share a rule are integrated together, in batches of at
-    # most _BATCH_ENTRIES node-stack entries, and all are finished at once.
+    # bound_k * rho^(-2n) <= cfg.tol (see the module docstring), where bound, calibrated per
+    # integral kind, is one for all pairs or a list of one per pair, like scale; the pairs
+    # that share a rule are integrated together, in batches of at most _BATCH_ENTRIES
+    # node-stack entries, and all are finished at once.
     ladder = None
     if cfg.rule_nodes == "auto":
         ladder = _LADDER[:bisect_right(_LADDER, cfg.max_nodes)]
         if not cfg.tol >= _TOL_FLOOR:
             raise NoConvergence(f"tol={cfg.tol:g} is below the rounding floor {_TOL_FLOOR:.1e}")
     # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
-    p = path(a[0], b[0]) if len(a) == 1 else path(a, b)
-    scale = None if scale is None else np.array(scale)[:, None, None]
-    counts, errs = [cfg.rule_nodes] * len(a), None
+    lone = len(a) == 1
+    p = path(a[0], b[0]) if lone else path(a, b)
+    scales = [None] * len(a) if scale is None else scale
+    counts, errs = [cfg.rule_nodes] * len(a), [None] * len(a)
     if ladder:
         # Scalar work per pair: numpy's overhead on arrays this small exceeds it.
-        need = math.log(bound / cfg.tol) / 2.0
+        bounds = bound if isinstance(bound, list) else [bound] * len(a)
         counts, errs = [], []
         log_rho = _log_rho(np.linalg.eigvals(p.ratio())).reshape(len(a), -1).min(axis=1)
-        for k, (r, x) in enumerate(zip(log_rho.tolist(), a)):
+        for k, (r, x, bound) in enumerate(zip(log_rho.tolist(), a, bounds)):
             if not r > 0.0:
                 raise NoConvergence(_POLE_ON_INTERVAL)
-            i = bisect_left(ladder, need / r)
+            i = bisect_left(ladder, math.log(bound / cfg.tol) / 2.0 / r)
             counts.append(ladder[min(i, len(ladder) - 1)])
             errs.append(bound * math.exp(-2.0 * counts[k] * r) * (frob(x) or 1.0))
             if i == len(ladder):
                 message = f"tol={cfg.tol:g} needs more than {ladder[-1]} nodes"
                 try:  # the payload, unless it fails or its bound overflows to inf
                     value = _integrate(families[k](counts[k]), partial(p, jobs=[k]))
-                    payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k],
-                                                     None if scale is None else scale[k, 0, 0]), counts[k])
+                    payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k], scales[k]),
+                                             counts[k])
                 except (SectorlabError, ValueError) as exc:
                     raise NoConvergence(message) from exc
                 raise NoConvergence(message, payload)
-        errs = np.array(errs)[:, None, None]
-    if len(a) == 1:
-        raw = _integrate(families[0](counts[0]), p)[None]
-    else:
-        shared = {}
-        for k, (family, n) in enumerate(zip(families, counts)):
-            rule = family(n)
-            shared.setdefault((rule.kind, rule.count, rule.alpha, rule.beta), (rule, []))[1].append(k)
-        raw = np.empty(a.shape, dtype=np.complex128)
-        for rule, jobs in shared.values():
-            step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
-            for batch in (jobs[k:k + step] for k in range(0, len(jobs), step)):
-                batch = ... if len(batch) == len(a) else batch  # all pairs: no index, which would copy
-                raw[batch] = _integrate(rule, partial(p, jobs=batch))
-    value, errs = finish(raw, errs, scale)
+    if lone:
+        # Python floats for the factor and the estimate, not (1, 1, 1) arrays
+        value, err = finish(_integrate(families[0](counts[0]), p), errs[0], scales[0])
+        return _Integrals(value[None], [err], counts)
+    shared = {}
+    for k, (family, n) in enumerate(zip(families, counts)):
+        rule = family(n)
+        shared.setdefault((rule.kind, rule.count, rule.alpha, rule.beta), (rule, []))[1].append(k)
+    raw = np.empty(a.shape, dtype=np.complex128)
+    for rule, jobs in shared.values():
+        step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
+        for batch in (jobs[k:k + step] for k in range(0, len(jobs), step)):
+            batch = ... if len(batch) == len(a) else batch  # all pairs: no index, which would copy
+            raw[batch] = _integrate(rule, partial(p, jobs=batch))
+    value, errs = finish(raw, np.array(errs)[:, None, None] if ladder else None,
+                         None if scale is None else np.array(scale)[:, None, None])
     return _Integrals(value, [None] * len(a) if errs is None else errs.ravel().tolist(), counts)
 
 

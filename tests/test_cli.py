@@ -124,6 +124,19 @@ def test_tol_flag_without_adaptive_exits_2(diag_files, capsys, argv):
     assert main(argv + ["--a", a, "--b", b]) == 0
 
 
+@pytest.mark.parametrize("kind", ["harm", "arith"])
+def test_adaptive_flag_for_a_closed_form_exits_2(diag_files, capsys, kind):
+    # a closed form has no rule for --adaptive to choose: with or without --tol,
+    # even one below the rounding floor, the flag is a usage error
+    a, b = diag_files
+    argv = ["mean", "--kind", kind, "--lambda", "0.3", "--a", a, "--b", b, "--adaptive"]
+    for extra in ([], ["--tol", "1e-30"], ["--tol", "1e-6"]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --adaptive chooses the rule of an integral and does not apply to --kind {kind}\n")
+    assert main(argv[:-1]) == 0
+
+
 def test_mean_adaptive_metadata(diag_files, capsys):
     a, b = diag_files
     rc = main(["mean", "--kind", "geom", "--lambda", "0.5", "--a", a, "--b", b,

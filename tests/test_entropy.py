@@ -18,6 +18,7 @@ from sectorlab.entropy import (
 from sectorlab.ensemble import SectorSpec, random_accretive
 from sectorlab.errors import InvalidWeight, NotPositiveDefinite
 from sectorlab.means import GeometricMeanConfig, drury_mean, drury_mean_adaptive
+from sectorlab.quadrature import gauss_legendre
 
 
 def rel_frob(x, y):
@@ -226,6 +227,85 @@ def test_probe_and_tsallis_from_mean_validate_once(monkeypatch):
     calls.update(as_matrix=0, check_weight=0)
     assert tsallis_from_mean(*pair, 0.3).tobytes() == want_mean.tobytes()
     assert calls == {"as_matrix": 2, "check_weight": 1}
+
+
+def _lone_probe(a, b, lams, cfg):
+    # the probe from lone public calls: S, then each T_lam, in grid order
+    from sectorlab.linalg import frob
+
+    base = relative_entropy(a, b, cfg)
+    return [(lam, float(frob(tsallis_entropy(a, b, lam, cfg) - base))) for lam in lams]
+
+
+def _outcome(fn):
+    # a call's result, or its exception's type, message and NoConvergence payload
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        p = getattr(exc, "payload", None)
+        payload = None if p is None else (p.value.tobytes(), p.error_estimate, p.nodes_used)
+        return type(exc), str(exc), payload
+
+
+PROBE_GRIDS = ([0.5], [0.3, 0.1], [0.45, 0.3, 0.2, 0.1, 0.05], [2.0**-k for k in range(1, 9)])
+
+
+def test_limit_probe_is_the_lone_calls_bitwise(monkeypatch):
+    # S and every T_lam come from one evaluation of the pair stacked once per
+    # weight, so the probe builds one path and takes the poles from one eigvals
+    # call, and each deviation is bitwise the lone calls'.
+    import sectorlab.entropy as entropy
+
+    cases = [(pair, grid) for k, angle in enumerate((0.0, 0.5, 0.8, 0.95))
+             for pair in accretive_pairs(4, (1, 2, 3, 8), angle * math.pi / 2, seed=80 + k)
+             for grid in PROBE_GRIDS]
+    want = [_lone_probe(*pair, grid, EntropyConfig()) for pair, grid in cases]
+    calls = {"path": 0, "eigvals": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(entropy, "_entropy_path", "path")
+    counted(np.linalg, "eigvals", "eigvals")
+    for (pair, grid), expected in zip(cases, want, strict=True):
+        calls.update(path=0, eigvals=0)
+        assert tsallis_limit_probe(*pair, grid) == expected
+        assert calls == {"path": 1, "eigvals": 1}
+    # a fixed rule, too
+    for pair, grid in cases[::5]:
+        cfg = EntropyConfig(rule_nodes=24)
+        assert tsallis_limit_probe(*pair, grid, cfg) == _lone_probe(*pair, grid, cfg)
+
+
+def test_limit_probe_raises_as_the_lone_calls():
+    # The probe raises what the first of its lone calls, S then each T_lam, would:
+    # S's exception and payload wherever S raises too.
+    t = float(gauss_legendre(64).nodes[20])
+    pole = (np.eye(2), np.diag([1.0, -t / (1.0 - t)]))  # a pole at t, on (0, 1]
+    pairs = [pole, *accretive_pairs(6, (2, 3), 0.9 * math.pi / 2, seed=91),
+             *accretive_pairs(6, (2, 3), 0.4 * math.pi / 2, seed=92)]
+    cfgs = [EntropyConfig(tol=1e-17),
+            *(EntropyConfig(tol=tol, max_nodes=32) for tol in (1e-8, 1e-11, 1e-14))]
+    grid = [0.3, 0.1]
+    seen = set()
+    for a, b in pairs:
+        for cfg in cfgs:
+            lone = [_outcome(lambda: relative_entropy(a, b, cfg))]
+            lone += [_outcome(lambda lam=lam: tsallis_entropy(a, b, lam, cfg)) for lam in grid]
+            raised = [k for k, got in enumerate(lone) if got[0] != "ok"]
+            want = lone[raised[0]] if raised else ("ok", _lone_probe(a, b, grid, cfg))
+            assert _outcome(lambda: tsallis_limit_probe(a, b, grid, cfg)) == want
+            kind = next((w for w in ("floor", "pole", "nodes") if raised and w in want[1]), None)
+            seen.add((tuple(raised), kind))
+    # every kind of failure was met: the floor and the pole by all three calls,
+    # the node cap by S and the T_lam alike and by the T_lam alone
+    assert {((0, 1, 2), "floor"), ((0, 1, 2), "pole"), ((0, 1, 2), "nodes"), ((1, 2), "nodes")} <= seen
 
 
 def test_limit_probe_validation():

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 from math import exp, lgamma
 
@@ -241,19 +242,76 @@ def test_rules_are_cached_as_objects():
         gauss_jacobi(64, -1.3, -0.7)
 
 
+_SHAPES = "nodes and weights must be 1-d arrays of equal length"
+_NODES = "nodes must be strictly increasing inside (0, 1)"
+_WEIGHTS = "weights must be strictly positive"
+_TINY = 5e-324
+
+#: (nodes, weights, the message they are rejected with or None): the nodes are
+#: checked before the weights, and a NaN fails either check
+_RULE_TABLE = [
+    ([0.5], [1.0], None),
+    ([0.3, 0.7], [0.5, 0.5], None),
+    ([_TINY, 0.5, 1.0 - 2.0**-53], [_TINY, 1.0, 1e300], None),
+    ([math.nan], [1.0], _NODES),
+    ([math.nan, 0.5], [0.5, 0.5], _NODES),
+    ([0.2, math.nan, 0.7], [0.3, 0.3, 0.3], _NODES),
+    ([0.3, math.nan], [0.5, 0.5], _NODES),
+    ([0.0, 0.5], [0.5, 0.5], _NODES),
+    ([-0.1, 0.5], [0.5, 0.5], _NODES),
+    ([0.5, 1.0], [0.5, 0.5], _NODES),
+    ([0.5, math.inf], [0.5, 0.5], _NODES),
+    ([0.3, 0.3], [0.5, 0.5], _NODES),
+    ([0.7, 0.3], [0.5, 0.5], _NODES),
+    ([0.2, 0.6, 0.4], [0.3, 0.3, 0.3], _NODES),
+    ([0.3, 0.7], [0.5, 0.0], _WEIGHTS),
+    ([0.3, 0.7], [0.5, -0.5], _WEIGHTS),
+    ([0.3, 0.7], [math.nan, 0.5], _WEIGHTS),
+    ([0.3, 0.7], [0.5, 0.5, 0.5], _SHAPES),
+    ([[0.3, 0.7]], [[0.5, 0.5]], _SHAPES),
+    ([], [], "a rule needs at least one node"),
+]
+
+
 def test_rule_constructor_rejects_malformed_data():
     from sectorlab.quadrature import IntegralResult, QuadratureRule
 
-    with pytest.raises(InvalidParameters):
-        QuadratureRule("legendre", 0.0, 0.0, np.array([0.7, 0.3]), np.array([0.5, 0.5]))
-    with pytest.raises(InvalidParameters):
-        QuadratureRule("legendre", 0.0, 0.0, np.array([0.0, 0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(InvalidParameters):
-        QuadratureRule("legendre", 0.0, 0.0, np.array([0.3, 0.7]), np.array([0.5, -0.5]))
+    for nodes, weights, error in _RULE_TABLE:
+        make = partial(QuadratureRule, "legendre", 0.0, 0.0, np.array(nodes), np.array(weights))
+        if error is None:
+            assert make().count == len(nodes)
+        else:
+            with pytest.raises(InvalidParameters, match=f"^{re.escape(error)}$"):
+                make()
     with pytest.raises(ValueError):
         IntegralResult(value=np.eye(1), error_estimate=-1.0, nodes_used=16)
     with pytest.raises(ValueError):
         IntegralResult(value=np.eye(1), error_estimate=math.inf, nodes_used=16)
+
+
+def test_jacobi_matrix_is_the_diag_built_one(monkeypatch):
+    # The rule's Jacobi matrix, written as two strided diagonals, is bitwise
+    # np.diag(diagonal) with the subdiagonal set by fancy indexing, so the rule
+    # is that matrix's: the eigensolver is handed the np.diag one.
+    eigh, seen = np.linalg.eigh, []
+
+    def diag_built(tri, UPLO):
+        n = len(tri)
+        ref = np.diag(np.diag(tri))
+        ref[np.arange(1, n), np.arange(n - 1)] = np.diag(tri, -1)
+        seen.append(tri.tobytes() == ref.tobytes())
+        return eigh(ref, UPLO=UPLO)
+
+    build = quadrature._rule_cached.__wrapped__  # past the cache
+    for n in (1, 2, 3, 8, 64, 512):
+        for alpha, beta in ((0.0, 0.0), (-0.3, 0.3), (-0.5, -0.5), (-0.7, -0.3), (0.5, 2.0)):
+            want = build("jacobi", n, alpha, beta)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", diag_built)
+                got = build("jacobi", n, alpha, beta)
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+    assert len(seen) == 30 and all(seen)
 
 
 # ---------------------------------------------------------- normalization
@@ -437,6 +495,31 @@ def _pole_count(mu, bound, tol, top):
     return None, rho ** (-2.0 * counts[-1])
 
 
+_STUB_MUS = np.array([[0.2 + 0.5j, 3.0 - 1.0j], [-0.05 + 0.4j, 2.0], [0.9 + 0.1j, -0.02 + 0.05j]])
+
+
+def _stub_f(t, mu):
+    g = 1.0 / ((1.0 - t) + t * mu)
+    return np.array([[g[0], g[1]], [t * t, 1.0]], dtype=complex)
+
+
+def _stub_path(x, y):
+    # t -> x f(t) + y over the node array, for the three stacked pairs or those
+    # listed in jobs; f has its poles at t = 1/(1 - mu), mu over the eigenvalues
+    # of the ratio, one diagonal matrix per pair
+    def p(nodes, jobs=...):
+        vals = np.stack([np.stack([_stub_f(float(t), mu) for t in nodes]) for mu in _STUB_MUS])
+        return x[:, None][jobs] * vals[jobs] + y[:, None][jobs]
+
+    p.ratio = lambda: np.eye(2) * _STUB_MUS[:, None, :]
+    return p
+
+
+def _stub_pairs():
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+
+
 def test_evaluate_takes_the_rule_from_the_config():
     # _evaluate alone chooses between a fixed rule, which reports no error
     # estimate, and the count from the poles of the path's ratio, up to the
@@ -445,25 +528,8 @@ def test_evaluate_takes_the_rule_from_the_config():
     # each pair's factor.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
-    mus = np.array([[0.2 + 0.5j, 3.0 - 1.0j], [-0.05 + 0.4j, 2.0], [0.9 + 0.1j, -0.02 + 0.05j]])
-
-    def f(t, mu):
-        g = 1.0 / ((1.0 - t) + t * mu)
-        return np.array([[g[0], g[1]], [t * t, 1.0]], dtype=complex)
-
-    def path(x, y):
-        # t -> x f(t) + y over the node array, for the three stacked pairs or those
-        # listed in jobs; f has its poles at t = 1/(1 - mu), mu over the eigenvalues
-        # of the ratio, one diagonal matrix per pair
-        def p(nodes, jobs=...):
-            vals = np.stack([np.stack([f(float(t), mu) for t in nodes]) for mu in mus])
-            return x[:, None][jobs] * vals[jobs] + y[:, None][jobs]
-
-        p.ratio = lambda: np.eye(2) * mus[:, None, :]
-        return p
-
-    rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+    mus, f, path = _STUB_MUS, _stub_f, _stub_path
+    a, b = _stub_pairs()
     scale = [2.0, 3.0, 0.5]
     fixed = _evaluate(path, a, b, scale, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
@@ -483,6 +549,27 @@ def test_evaluate_takes_the_rule_from_the_config():
     # no factor: the raw integrals
     raw = _evaluate(path, a, b, None, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
     assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t, mus[1]) + b[1]))
+
+
+def test_evaluate_takes_a_bound_per_pair():
+    # A list of bounds gives each pair the count and estimate that its own bound
+    # gives it alone; a scalar bound is that bound for every pair.
+    from sectorlab.quadrature import QuadratureConfig, _evaluate
+
+    a, b = _stub_pairs()
+    scale, families, cfg = [2.0, 3.0, 0.5], [gauss_legendre] * 3, QuadratureConfig(tol=1e-13)
+    bounds = [1e5, 1.0, 10.0]
+    got = _evaluate(_stub_path, a, b, scale, families, cfg, bound=bounds)
+    for k, bound in enumerate(bounds):
+        alone = _evaluate(_stub_path, a, b, scale, families, cfg, bound=bound)
+        assert got.nodes_used[k] == alone.nodes_used[k] == _pole_count(_STUB_MUS[k], bound, 1e-13, 512)[0]
+        assert got.error_estimates[k] == alone.error_estimates[k]
+        assert got.value[k].tobytes() == alone.value[k].tobytes()
+        same = _evaluate(_stub_path, a, b, scale, families, cfg, bound=[bound] * 3)
+        assert (same.value.tobytes(), same.error_estimates, same.nodes_used) == \
+            (alone.value.tobytes(), alone.error_estimates, alone.nodes_used)
+    # the bounds chose counts that no one bound gives all three pairs
+    assert got.nodes_used != _evaluate(_stub_path, a, b, scale, families, cfg, bound=10.0).nodes_used
 
 
 def test_doubling_error_decreases_monotonically():
