@@ -24,7 +24,7 @@ from . import entropy as entropy_mod
 from . import means as means_mod
 from .errors import NoConvergence, SectorlabError
 from .linalg import MAX_DIM, AccretiveMatrix, _check_integer
-from .quadrature import MAX_NODES, QuadratureConfig, gauss_jacobi, gauss_legendre
+from .quadrature import DEFAULT_CONFIG, MAX_NODES, QuadratureConfig, gauss_jacobi, gauss_legendre
 from .serialize import to_json
 from .verify import (
     CHECKS_BY_ID,
@@ -129,17 +129,16 @@ _INTEGRALS = {
 
 def cmd_pair(args) -> int:
     # mean and entropy: one --kind of one pair, with its weight and, for an
-    # integral, the node count used and the error estimate.  --nodes sets a
-    # fixed rule, 64 nodes if it is not given; --tol, 1e-12 if it is not given,
-    # is the error bound of --adaptive alone.
-    if args.nodes is not None and (args.adaptive or args.kind in _CLOSED_FORMS):
+    # integral, the node count used and the error estimate.  An integral takes
+    # the library's QuadratureConfig with the flags given: --nodes its fixed
+    # rule, --tol its bound and --adaptive MAX_NODES as its cap.
+    auto = "--adaptive" if args.adaptive else "--tol" if args.tol is not None else None
+    if args.nodes is not None and (auto or args.kind in _CLOSED_FORMS):
         raise UsageError("--nodes sets the fixed rule of an integral and does not apply "
-                         + ("with --adaptive" if args.adaptive else f"to --kind {args.kind}"))
-    if args.adaptive and args.kind in _CLOSED_FORMS:
-        raise UsageError("--adaptive chooses the rule of an integral and does not apply "
-                         f"to --kind {args.kind}")
-    if args.tol is not None and not args.adaptive:
-        raise UsageError("--tol sets the error bound of --adaptive and does not apply without it")
+                         + (f"with {auto}" if auto else f"to --kind {args.kind}"))
+    if auto and args.kind in _CLOSED_FORMS:
+        raise UsageError(f"{auto} {'chooses the rule' if args.adaptive else 'sets the error bound'} "
+                         f"of an integral and does not apply to --kind {args.kind}")
     a, b = _load_pair(args)
     if args.kind == "drury":
         if args.lam is not None and args.lam != 0.5:
@@ -150,8 +149,9 @@ def cmd_pair(args) -> int:
     if args.kind in _CLOSED_FORMS:
         value, nodes_used, error_estimate = _CLOSED_FORMS[args.kind](a, b, lam), None, None
     else:
-        cfg = (QuadratureConfig(tol=1e-12 if args.tol is None else args.tol, max_nodes=MAX_NODES)
-               if args.adaptive else QuadratureConfig(rule_nodes=64 if args.nodes is None else args.nodes))
+        given = {"rule_nodes": args.nodes, "tol": args.tol,
+                 "max_nodes": MAX_NODES if args.adaptive else None}
+        cfg = QuadratureConfig(**{k: v for k, v in given.items() if v is not None})
         res = _INTEGRALS[args.kind](*means_mod._lone(a, b), lam, cfg)[0]
         value, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
     payload = matrix_to_payload(value)
@@ -215,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--a", required=True, help="path to the left matrix JSON file")
     pair.add_argument("--b", required=True, help="path to the right matrix JSON file")
     pair.add_argument("--nodes", type=int, default=None,
-                      help="node count of the fixed rule of an integral kind (default 64)")
+                      help="node count of a fixed rule for an integral kind, instead of the automatic "
+                           f"count from the pair's poles, up to {DEFAULT_CONFIG.max_nodes} nodes")
     pair.add_argument("--adaptive", action="store_true",
-                      help="take the node count of an integral kind from the pair's poles, "
-                           "up to 4096 nodes, to meet --tol")
+                      help=f"raise the automatic count's cap to {MAX_NODES} nodes")
     pair.add_argument("--tol", type=float, default=None,
-                      help="error bound of --adaptive, relative to ||A||_F (default 1e-12); "
-                           "only with --adaptive")
+                      help="error bound of the automatic count, relative to ||A||_F "
+                           f"(default {DEFAULT_CONFIG.tol:g})")
     pair.add_argument("--out", default="-")
     pair.add_argument("--no-validate", action="store_true",
                       help="skip the accretivity check on inputs")

@@ -109,7 +109,7 @@ _BATCH_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights on the open interval (0, 1)."""
+    """Nodes on the open interval (0, 1) and positive, finite weights."""
 
     kind: str  # "legendre" or "jacobi"
     alpha: float
@@ -128,8 +128,8 @@ class QuadratureRule:
         # and min propagates it.
         if not (n[0] > 0.0 and n[-1] < 1.0 and np.all(n[1:] > n[:-1])):
             raise InvalidParameters("nodes must be strictly increasing inside (0, 1)")
-        if not w.min() > 0.0:
-            raise InvalidParameters("weights must be strictly positive")
+        if not (w.min() > 0.0 and w.max() < math.inf):
+            raise InvalidParameters("weights must be strictly positive and finite")
 
     @property
     def count(self) -> int:
@@ -289,9 +289,9 @@ class QuadratureConfig:
     error bound from the poles of the pair's path meets ``tol``; an integer
     gives a fixed rule of that many nodes.  ``max_nodes``, in [32, 4096], is
     512 by default, so an automatic rule never loads scipy; 4096 is the
-    ``*_adaptive`` functions' default.  The tolerance is relative to ||A||_F
-    of the pair being integrated; a tolerance below four rounding units
-    raises ``NoConvergence`` wherever the bound chooses the count.
+    ``*_adaptive`` functions' default.  The tolerance, finite and > 0, is
+    relative to ||A||_F of the pair being integrated; one below four rounding
+    units raises ``NoConvergence`` wherever the bound chooses the count.
     ``GeometricMeanConfig`` and ``EntropyConfig`` are this class.
     """
 
@@ -303,8 +303,8 @@ class QuadratureConfig:
         if not (isinstance(self.rule_nodes, str) and self.rule_nodes == "auto"):
             nodes = _check_integer("rule_nodes", self.rule_nodes, 1, MAX_NODES)
             object.__setattr__(self, "rule_nodes", nodes)  # a Python int, so nodes_used serializes
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be {'finite' if self.tol == math.inf else '> 0'}, got {self.tol}")
         object.__setattr__(self, "max_nodes", _check_integer("max_nodes", self.max_nodes, 32, MAX_NODES))
 
 

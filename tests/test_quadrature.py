@@ -244,7 +244,7 @@ def test_rules_are_cached_as_objects():
 
 _SHAPES = "nodes and weights must be 1-d arrays of equal length"
 _NODES = "nodes must be strictly increasing inside (0, 1)"
-_WEIGHTS = "weights must be strictly positive"
+_WEIGHTS = "weights must be strictly positive and finite"
 _TINY = 5e-324
 
 #: (nodes, weights, the message they are rejected with or None): the nodes are
@@ -267,6 +267,7 @@ _RULE_TABLE = [
     ([0.3, 0.7], [0.5, 0.0], _WEIGHTS),
     ([0.3, 0.7], [0.5, -0.5], _WEIGHTS),
     ([0.3, 0.7], [math.nan, 0.5], _WEIGHTS),
+    ([0.3, 0.7], [math.inf, 0.5], _WEIGHTS),
     ([0.3, 0.7], [0.5, 0.5, 0.5], _SHAPES),
     ([[0.3, 0.7]], [[0.5, 0.5]], _SHAPES),
     ([], [], "a rule needs at least one node"),
@@ -1269,6 +1270,22 @@ def test_max_nodes_is_checked_when_the_config_is_built():
         assert str(called.value) == message
     with pytest.raises(TypeError):
         QuadratureConfig(adaptive=True)
+
+
+def test_tol_is_checked_when_the_config_is_built():
+    # A tolerance must be finite and > 0 when the config is built: an infinite
+    # one would reach log(bound / tol) in the automatic count as a math domain
+    # error.  The *_adaptive functions build the same config.
+    from sectorlab.means import geometric_mean, geometric_mean_adaptive
+    from sectorlab.quadrature import QuadratureConfig
+
+    for tol, message in ((0.0, "tol must be > 0, got 0.0"), (-1e-12, "tol must be > 0, got -1e-12"),
+                         (math.nan, "tol must be > 0, got nan"), (math.inf, "tol must be finite, got inf")):
+        for build in (partial(QuadratureConfig, tol=tol),
+                      partial(geometric_mean_adaptive, PAIR_A, PAIR_B, 0.3, tol=tol)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+    assert geometric_mean(PAIR_A, PAIR_B, 0.3, QuadratureConfig(tol=1e300)).shape == (2, 2)
 
 
 def test_a_config_capped_at_4096_is_the_adaptive_functions_bitwise():
