@@ -32,6 +32,7 @@ from .verify import (
     all_theorem_checks_clean,
     reports_to_dict,
     run_all,
+    run_checks,
 )
 
 EXIT_OK = 0
@@ -121,8 +122,8 @@ _CLOSED_FORMS = {"arith": means_mod.arithmetic_mean, "harm": means_mod.harmonic_
 #: The integral kinds: each is its body over stacked pairs, under one config.
 _INTEGRALS = {
     "geom": means_mod._geometric_mean,
-    "drury": lambda a, b, lam, cfg: means_mod._drury_mean(a, b, cfg),
-    "relative": lambda a, b, lam, cfg: entropy_mod._tsallis_entropy(a, b, 0.0, cfg),
+    "drury": lambda a, b, lams, cfg: means_mod._drury_mean(a, b, cfg),
+    "relative": lambda a, b, lams, cfg: entropy_mod._tsallis_entropy(a, b, [0.0], cfg),
     "tsallis": entropy_mod._tsallis_entropy,
 }
 
@@ -139,6 +140,8 @@ def cmd_pair(args) -> int:
     if auto and args.kind in _CLOSED_FORMS:
         raise UsageError(f"{auto} {'chooses the rule' if args.adaptive else 'sets the error bound'} "
                          f"of an integral and does not apply to --kind {args.kind}")
+    if args.kind == "relative" and args.lam is not None:
+        raise UsageError("--lambda does not apply to --kind relative")
     a, b = _load_pair(args)
     if args.kind == "drury":
         if args.lam is not None and args.lam != 0.5:
@@ -152,7 +155,7 @@ def cmd_pair(args) -> int:
         given = {"rule_nodes": args.nodes, "tol": args.tol,
                  "max_nodes": MAX_NODES if args.adaptive else None}
         cfg = QuadratureConfig(**{k: v for k, v in given.items() if v is not None})
-        res = _INTEGRALS[args.kind](*means_mod._lone(a, b), lam, cfg)[0]
+        res = _INTEGRALS[args.kind](*means_mod._lone(a, b), [lam], cfg)[0]
         value, nodes_used, error_estimate = res.value, res.nodes_used, res.error_estimate
     payload = matrix_to_payload(value)
     payload["meta"] = {"lambda": lam, "nodes_used": nodes_used, "error_estimate": error_estimate}
@@ -162,6 +165,8 @@ def cmd_pair(args) -> int:
 
 def cmd_rule(args) -> int:
     if args.kind == "legendre":
+        if args.lam is not None:
+            raise UsageError("--lambda does not apply to --kind legendre")
         rule = gauss_legendre(args.nodes)
     else:
         lam = _require_lambda(args)
@@ -191,7 +196,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown property ids: {', '.join(unknown)} "
                              f"(known: {', '.join(sorted(CHECKS_BY_ID))})")
-        reports = [CHECKS_BY_ID[w](spec) for w in wanted]
+        reports = run_checks(spec, wanted)
     else:
         reports = run_all(spec)
     for rep in reports:

@@ -16,22 +16,22 @@ A - A B^-1 A at t = 0).  (A #_lam B - A)/lam is the cheaper
 single-quadrature route to the Tsallis entropy and is what most callers want;
 the direct integral stays as an independent cross-check.  Both entropies are
 one body over stacked pairs (jobs, d, d) on the shared integrand
-``_entropy_path``; ``verify`` calls it on its ensembles, the public functions
-on a stack of one pair, and the ``*_adaptive`` functions are that body under
-a config whose ladder goes up to their ``max_nodes``.  How the pairs are
-batched and how many nodes each gets is up to ``quadrature``, whose tolerance
-relative to ||A||_F suits S(sA|sB) = s S(A|B) and T_lam alike, so both
-integrate the caller's pair as it is.  The entropy path has the harmonic
-path's poles, so by default each pair's node count comes from the eigenvalues
-of A B^-1, as for the mean.  The body takes one weight per pair, so
-``tsallis_limit_probe`` is one evaluation: S and every T_lam of its pair, from
-one path and one ``eigvals`` call, each bitwise its lone call.
+``_entropy_path``, with one weight per pair, 0 for S; ``verify`` calls it on
+its ensembles, the public functions on a stack of one pair and a list of one
+weight, and the ``*_adaptive`` functions are that body under a config whose
+ladder goes up to their ``max_nodes``.  How the pairs are batched and how many
+nodes each gets is up to ``quadrature``, whose tolerance relative to ||A||_F
+suits S(sA|sB) = s S(A|B) and T_lam alike, so both integrate the caller's pair
+as it is.  The entropy path has the harmonic path's poles, so by default each
+pair's node count comes from the eigenvalues of A B^-1, as for the mean.  With
+a weight per pair, ``tsallis_limit_probe`` is one evaluation: S and every
+T_lam of its pair, from one path and one ``eigvals`` call, each bitwise its
+lone call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .quadrature import (
     _evaluate,
     _Integrals,
     check_weight,
-    gauss_jacobi,
 )
 
 EntropyConfig = QuadratureConfig
@@ -79,7 +78,7 @@ def _entropy_path(a: np.ndarray, b: np.ndarray):
 def relative_entropy(a, b, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Relative operator entropy S(A|B) by Gauss-Legendre quadrature, with the
     node count chosen as for :func:`sectorlab.means.geometric_mean`."""
-    return _tsallis_entropy(*_lone(a, b), 0.0, cfg).value[0]
+    return _tsallis_entropy(*_lone(a, b), [0.0], cfg).value[0]
 
 
 def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NODES) -> IntegralResult:
@@ -95,7 +94,7 @@ def relative_entropy_adaptive(a, b, tol: float = 1e-12, max_nodes: int = MAX_NOD
     up to ``max_nodes`` meets ``tol``; then the payload is the entropy at the
     largest count, with its estimate.
     """
-    return _tsallis_entropy(*_lone(a, b), 0.0, EntropyConfig(tol=tol, max_nodes=max_nodes))[0]
+    return _tsallis_entropy(*_lone(a, b), [0.0], EntropyConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
 def relative_entropy_hpd(a, b) -> np.ndarray:
@@ -103,23 +102,19 @@ def relative_entropy_hpd(a, b) -> np.ndarray:
     return _hpd_congruence(*_pair(a, b))(_LOG)
 
 
-def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lam, cfg: EntropyConfig) -> _Integrals:
-    # T_lam_k(A_k|B_k) for every pair of the stacks (jobs, d, d), at one checked weight for
-    # all pairs or a list of one per pair.  lam = 0 gives S(A_k|B_k), bitwise: Jacobi(-0.0, 0.0)
-    # is the Gauss-Legendre rule, and S's factor is 1.0, or none if every weight is 0.
-    lams = lam if isinstance(lam, list) else [lam] * len(a)
-    scale = None
-    if any(lams):
-        scale = [math.sin(lam * math.pi) / (lam * math.pi) if lam else 1.0 for lam in lams]
-    families = [partial(gauss_jacobi, alpha=-lam, beta=lam) for lam in lams]
-    return _evaluate(_entropy_path, a, b, scale, families, cfg,
-                     bound=[_TSALLIS_BOUND if lam else _RELATIVE_BOUND for lam in lams])
+def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lams: list, cfg: EntropyConfig) -> _Integrals:
+    # T_lam_k(A_k|B_k) for every pair of the stacks (jobs, d, d), one checked weight per pair.
+    # lam = 0 gives S(A_k|B_k): Jacobi(-0.0, 0.0) is the Gauss-Legendre rule, and S's factor
+    # 1.0 changes no bit of its sums unless an entry is -0 - 0j at every node.
+    return _evaluate(_entropy_path, a, b,
+                     [(-lam, lam, math.sin(lam * math.pi) / (lam * math.pi), _TSALLIS_BOUND) if lam
+                      else (-0.0, 0.0, 1.0, _RELATIVE_BOUND) for lam in lams], cfg)
 
 
 def tsallis_entropy(a, b, lam: float, cfg: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Tsallis relative operator entropy T_lam(A|B), direct integral form."""
     lam = check_weight(lam)
-    return _tsallis_entropy(*_lone(a, b), lam, cfg).value[0]
+    return _tsallis_entropy(*_lone(a, b), [lam], cfg).value[0]
 
 
 def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
@@ -130,7 +125,7 @@ def tsallis_entropy_adaptive(a, b, lam: float, tol: float = 1e-12,
     :class:`NoConvergence` are as in :func:`relative_entropy_adaptive`.
     """
     lam = check_weight(lam)
-    return _tsallis_entropy(*_lone(a, b), lam, EntropyConfig(tol=tol, max_nodes=max_nodes))[0]
+    return _tsallis_entropy(*_lone(a, b), [lam], EntropyConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
 def tsallis_from_mean(a, b, lam: float,
@@ -138,7 +133,7 @@ def tsallis_from_mean(a, b, lam: float,
     """T_lam(A|B) = (A #_lam B - A)/lam via the geometric mean."""
     lam = check_weight(lam)
     am, bm = _lone(a, b)
-    return (_geometric_mean(am, bm, lam, cfg).value[0] - am[0]) / lam
+    return (_geometric_mean(am, bm, [lam], cfg).value[0] - am[0]) / lam
 
 
 def tsallis_limit_probe(a, b, lambdas,

@@ -15,8 +15,9 @@ geometric mean and the entropies integrate it.  For Hermitian positive
 definite inputs the classical closed form is available as an independent
 oracle, and the half-weight Drury mean gives a second integral
 route at lam = 1/2.  Each integral mean has one body over stacked pairs
-(jobs, d, d), which ``verify`` calls on its ensembles; the public functions
-call it on a stack of one pair, and each ``*_adaptive`` function is that body
+(jobs, d, d), with one weight per pair, which ``verify`` calls on its
+ensembles; the public functions call it on a stack of one pair and a list of
+one weight, and each ``*_adaptive`` function is that body
 under a config whose ladder goes up to its ``max_nodes``.  How the pairs are
 batched, and how many nodes each gets, is up to ``quadrature``.
 """
@@ -24,7 +25,7 @@ batched, and how many nodes each gets, is up to ``quadrature``.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .quadrature import (
     _evaluate,
     _Integrals,
     check_weight,
-    gauss_jacobi,
 )
 
 GeometricMeanConfig = QuadratureConfig
@@ -148,14 +148,12 @@ def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, np.nd
     return a / div[0], b / div[1], gauges
 
 
-def _geometric_mean(a: np.ndarray, b: np.ndarray, lam, cfg: GeometricMeanConfig) -> _Integrals:
-    # A_k #_lam_k B_k for every pair of the stacks (jobs, d, d), at one checked
-    # weight for all pairs or a list of one per pair
-    lams = lam if isinstance(lam, list) else [lam] * len(a)
+def _geometric_mean(a: np.ndarray, b: np.ndarray, lams: list, cfg: GeometricMeanConfig) -> _Integrals:
+    # A_k #_lam_k B_k for every pair of the stacks (jobs, d, d), one checked weight per pair
     a, b, gauges = _gauges(a, b, lams)
-    scale = [g * math.sin(lam * math.pi) / math.pi for g, lam in zip(gauges, lams)]
-    families = [partial(gauss_jacobi, alpha=-lam, beta=lam - 1.0) for lam in lams]
-    return _evaluate(_harmonic_path, a, b, scale, families, cfg, bound=_MEAN_BOUND)
+    return _evaluate(_harmonic_path, a, b,
+                     [(-lam, lam - 1.0, g * math.sin(lam * math.pi) / math.pi, _MEAN_BOUND)
+                      for g, lam in zip(gauges, lams)], cfg)
 
 
 def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -167,7 +165,7 @@ def geometric_mean(a, b, lam: float, cfg: GeometricMeanConfig = DEFAULT_CONFIG) 
     accretive pair's path has (see :mod:`sectorlab.quadrature`).
     """
     lam = check_weight(lam)
-    return _geometric_mean(*_lone(a, b), lam, cfg).value[0]
+    return _geometric_mean(*_lone(a, b), [lam], cfg).value[0]
 
 
 def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
@@ -185,7 +183,7 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
     largest count, with its estimate.
     """
     lam = check_weight(lam)
-    return _geometric_mean(*_lone(a, b), lam, GeometricMeanConfig(tol=tol, max_nodes=max_nodes))[0]
+    return _geometric_mean(*_lone(a, b), [lam], GeometricMeanConfig(tol=tol, max_nodes=max_nodes))[0]
 
 
 def _drury_finish(value, err, gauge):
@@ -197,9 +195,8 @@ def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig) -> _Inte
     # A_k # B_k for every pair of the stacks (jobs, d, d); the
     # integrand (uA + (1-u)B)^-1 is the convex path from B to A
     a, b, gauges = _gauges(a, b, [0.5] * len(a))
-    return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b, gauges,
-                     [partial(gauss_jacobi, alpha=-0.5, beta=-0.5)] * len(a), cfg, _drury_finish,
-                     _DRURY_BOUND)
+    return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b,
+                     [(-0.5, -0.5, g, _DRURY_BOUND) for g in gauges], cfg, _drury_finish)
 
 
 def drury_mean(a, b, cfg: GeometricMeanConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -25,9 +25,11 @@ config (its fixed count and its cap, checked when the config is built) or of
 ``integrate_adaptive``'s cap, obeys the package's one integer rule,
 ``linalg._check_integer``, and every mean weight obeys ``check_weight``.
 One :class:`QuadratureConfig` sets every library integral, and ``_evaluate``
-alone applies it, to stacked pairs with one rule family each: the pairs that
-share a rule, a family at a node count, are integrated together, in batches.  It returns their values as one
-stack, with each pair's estimate and node count.
+alone applies it, to stacked pairs with one job each: the exponents of the
+pair's Gauss-Jacobi rule, its factor and the constant K of its error bound.
+It groups the pairs by rule, a node count and exponents, builds each rule
+once and integrates its pairs together, in batches, and returns their values
+as one stack, with each pair's estimate and node count.
 
 Every library path is t -> ((1-t) X + t Y)^-1 or built on it, with poles at
 t = 1/(1 - mu) over the eigenvalues mu of its ratio X^-1 Y, and the Gauss error
@@ -37,8 +39,8 @@ Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The default ``rule_nodes="auto"``
 takes mu for all pairs from one stacked ``eigvals`` and gives each pair the
 fewest nodes on a fixed ladder, 8, 16, ... 512, 768, ... 4096, up to the
 config's ``max_nodes`` (512 by default), with K rho^(-2n) <= tol, where K is
-calibrated per integral kind against scipy's spectral forms and given per
-pair, like the rule family; the rules above 512 nodes load scipy.  Each
+calibrated per integral kind against scipy's spectral forms and given in
+each pair's job; the rules above 512 nodes load scipy.  Each
 pair's rule is evaluated once, at its count, so every result is bitwise the
 fixed rule's at its node count.  That bound, times
 ||A||_F of the pair and scaled like the value, is the pair's error estimate: it
@@ -229,12 +231,10 @@ class IntegralResult:
             raise ValueError(f"error estimate must be finite and >= 0, got {err}")
 
 
-def _scaled(value, err, scale):
-    # Multiply integrals and their error estimates by scale: a float, one factor
-    # per job (jobs, 1, 1), or None for none.  No estimate stays None.
-    if scale is None:
-        return value, err
-    return scale * value, None if err is None else scale * err
+def _scaled(value, err, factor):
+    # Multiply integrals and their error estimates by factor: a float, or one per job
+    # (jobs, 1, 1).  No estimate stays None.
+    return factor * value, None if err is None else factor * err
 
 
 #: An integrand over the whole node array: nodes (n,) -> values (n, d, d).
@@ -322,16 +322,16 @@ class _Integrals:
         return IntegralResult(self.value[k], self.error_estimates[k], self.nodes_used[k])
 
 
-def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: QuadratureConfig,
-              finish=_scaled, bound=1.0) -> _Integrals:
-    # path(A_k, B_k) integrated over families[k](n)'s rules for the stacked pairs, then
-    # finish(values, estimates, scales) -> (values, estimates), with the pairs' factors from
-    # the list scale, or None.  The path is built once for all pairs; each pair's count is
-    # cfg.rule_nodes or, under "auto", the smallest on _LADDER, up to cfg.max_nodes, with
-    # bound_k * rho^(-2n) <= cfg.tol (see the module docstring), where bound, calibrated per
-    # integral kind, is one for all pairs or a list of one per pair, like scale; the pairs
-    # that share a rule are integrated together, in batches of at most _BATCH_ENTRIES
-    # node-stack entries, and all are finished at once.
+def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureConfig,
+              finish=_scaled) -> _Integrals:
+    # path(A_k, B_k) integrated for the stacked pairs, one job per pair: (alpha, beta, factor,
+    # bound), its Gauss-Jacobi exponents, the factor that finish(values, estimates, factors)
+    # -> (values, estimates) applies and K, its bound constant, calibrated per integral kind.
+    # The path is built once for all pairs; each pair's count is cfg.rule_nodes or, under
+    # "auto", the smallest on _LADDER, up to cfg.max_nodes, with K rho^(-2n) <= cfg.tol (see
+    # the module docstring).  The pairs are grouped by rule, a count and exponents, before any
+    # rule is built, so each is built once per evaluation; its pairs are integrated together,
+    # in batches of at most _BATCH_ENTRIES node-stack entries, and all are finished at once.
     ladder = None
     if cfg.rule_nodes == "auto":
         ladder = _LADDER[:bisect_right(_LADDER, cfg.max_nodes)]
@@ -340,14 +340,12 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: Quadratu
     # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
     lone = len(a) == 1
     p = path(a[0], b[0]) if lone else path(a, b)
-    scales = [None] * len(a) if scale is None else scale
     counts, errs = [cfg.rule_nodes] * len(a), [None] * len(a)
     if ladder:
         # Scalar work per pair: numpy's overhead on arrays this small exceeds it.
-        bounds = bound if isinstance(bound, list) else [bound] * len(a)
         counts, errs = [], []
         log_rho = _log_rho(np.linalg.eigvals(p.ratio())).reshape(len(a), -1).min(axis=1)
-        for k, (r, x, bound) in enumerate(zip(log_rho.tolist(), a, bounds)):
+        for k, (r, x, (alpha, beta, factor, bound)) in enumerate(zip(log_rho.tolist(), a, jobs)):
             if not r > 0.0:
                 raise NoConvergence(_POLE_ON_INTERVAL)
             i = bisect_left(ladder, math.log(bound / cfg.tol) / 2.0 / r)
@@ -356,28 +354,29 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, scale, families, cfg: Quadratu
             if i == len(ladder):
                 message = f"tol={cfg.tol:g} needs more than {ladder[-1]} nodes"
                 try:  # the payload, unless it fails or its bound overflows to inf
-                    value = _integrate(families[k](counts[k]), partial(p, jobs=[k]))
-                    payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k], scales[k]),
+                    value = _integrate(gauss_jacobi(counts[k], alpha, beta), partial(p, jobs=[k]))
+                    payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k], factor),
                                              counts[k])
                 except (SectorlabError, ValueError) as exc:
                     raise NoConvergence(message) from exc
                 raise NoConvergence(message, payload)
     if lone:
         # Python floats for the factor and the estimate, not (1, 1, 1) arrays
-        value, err = finish(_integrate(families[0](counts[0]), p), errs[0], scales[0])
+        alpha, beta, factor, _ = jobs[0]
+        value, err = finish(_integrate(gauss_jacobi(counts[0], alpha, beta), p), errs[0], factor)
         return _Integrals(value[None], [err], counts)
     shared = {}
-    for k, (family, n) in enumerate(zip(families, counts)):
-        rule = family(n)
-        shared.setdefault((rule.kind, rule.count, rule.alpha, rule.beta), (rule, []))[1].append(k)
+    for k, (n, (alpha, beta, _, _)) in enumerate(zip(counts, jobs)):
+        shared.setdefault((n, alpha, beta), []).append(k)
     raw = np.empty(a.shape, dtype=np.complex128)
-    for rule, jobs in shared.values():
-        step = max(1, _BATCH_ENTRIES // (rule.count * a[0].size))
-        for batch in (jobs[k:k + step] for k in range(0, len(jobs), step)):
+    for (n, alpha, beta), pairs in shared.items():
+        rule = gauss_jacobi(n, alpha, beta)
+        step = max(1, _BATCH_ENTRIES // (n * a[0].size))
+        for batch in (pairs[k:k + step] for k in range(0, len(pairs), step)):
             batch = ... if len(batch) == len(a) else batch  # all pairs: no index, which would copy
             raw[batch] = _integrate(rule, partial(p, jobs=batch))
     value, errs = finish(raw, np.array(errs)[:, None, None] if ladder else None,
-                         None if scale is None else np.array(scale)[:, None, None])
+                         np.array([factor for _, _, factor, _ in jobs])[:, None, None])
     return _Integrals(value, [None] * len(a) if errs is None else errs.ravel().tolist(), counts)
 
 

@@ -29,6 +29,7 @@ report does not depend on the stacking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -85,9 +86,8 @@ class EnsembleSpec:
     lambda_grid: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self):
-        _check_integer("dim", self.dim, 1, MAX_DIM)
-        _check_integer("trials", self.trials, 1)
-        _check_integer("seed", self.seed, 0)
+        for name, low, high in (("dim", 1, MAX_DIM), ("trials", 1, None), ("seed", 0, None)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
         if not (0.0 <= self.sector_angle < math.pi / 2):
             raise ValueError(f"sector_angle must lie in [0, pi/2), got {self.sector_angle}")
         if not self.lambda_grid:
@@ -95,6 +95,8 @@ class EnsembleSpec:
         for lam in self.lambda_grid:
             if not (0.0 < lam < 1.0):
                 raise ValueError(f"lambda grid entries must lie in (0, 1), got {lam}")
+        object.__setattr__(self, "sector_angle", float(self.sector_angle))
+        object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in self.lambda_grid))
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,12 @@ class PropertyReport:
     detail: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "property_id": self.property_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "worst_seed": self.worst_seed,
-            "tolerance": {
-                "absolute": self.tolerance_used.absolute,
-                "relative": self.tolerance_used.relative,
-            },
-        }
-        if self.status is not None:
-            out["status"] = self.status
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
+        tol = self.tolerance_used
+        out = {"property_id": self.property_id, "trials": self.trials, "violations": self.violations,
+               "worst_margin": self.worst_margin, "worst_seed": self.worst_seed,
+               "tolerance": {"absolute": tol.absolute, "relative": tol.relative},
+               "status": self.status, "detail": self.detail}
+        return {k: v for k, v in out.items() if v is not None}  # status and detail where set
 
 
 def _draw(spec: EnsembleSpec, trials):
@@ -263,7 +255,7 @@ def _re_harmonic(spec, p: _Pairs, m, tol):
 
 def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
     # relative_entropy_hpd of every trial: the closed form on the stack
-    return loewner_margin(real_part(_tsallis_entropy(p.a, p.b, 0.0, cfg).value),
+    return loewner_margin(real_part(_tsallis_entropy(p.a, p.b, [0.0] * spec.trials, cfg).value),
                           p.hpd(_LOG), tol)[::2]
 
 
@@ -393,7 +385,9 @@ def check_homogeneity(spec: EnsembleSpec, scales=HOMOGENEITY_SCALES,
     if len(scales) == 0:
         raise ValueError("scales must not be empty")
     for entry in scales:
-        if not (len(entry) == 2 and all(0.0 < v < math.inf for v in entry)):
+        if not (isinstance(entry, (tuple, list, np.ndarray)) and len(entry) == 2
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
+                        for v in entry)):
             raise ValueError("scales must be (alpha, beta) pairs of positive finite reals, "
                              f"got {entry!r}")
     return _alone("check_homogeneity", _homogeneity, spec, means_cfg=cfg, scales=scales)
@@ -449,6 +443,15 @@ THEOREM_CHECKS = (
 CHECKS_BY_ID = {fn.__name__: fn for fn in THEOREM_CHECKS + (search_agh_counterexample,)}
 
 
+def _reported(property_id: str, check, *args) -> PropertyReport:
+    # check(*args), or where it raises a SectorlabError, the report with status "error"
+    try:
+        return check(*args)
+    except SectorlabError as exc:
+        return PropertyReport(property_id, 0, 0, 0.0, 0, DEFAULT_TOLERANCE, "error",
+                              f"{type(exc).__name__}: {exc}")
+
+
 def run_all(spec: EnsembleSpec) -> list[PropertyReport]:
     """Run the nine theorem-backed checks on one evaluation of the ensemble.
 
@@ -463,19 +466,20 @@ def run_all(spec: EnsembleSpec) -> list[PropertyReport]:
         m = _evaluate_means(spec, p, GeometricMeanConfig())
     except SectorlabError as exc:
         failure = exc
-    reports = []
-    for fn, predicate in zip(THEOREM_CHECKS, _PREDICATES):
+
+    def check(property_id, predicate):
+        if (p if predicate in _PAIR_PREDICATES else m) is None:
+            raise failure
         tol = _TOLERANCES.get(predicate, DEFAULT_TOLERANCE)
-        try:
-            if (p if predicate in _PAIR_PREDICATES else m) is None:
-                raise failure
-            reports.append(_reduce(fn.__name__, tol, *predicate(spec, p, m, tol)))
-        except SectorlabError as exc:
-            reports.append(PropertyReport(
-                property_id=fn.__name__, trials=0, violations=0, worst_margin=0.0,
-                worst_seed=0, tolerance_used=DEFAULT_TOLERANCE,
-                status="error", detail=f"{type(exc).__name__}: {exc}"))
-    return reports
+        return _reduce(property_id, tol, *predicate(spec, p, m, tol))
+
+    return [_reported(fn.__name__, check, fn.__name__, predicate)
+            for fn, predicate in zip(THEOREM_CHECKS, _PREDICATES)]
+
+
+def run_checks(spec: EnsembleSpec, property_ids) -> list[PropertyReport]:
+    """Run the named checks alone; a SectorlabError is reported as ``run_all`` reports it."""
+    return [_reported(i, CHECKS_BY_ID[i], spec) for i in property_ids]
 
 
 def reports_to_dict(spec: EnsembleSpec, reports: list[PropertyReport]) -> dict:

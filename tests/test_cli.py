@@ -345,6 +345,24 @@ def test_verify_only_single_property(tmp_path):
     assert [r["property_id"] for r in doc["reports"]] == ["check_symmetry"]
 
 
+def test_verify_only_reports_an_error_as_the_full_run_does(tmp_path, capsys):
+    # At this wide angle the relative entropy needs more than 512 nodes: alone,
+    # as in the full run, the check reports status "error" and the run exits 1.
+    spec = ["verify", "--trials", "50", "--seed", "7", "--angle", "0.97"]
+    only, full = tmp_path / "only.json", tmp_path / "full.json"
+    assert main([*spec, "--only", "check_re_geometric,check_re_relative_entropy",
+                 "--report", str(only)]) == 1
+    assert main([*spec, "--report", str(full)]) == 1
+    assert capsys.readouterr() == ("", "")
+    got = json.loads(only.read_text())["reports"]
+    want = {r["property_id"]: r for r in json.loads(full.read_text())["reports"]}
+    # the same serializer on equal entries: byte-identical text
+    assert to_json(got[0]) == to_json(want["check_re_geometric"])
+    assert got[1] == want["check_re_relative_entropy"]
+    assert got[1]["status"] == "error"
+    assert got[1]["detail"] == "NoConvergence: tol=1e-12 needs more than 512 nodes"
+
+
 def test_verify_angle_out_of_range(capsys):
     assert main(["verify", "--angle", "1.2", "--trials", "1"]) == 2
     capsys.readouterr()
@@ -395,6 +413,9 @@ MEAN = ["mean", "--kind", "geom", "--lambda", "0.3"]
      "cannot write no-dir/x.json: [Errno 2] No such file or directory: 'no-dir/x.json'"),
     ([*MEAN, *PAIR, "--adaptive", "--tol", "0"], "tol must be > 0, got 0.0"),
     ([*MEAN, *PAIR, "--tol", "inf"], "tol must be finite, got inf"),
+    (["entropy", "--kind", "relative", "--lambda", "7", *PAIR], "--lambda does not apply to --kind relative"),
+    (["rule", "--kind", "legendre", "--lambda", "9", "--nodes", "2"],
+     "--lambda does not apply to --kind legendre"),
 ])
 def test_usage_errors_print_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     # Every usage error takes main's one ValueError path: nothing on stdout, one

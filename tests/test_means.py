@@ -231,18 +231,18 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     # (stacked body, lone fixed function, lone adaptive function), per weight;
     # each lambda binds its weight, which it would otherwise read after the loop
     cases = [
-        (lambda a, b, cfg, lam=lam: means._geometric_mean(a, b, lam, cfg),
+        (lambda a, b, cfg, lam=lam: means._geometric_mean(a, b, [lam] * len(a), cfg),
          lambda x, y, cfg, lam=lam: geometric_mean(x, y, lam, cfg),
          lambda x, y, tol, lam=lam: geometric_mean_adaptive(x, y, lam, tol))
         for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)
     ] + [
-        (lambda a, b, cfg, lam=lam: entropy._tsallis_entropy(a, b, lam, cfg),
+        (lambda a, b, cfg, lam=lam: entropy._tsallis_entropy(a, b, [lam] * len(a), cfg),
          lambda x, y, cfg, lam=lam: entropy.tsallis_entropy(x, y, lam, cfg),
          lambda x, y, tol, lam=lam: entropy.tsallis_entropy_adaptive(x, y, lam, tol))
         for lam in (0.3, 0.5)
     ] + [
         (means._drury_mean, drury_mean, drury_mean_adaptive),
-        (lambda a, b, cfg: entropy._tsallis_entropy(a, b, 0.0, cfg),
+        (lambda a, b, cfg: entropy._tsallis_entropy(a, b, [0.0] * len(a), cfg),
          entropy.relative_entropy, entropy.relative_entropy_adaptive),
     ]
 
@@ -279,7 +279,7 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     # the mean's arithmetic, one pair at a time: gauged pair, one rule, one scale
     cfg = GeometricMeanConfig(rule_nodes=64)
     for lam in (0.1, 0.5, 0.9, 1.0 - 0.9):
-        got = means._geometric_mean(a, b, lam, cfg)
+        got = means._geometric_mean(a, b, [lam] * len(a), cfg)
         for k, (x, y) in enumerate(pairs):
             sx, sy = np.linalg.norm(x), np.linalg.norm(y)
             scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi

@@ -526,20 +526,21 @@ def test_evaluate_takes_the_rule_from_the_config():
     # estimate, and the count from the poles of the path's ratio, up to the
     # config's max_nodes, 512 by default, whose estimate is
     # the bound at that count times ||A_k||_F; finish applies to both, with
-    # each pair's factor.
+    # each pair's factor.  Each pair's job is (alpha, beta, factor, bound), here
+    # the Jacobi(0, 0) rule, which is Gauss-Legendre's.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
     mus, f, path = _STUB_MUS, _stub_f, _stub_path
     a, b = _stub_pairs()
     scale = [2.0, 3.0, 0.5]
-    fixed = _evaluate(path, a, b, scale, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
+    fixed = _evaluate(path, a, b, [(0.0, 0.0, s, 1.0) for s in scale], QuadratureConfig(rule_nodes=8))
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
         assert fixed.nodes_used[k] == fixed[k].nodes_used == 8
         assert fixed.error_estimates[k] is fixed[k].error_estimate is None
         assert np.array_equal(fixed.value[k],
                               s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t, mus[k]) + y))
     for cfg in (QuadratureConfig(tol=1e-13, max_nodes=256), QuadratureConfig(tol=1e-13)):
-        got = _evaluate(path, a, b, scale, [gauss_legendre] * 3, cfg, bound=10.0)
+        got = _evaluate(path, a, b, [(0.0, 0.0, s, 10.0) for s in scale], cfg)
         for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
             n, decay = _pole_count(mus[k], 10.0, 1e-13, cfg.max_nodes)
             assert got.nodes_used[k] == got[k].nodes_used == n
@@ -547,30 +548,34 @@ def test_evaluate_takes_the_rule_from_the_config():
             assert got.error_estimates[k] == pytest.approx(s * 10.0 * decay * np.linalg.norm(x), rel=1e-9)
             assert np.array_equal(got.value[k],
                                   s * integrate_matrix(gauss_legendre(n), lambda t: x * f(t, mus[k]) + y))
-    # no factor: the raw integrals
-    raw = _evaluate(path, a, b, None, [gauss_legendre] * 3, QuadratureConfig(rule_nodes=8))
+    # the factor 1.0: the raw integrals
+    raw = _evaluate(path, a, b, [(0.0, 0.0, 1.0, 1.0)] * 3, QuadratureConfig(rule_nodes=8))
     assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t, mus[1]) + b[1]))
 
 
 def test_evaluate_takes_a_bound_per_pair():
-    # A list of bounds gives each pair the count and estimate that its own bound
-    # gives it alone; a scalar bound is that bound for every pair.
+    # Each job's bound gives its pair the count and estimate that the bound
+    # gives it alone, as the bound of every pair's job.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
     a, b = _stub_pairs()
-    scale, families, cfg = [2.0, 3.0, 0.5], [gauss_legendre] * 3, QuadratureConfig(tol=1e-13)
+    scale, cfg = [2.0, 3.0, 0.5], QuadratureConfig(tol=1e-13)
+
+    def jobs(bounds):
+        return [(0.0, 0.0, s, bound) for s, bound in zip(scale, bounds, strict=True)]
+
     bounds = [1e5, 1.0, 10.0]
-    got = _evaluate(_stub_path, a, b, scale, families, cfg, bound=bounds)
+    got = _evaluate(_stub_path, a, b, jobs(bounds), cfg)
     for k, bound in enumerate(bounds):
-        alone = _evaluate(_stub_path, a, b, scale, families, cfg, bound=bound)
+        alone = _evaluate(_stub_path, a, b, jobs([bound] * 3), cfg)
         assert got.nodes_used[k] == alone.nodes_used[k] == _pole_count(_STUB_MUS[k], bound, 1e-13, 512)[0]
         assert got.error_estimates[k] == alone.error_estimates[k]
         assert got.value[k].tobytes() == alone.value[k].tobytes()
-        same = _evaluate(_stub_path, a, b, scale, families, cfg, bound=[bound] * 3)
+        same = _evaluate(_stub_path, a, b, jobs([bound] * 3), cfg)
         assert (same.value.tobytes(), same.error_estimates, same.nodes_used) == \
             (alone.value.tobytes(), alone.error_estimates, alone.nodes_used)
     # the bounds chose counts that no one bound gives all three pairs
-    assert got.nodes_used != _evaluate(_stub_path, a, b, scale, families, cfg, bound=10.0).nodes_used
+    assert got.nodes_used != _evaluate(_stub_path, a, b, jobs([10.0] * 3), cfg).nodes_used
 
 
 def test_doubling_error_decreases_monotonically():
@@ -1169,12 +1174,12 @@ def test_auto_stack_is_bitwise_its_lone_calls(monkeypatch):
     b = np.stack([y for _, y in pairs])
     bodies = [
         (lambda a, b: means._geometric_mean(a, b, weights[:len(a)], cfg),
-         lambda k: means._geometric_mean(a[k:k + 1], b[k:k + 1], weights[k], cfg)),
+         lambda k: means._geometric_mean(a[k:k + 1], b[k:k + 1], [weights[k]], cfg)),
         (lambda a, b: means._drury_mean(a, b, cfg), lambda k: means._drury_mean(a[k:k + 1], b[k:k + 1], cfg)),
-        (lambda a, b: entropy._tsallis_entropy(a, b, 0.0, cfg),
-         lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], 0.0, cfg)),
-        (lambda a, b: entropy._tsallis_entropy(a, b, 0.7, cfg),
-         lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], 0.7, cfg)),
+        (lambda a, b: entropy._tsallis_entropy(a, b, [0.0] * len(a), cfg),
+         lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], [0.0], cfg)),
+        (lambda a, b: entropy._tsallis_entropy(a, b, [0.7] * len(a), cfg),
+         lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], [0.7], cfg)),
     ]
     rules = []
     integrate = quadrature._integrate
@@ -1234,8 +1239,8 @@ def test_auto_payload_is_the_512_node_result():
     assert seen >= 2
     # the estimate scales like the mean: with the pair's gauge and sin(lam pi)/pi
     a, b = accretive_pairs(1, (3,), 0.6 * math.pi / 2, seed=89)[0]
-    res = _geometric_mean(a[None], b[None], 0.3, GeometricMeanConfig())
-    scaled = _geometric_mean(4.0 * a[None], 4.0 * b[None], 0.3, GeometricMeanConfig())
+    res = _geometric_mean(a[None], b[None], [0.3], GeometricMeanConfig())
+    scaled = _geometric_mean(4.0 * a[None], 4.0 * b[None], [0.3], GeometricMeanConfig())
     assert scaled.nodes_used == res.nodes_used
     assert scaled.error_estimates[0] == pytest.approx(4.0 * res.error_estimates[0], rel=1e-13)
 

@@ -80,11 +80,22 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="dim"):
             EnsembleSpec(dim=bad)
     assert EnsembleSpec(dim=np.int64(2)).dim == 2
+    assert type(EnsembleSpec(dim=np.int64(2)).dim) is int
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="family_size"):
             check_vector_family(SMALL, family_size=bad)
         with pytest.raises(ValueError, match="pairs_per_trial"):
             check_bilinear(SMALL, pairs_per_trial=bad)
+
+
+def test_numpy_built_spec_gives_the_python_built_document():
+    # The spec stores Python scalars, so a report of numpy-built fields
+    # serializes, to the bytes of the same spec built from Python numbers.
+    plain = EnsembleSpec(dim=2, trials=2, seed=3, sector_angle=0.5, lambda_grid=(0.25, 0.5))
+    built = EnsembleSpec(dim=np.int64(2), trials=np.int32(2), seed=np.uint32(3),
+                         sector_angle=np.float32(0.5), lambda_grid=[np.float32(0.25), np.float64(0.5)])
+    assert built == plain
+    assert to_json(reports_to_dict(built, run_all(built))) == to_json(reports_to_dict(plain, run_all(plain)))
 
 
 def test_report_invariants_and_zero_violations():
@@ -193,15 +204,19 @@ def test_default_report_integrates_once_per_rule(monkeypatch):
     # of each rule together: the default report makes one _integrate call per
     # rule, that is per node count of each weight, 0.1, 0.5, 0.9 and the
     # flipped means' 1 - 0.9, and of the relative entropy, the lam = 0 Tsallis
-    # integral.  Each pair's node count is its own, from the ladder.
+    # integral.  Each pair's node count is its own, from the ladder.  Each rule
+    # is built once, just before its pairs are integrated: there are as many
+    # gauss_jacobi calls as _integrate calls.
     import sectorlab.quadrature as quadrature
 
-    rules = []
-    integrate = quadrature._integrate
+    rules, built = [], []
+    integrate, jacobi = quadrature._integrate, quadrature.gauss_jacobi
     monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: rules.append(
         (rule.kind, rule.count, rule.alpha, rule.beta)) or integrate(rule, f))
+    monkeypatch.setattr(quadrature, "gauss_jacobi", lambda *args: built.append(args) or jacobi(*args))
     run_all(EnsembleSpec())
     assert len(set(rules)) == len(rules)
+    assert built == [rule[1:] for rule in rules]
     assert {count for _, count, _, _ in rules} <= set(quadrature._LADDER)
     assert {rule[2:] for rule in rules} == {(-lam, lam - 1.0) for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)} | {
         (-0.0, 0.0)}
@@ -253,7 +268,8 @@ def test_homogeneity_rejects_bad_scales_before_any_work(monkeypatch):
     monkeypatch.setattr(verify, "_evaluate_pairs", no_work)
     with pytest.raises(ValueError, match="empty"):
         check_homogeneity(SMALL, scales=())
-    for entry in ((0.0, 1.0), (-1.0, 1.0), (2.0,)):
+    # a bare number is not a pair, and a bool is not a scale, as it is not a weight
+    for entry in ((0.0, 1.0), (-1.0, 1.0), (2.0,), 1.0, (True, 2.0)):
         with pytest.raises(ValueError, match=re.escape(repr(entry))):
             check_homogeneity(SMALL, scales=(entry,))
 
