@@ -190,7 +190,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--lambdas must be a comma-separated float list: {exc}") from exc
     spec = EnsembleSpec(dim=args.dim, trials=args.trials, seed=args.seed,
                         sector_angle=args.angle * (math.pi / 2), lambda_grid=lambdas)
-    if args.only:
+    if args.only == "":
+        raise UsageError("--only must name at least one property id")
+    if args.only is not None:
         wanted = args.only.split(",")
         unknown = [w for w in wanted if w not in CHECKS_BY_ID]
         if unknown:

@@ -130,12 +130,13 @@ def _frob_sq(m: np.ndarray) -> np.ndarray:
 
 
 def _frob_scaled(m: np.ndarray) -> np.ndarray:
-    # Frobenius norm of each slice, scaled by its largest modulus s so that no
-    # square overflows or underflows.  The sum is >= 1, as s contributes 1; fmax
-    # keeps an infinite, NaN or zero slice's norm s where m / s is NaN.
-    a = np.abs(m)
+    # Frobenius norm of each slice in any layout, scaled by its largest modulus s
+    # so that no square overflows or underflows.  The sum is >= 1, as s gives 1;
+    # fmax keeps an infinite, NaN or zero slice's norm s where m / s is NaN.
+    a = np.abs(m, order="C")
     s = np.max(a, axis=(-2, -1), keepdims=True)
-    a /= s
+    with np.errstate(invalid="ignore"):
+        a /= s
     return s[..., 0, 0] * np.sqrt(np.fmax(np.einsum("...ij,...ij->...", a, a), 1.0))
 
 

@@ -21,9 +21,10 @@ returns whether each comparison holds and its margin as arrays indexed
 comparison is a violation, and the worst margin is the first minimum in trial
 order.  ``run_all`` makes both evaluations once for its nine predicates; a
 check called alone makes its own, with only the means it reads.  When the
-means raise, the seven checks that read them report the error.  Every stacked
-value is bitwise what the public functions give for one trial alone, so a
-report does not depend on the stacking.
+means raise, the seven checks that read them report the error.  Stacked means
+and inverses are bitwise the public functions' for one trial alone.  Margins
+use numpy's stacked power, square and per-slice norm, sums add in Python's
+order, and the tests' per-trial reference pins that no report depends on the stacking.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .linalg import (
     MAX_DIM,
     LoewnerTolerance,
     _check_integer,
+    _frob_scaled,
     _power,
-    frob,
     inverse,
     loewner_margin,
     op_norm,
@@ -55,7 +56,6 @@ from .means import (
     _geometric_mean,
     _harmonic_path,
     _hpd_congruence,
-    scalar_geometric,
 )
 
 DEFAULT_TOLERANCE = LoewnerTolerance(absolute=1e-10, relative=1e-10)
@@ -215,15 +215,8 @@ def _scalar_margin(lhs, rhs, tol: LoewnerTolerance):
 
 
 def _relative_margin(dev, norm, tol: LoewnerTolerance):
-    rel = dev / np.maximum(norm, 1e-30)
+    rel = dev / np.maximum(norm, np.finfo(float).tiny)  # a guard for an exact zero only
     return ~(rel > tol.relative), -rel
-
-
-# One call per element or matrix: numpy's vectorized power, its x * x and its
-# norm over the last two axes round differently from these scalar forms.
-_scalar_geometrics = np.vectorize(scalar_geometric, otypes=[float])
-_squares = np.vectorize(lambda x: x**2, otypes=[float])
-_frobs = np.vectorize(frob, signature="(n,n)->()", otypes=[float])
 
 
 def _unit_vectors(spec: EnsembleSpec, tag: int, count: int) -> np.ndarray:
@@ -268,33 +261,35 @@ def _re_tsallis(spec, p: _Pairs, m: _Means, tol):
 def _vector_family(spec, p: _Pairs, m: _Means, tol, family_size: int = 3):
     xs = _unit_vectors(spec, _TAG_FAMILY, family_size)
     sum_a, sum_b = _sum(_quadratic_forms(p.inv_re, xs))[..., None]
+    lam = np.array(spec.lambda_grid)
     return _scalar_margin(_sum(_quadratic_forms(m.inv_re_sharp, xs[:, None])),
-                          _scalar_geometrics(sum_a, sum_b, spec.lambda_grid), tol)
+                          sum_a ** (1 - lam) * sum_b**lam, tol)
 
 
 def _norm_inequality(spec, p: _Pairs, m: _Means, tol):
     norm_a, norm_b = op_norm(p.inv_re)[..., None]
-    return _scalar_margin(op_norm(m.inv_re_sharp),
-                          _scalar_geometrics(norm_a, norm_b, spec.lambda_grid), tol)
+    lam = np.array(spec.lambda_grid)
+    return _scalar_margin(op_norm(m.inv_re_sharp), norm_a ** (1 - lam) * norm_b**lam, tol)
 
 
 def _bilinear(spec, p: _Pairs, m: _Means, tol, pairs_per_trial: int = 8):
     xs = _unit_vectors(spec, _TAG_BILIN_X, pairs_per_trial)
     xstars = _unit_vectors(spec, _TAG_BILIN_XSTAR, pairs_per_trial)
-    lhs = _squares((xs.conj()[..., None, :] @ xstars[..., None])[:, None, :, 0, 0].real)
+    lhs = np.square((xs.conj()[..., None, :] @ xstars[..., None])[:, None, :, 0, 0].real)
     lam = np.array(spec.lambda_grid)[:, None]
-    quad_ab = _scalar_geometrics(*_quadratic_forms(p.inv_re, xs)[:, :, None], lam)
+    quad_a, quad_b = _quadratic_forms(p.inv_re, xs)[:, :, None]
+    quad_ab = quad_a ** (1 - lam) * quad_b**lam
     return _scalar_margin(lhs, _quadratic_forms(m.re_sharp, xstars[:, None]) * quad_ab, tol)
 
 
 def _homogeneity(spec, p, m: _Means, tol):
-    factor = _scalar_geometrics(*np.array(m.scales).T, np.array(spec.lambda_grid)[:, None])
-    dev = _frobs(m.scaled - factor[..., None, None] * m.sharp[:, :, None])
-    return _relative_margin(dev, _frobs(m.sharp)[..., None], tol)
+    (alpha, beta), lam = np.array(m.scales).T, np.array(spec.lambda_grid)[:, None]
+    want = (alpha ** (1 - lam) * beta**lam)[..., None, None] * m.sharp[:, :, None]
+    return _relative_margin(_frob_scaled(m.scaled - want), _frob_scaled(want), tol)
 
 
 def _symmetry(spec, p, m: _Means, tol):
-    return _relative_margin(_frobs(m.sharp - m.flip), _frobs(m.sharp), tol)
+    return _relative_margin(_frob_scaled(m.sharp - m.flip), _frob_scaled(m.sharp), tol)
 
 
 #: the predicates of THEOREM_CHECKS, in order; the pair predicates read no means
@@ -381,7 +376,9 @@ def check_bilinear(spec: EnsembleSpec, pairs_per_trial: int = 8,
 
 def check_homogeneity(spec: EnsembleSpec, scales=HOMOGENEITY_SCALES,
                       cfg: GeometricMeanConfig = GeometricMeanConfig()) -> PropertyReport:
-    """(alpha A) #_lam (beta B) = alpha^(1-lam) beta^lam (A #_lam B)."""
+    """(alpha A) #_lam (beta B) = alpha^(1-lam) beta^lam (A #_lam B), the deviation
+    relative to the Frobenius norm of the right side."""
+    scales = tuple(scales)
     if len(scales) == 0:
         raise ValueError("scales must not be empty")
     for entry in scales:

@@ -96,6 +96,24 @@ def test_frob_is_scale_safe():
     assert la.frob(np.zeros((2, 2))) == 0.0
 
 
+def test_stacked_frob_scaled_is_each_slice_alone_bitwise():
+    # The scale-safe norm of a stack, which verify's relative margins take,
+    # gives every slice bitwise the norm of that slice alone, whatever it is
+    # stacked with and however the stack is laid out: here a zero slice (norm
+    # 0, with no warning), slices scaled by 1e200 and by 1e-200, and an
+    # ordinary one.
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 7):
+        m = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        slices = [np.zeros((d, d), dtype=complex), 1e200 * m[0], 1e-200 * m[1], m[2]]
+        alone = [la._frob_scaled(x).tobytes() for x in slices]
+        stack = np.stack(slices)
+        for view in (stack, np.asfortranarray(stack), np.stack([stack, stack], axis=1)[:, 1]):
+            got = la._frob_scaled(view)
+            assert got[0] == 0.0 and np.all(got[1:] > 0)
+            assert [g.tobytes() for g in got] == alone
+
+
 # ------------------------------------------------------------------ inverse
 
 

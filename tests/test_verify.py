@@ -9,7 +9,7 @@ from sectorlab.ensemble import derive_seed, random_unit_vectors
 from sectorlab.entropy import relative_entropy, relative_entropy_hpd
 from sectorlab.linalg import (
     LoewnerTolerance,
-    frob,
+    _frob_scaled,
     inverse,
     loewner_margin,
     op_norm,
@@ -22,7 +22,6 @@ from sectorlab.means import (
     geometric_mean,
     geometric_mean_hpd,
     harmonic_mean,
-    scalar_geometric,
 )
 from sectorlab.serialize import to_json
 from sectorlab.verify import (
@@ -262,6 +261,10 @@ def test_all_theorem_checks_clean_logic():
 def test_homogeneity_rejects_bad_scales_before_any_work(monkeypatch):
     import sectorlab.verify as verify
 
+    # the scales are read once, so an iterator of them gives the tuple's report
+    scales = ((1.0, 2.0), (3.0, 0.5))
+    assert check_homogeneity(SMALL, scales=iter(scales)) == check_homogeneity(SMALL, scales=scales)
+
     def no_work(*args, **kwargs):
         raise AssertionError("scales must be checked before the evaluation")
 
@@ -272,6 +275,33 @@ def test_homogeneity_rejects_bad_scales_before_any_work(monkeypatch):
     for entry in ((0.0, 1.0), (-1.0, 1.0), (2.0,), 1.0, (True, 2.0)):
         with pytest.raises(ValueError, match=re.escape(repr(entry))):
             check_homogeneity(SMALL, scales=(entry,))
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            check_homogeneity(SMALL, scales=iter([(1.0, 2.0), entry]))
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-7, 1e6, 1e7, 1e200])
+def test_homogeneity_is_clean_at_any_scale(s, monkeypatch):
+    # The deviation is relative to alpha^(1-lam) beta^lam (A #_lam B), the value
+    # the scaled mean is compared with, so the margin is rounding noise at every
+    # scale; relative to ||A #_lam B|| it grew with the scale and failed from
+    # 1e6.  A RuntimeWarning is an error in this suite.
+    import sectorlab.verify as verify
+
+    spec = EnsembleSpec(dim=3, trials=20, seed=1)
+    rep = check_homogeneity(spec, scales=((s, s),))
+    assert rep.violations == 0
+    assert abs(rep.worst_margin) <= 1e-13
+    # A relative error of 1e-8 in the scaled means fails every trial, also
+    # where the means' norm is far below 1e-30.
+    mean = verify._geometric_mean
+
+    def off(a, b, lams, cfg):
+        out = mean(a, b, lams, cfg)
+        out.value[np.abs(np.log10(_frob_scaled(a))) > 3] *= 1 + 1e-8
+        return out
+
+    monkeypatch.setattr(verify, "_geometric_mean", off)
+    assert check_homogeneity(spec, scales=((s, s),)).violations == spec.trials
 
 
 # ------------------------------------------------------------------- search
@@ -403,8 +433,11 @@ def _per_trial_outcomes(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_si
                         pairs_per_trial=8, scales=HOMOGENEITY_SCALES) -> dict:
     # The nine checks one trial at a time through the public API: each
     # trial's pair drawn alone, each mean and entropy computed alone, each
-    # Loewner margin from loewner_margin and each sum in Python's order.
-    # Gives, per check, every trial's list of (holds, margin) comparisons.
+    # Loewner margin from loewner_margin and each sum in Python's order.  The
+    # power, the square and the norm are the checks' numpy forms on one trial,
+    # the power and the square on 1-element arrays, as a numpy scalar's power
+    # goes through libm.  Gives, per check, every trial's list of (holds,
+    # margin) comparisons.
     tol = DEFAULT_TOLERANCE
 
     def loewner(x, y):
@@ -416,8 +449,15 @@ def _per_trial_outcomes(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_si
         return gap >= -(tol.absolute + tol.relative * abs(rhs)), gap / max(abs(rhs), 1e-30)
 
     def relative(dev, norm, rtol):
-        rel = dev / max(norm, 1e-30)
+        rel = dev / max(norm, np.finfo(float).tiny)
         return not rel > rtol, -rel
+
+    def geometric(alpha, beta, lam):
+        alpha, beta, lam = np.array([alpha]), np.array([beta]), np.array([lam])
+        return (alpha ** (1 - lam) * beta**lam)[0]
+
+    def square(x):
+        return np.square(np.array([x]))[0]
 
     outcomes = {fn.__name__: [] for fn in THEOREM_CHECKS}
     for i in range(spec.trials):
@@ -445,22 +485,22 @@ def _per_trial_outcomes(spec: EnsembleSpec, cfg=GeometricMeanConfig(), family_si
             sum_b = sum(np.vdot(x, inv_b @ x).real for x in family)
             trial["check_vector_family"].append(scalar(
                 sum(np.vdot(x, inv_sharp @ x).real for x in family),
-                scalar_geometric(sum_a, sum_b, lam)))
+                geometric(sum_a, sum_b, lam)))
             trial["check_norm_inequality"].append(scalar(
-                op_norm(inv_sharp), scalar_geometric(op_norm(inv_a), op_norm(inv_b), lam)))
+                op_norm(inv_sharp), geometric(op_norm(inv_a), op_norm(inv_b), lam)))
             for x, xstar in zip(xs, xstars):
-                quad_ab = scalar_geometric(np.vdot(x, inv_a @ x).real,
-                                           np.vdot(x, inv_b @ x).real, lam)
+                quad_ab = geometric(np.vdot(x, inv_a @ x).real, np.vdot(x, inv_b @ x).real, lam)
                 trial["check_bilinear"].append(scalar(
-                    float(np.vdot(x, xstar).real) ** 2,
+                    square(np.vdot(x, xstar).real),
                     np.vdot(xstar, re_sharp @ xstar).real * quad_ab))
             for alpha, beta in scales:
-                dev = frob(geometric_mean(alpha * a, beta * b, lam, cfg)
-                           - scalar_geometric(alpha, beta, lam) * sharp)
-                trial["check_homogeneity"].append(relative(dev, frob(sharp), HOMOGENEITY_RTOL))
+                want = geometric(alpha, beta, lam) * sharp
+                dev = _frob_scaled(geometric_mean(alpha * a, beta * b, lam, cfg) - want)
+                trial["check_homogeneity"].append(
+                    relative(dev, _frob_scaled(want), HOMOGENEITY_RTOL))
             flip = geometric_mean(b, a, 1.0 - lam, cfg)
             trial["check_symmetry"].append(
-                relative(frob(sharp - flip), frob(sharp), SYMMETRY_RTOL))
+                relative(_frob_scaled(sharp - flip), _frob_scaled(sharp), SYMMETRY_RTOL))
         for name, got in trial.items():
             outcomes[name].append(got)
     return outcomes
@@ -530,8 +570,8 @@ def test_predicate_margins_equal_the_per_trial_reference():
     # its worst margin, so this sees rounding the report would hide.
     from sectorlab.verify import _PREDICATES, _TOLERANCES, _evaluate_means, _evaluate_pairs
 
-    # 12 terms make numpy's sum pair them; 48 pairs per trial meet a square
-    # that x * x rounds differently from Python's float power.
+    # 12 terms make numpy's sum pair them; 48 pairs per trial give the power
+    # and the square long stacks.
     sizes = {"family_size": 12, "pairs_per_trial": 48}
     options = {"check_vector_family": {"family_size": 12}, "check_bilinear": {"pairs_per_trial": 48}}
     predicates = {fn.__name__: predicate for fn, predicate in zip(THEOREM_CHECKS, _PREDICATES)}
