@@ -194,6 +194,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--only must name at least one property id")
     if args.only is not None:
         wanted = args.only.split(",")
+        if "" in wanted:
+            raise UsageError(f"--only holds an empty property id: {args.only!r}")
         unknown = [w for w in wanted if w not in CHECKS_BY_ID]
         if unknown:
             raise UsageError(f"unknown property ids: {', '.join(unknown)} "

@@ -12,10 +12,12 @@ is a true dial for the numerical-range sector half-angle.
 Matrices are drawn as a stack, in one pass: one QR for the Haar unitaries, one
 ``eigh`` for the directions H, one for the roots P^(1/2), and one stacked
 accretivity check (``AccretiveMatrix``'s).  ``verify`` draws all 2 * trials
-matrices of a report so; ``random_hpd`` and ``random_accretive`` are that pass
-on a stack of one.  Each matrix still comes from its own seed's streams, and
-every stacked LAPACK call treats each slice as it would alone, so a matrix is
-bitwise the same in any stack.
+matrices of a report so, as one checked stack, and all of its unit vectors of
+one purpose with one normalization; ``random_hpd``, ``random_accretive`` and
+``random_unit_vectors`` are those passes on a stack of one.  Each matrix and
+vector still comes from its own seed's streams, and every stacked LAPACK call
+and normalization treats each slice as it would alone, so a draw is bitwise
+the same in any stack.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, AccretiveMatrix, _check_integer, symmetrize
+from .linalg import MAX_DIM, AccretiveMatrix, _check_accretive, _check_integer, _symmetrize
 
 #: recorded in verification reports so frozen baselines stay portable
 GENERATOR_NAME = "pcg64-seedsequence"
@@ -78,7 +80,7 @@ def _random_hpds(dim: int, cond_cap: float, seeds) -> np.ndarray:
     u = q * (d.conj() / np.abs(d))[:, None, :]
     half = 0.5 * math.log(cond_cap)
     mu = np.exp(np.stack([_rng(seed, _TAG_EIGS).uniform(-half, half, size=dim) for seed in seeds]))
-    return symmetrize((u * mu[:, None, :]) @ u.conj().swapaxes(-1, -2))
+    return _symmetrize((u * mu[:, None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def random_hpd(dim: int, cond_cap: float, seed: int) -> np.ndarray:
@@ -94,21 +96,33 @@ def random_hpd(dim: int, cond_cap: float, seed: int) -> np.ndarray:
     return _random_hpds(dim, cond_cap, [seed])[0]
 
 
-def _random_accretives(dim: int, angle: float, cond_cap: float, seeds) -> list[AccretiveMatrix]:
-    # random_accretive of every seed, in one stacked pass: one QR, two eigh and
-    # one accretivity check for the whole stack, each matrix from its own streams
+def _accretive_draws(dim: int, angle: float, cond_cap: float, seeds) -> np.ndarray:
+    # random_accretive of every seed, in one stacked pass, before its accretivity
+    # check: one QR and two eigh for the whole stack, each matrix from its own streams
     p = _random_hpds(dim, cond_cap, seeds)
     if angle == 0.0:
-        return AccretiveMatrix._from_stack(p)
-    g = symmetrize(_gaussians(seeds, _TAG_DIRECTION, dim))
+        return p
+    g = _symmetrize(_gaussians(seeds, _TAG_DIRECTION, dim))
     w, v = np.linalg.eigh(g)
-    h = symmetrize((v * np.clip(w, -1.0, 1.0)[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    h = _symmetrize((v * np.clip(w, -1.0, 1.0)[:, None, :]) @ v.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(p)
     # rounding can leave an eigenvalue of an ill-conditioned P below 0: its root
-    # is 0, so the accretivity check below, not a NaN, reports the draw
+    # is 0, so the accretivity check, not a NaN, reports the draw
     root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    m = math.tan(angle) * symmetrize(root @ h @ root)
-    return AccretiveMatrix._from_stack(p + 1j * m)
+    m = math.tan(angle) * _symmetrize(root @ h @ root)
+    return p + 1j * m
+
+
+def _random_accretives(dim: int, angle: float, cond_cap: float, seeds) -> list[AccretiveMatrix]:
+    # random_accretive of every seed, from one stacked pass and one accretivity check
+    return AccretiveMatrix._from_stack(_accretive_draws(dim, angle, cond_cap, seeds))
+
+
+def _random_accretive_stack(dim: int, angle: float, cond_cap: float, seeds) -> np.ndarray:
+    # the matrices of _random_accretives as one checked stack, for callers that stack them
+    m = _accretive_draws(dim, angle, cond_cap, seeds)
+    _check_accretive(m)
+    return m
 
 
 def random_accretive(spec: SectorSpec) -> AccretiveMatrix:
@@ -120,6 +134,13 @@ def random_unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
     """(count, dim) array of unit-norm complex Gaussian vectors."""
     _check_integer("dim", dim, 1)
     _check_integer("count", count, 1)
-    rng = _rng(seed, _TAG_VECTORS)
-    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return _random_unit_vectors(dim, count, [seed])[0]
+
+
+def _random_unit_vectors(dim: int, count: int, seeds) -> np.ndarray:
+    # random_unit_vectors of every seed, (len(seeds), count, dim), each from its own
+    # seed's stream, normalized in one pass
+    rngs = [_rng(seed, _TAG_VECTORS) for seed in seeds]
+    g = np.stack([rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+                  for rng in rngs])
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)

@@ -62,12 +62,12 @@ _TSALLIS_BOUND = 1e5
 def _entropy_path(a: np.ndarray, b: np.ndarray):
     # t -> (A !_t B - A)/t over a node array; bounded on (0, 1), limit
     # A - A B^-1 A at t -> 0.  Stacked pairs (jobs, d, d) give (jobs, n, d, d),
-    # or the pairs listed in jobs alone.
+    # or with rows, one pair index per node, the rows (n, d, d).
     harmonic = _harmonic_path(a, b)
 
-    def path(t, jobs=...) -> np.ndarray:
-        h = harmonic(t, jobs)
-        h -= a[..., None, :, :][jobs]
+    def path(t, rows=None) -> np.ndarray:
+        h = harmonic(t, rows)
+        h -= a[..., None, :, :] if rows is None else a[rows]
         h /= np.reshape(t, (-1, 1, 1))
         return h
 

@@ -10,10 +10,14 @@ every input: ``None`` entries raise ``TypeError``, non-square or empty input
 raises ``DimensionMismatch``, and non-finite entries raise ``ValueError``.
 One rule, ``_check_integer``, checks every integer argument of the package,
 node counts and sizes alike: a Python or numpy integer in range, not
-``bool``.  The public :func:`inverse` validates its input and then calls the
-private core ``_inv``, one LAPACK call and a condition estimate; the
-library's own paths call ``_inv`` directly on the stacks they have already
-validated or built.
+``bool``.  The public functions validate their input and then call private
+cores, which the library's own paths call directly on the stacks they have
+already validated or built: ``_inv``, one LAPACK call and a condition
+estimate, under :func:`inverse`; ``_symmetrize`` under :func:`symmetrize`,
+:func:`real_part` and the Hermitian eigensolver ``_herm_eig``, which checks
+only that its matrices are finite, as a product of validated matrices may
+overflow; and ``_op_norm`` under :func:`op_norm`.  ``_slice_frobs`` gives
+:func:`frob` of every slice of a stack in one pass.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ def _as_stack(a, lone: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise DimensionMismatch(f"expected a non-empty matrix, got shape {m.shape}")
+    return _finite(m)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    # m, if every entry is finite: _as_stack's last check, alone, for arrays the library built
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
@@ -85,7 +94,12 @@ def _check_integer(name: str, value, low: int, high: int | None = None, error=Va
 
 def symmetrize(a) -> np.ndarray:
     """Return (A + A*)/2, bitwise Hermitian; of each slice of a stack."""
-    m = _as_stack(a)
+    return _symmetrize(_as_stack(a))
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    # symmetrize of a complex stack the library built, in C order as _as_stack gives it
+    m = np.ascontiguousarray(m)
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
@@ -108,6 +122,17 @@ def frob(a) -> float:
     if norm == math.inf or (norm < 1e-150 and np.any(a)):
         norm = float(_frob_scaled(np.reshape(a, (1, -1))))
     return norm
+
+
+def _slice_frobs(m: np.ndarray) -> list[float]:
+    # frob of each slice of a stack (k, d, d), in one pass: frob's dot products,
+    # sqrt(re.re + im.im), on the same strides, by one stacked BLAS call, so each is
+    # bitwise frob of its slice; frob itself rescales where the squares overflow or underflow
+    v = m.reshape(len(m), 1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = v.real @ v.real.swapaxes(-1, -2) + v.imag @ v.imag.swapaxes(-1, -2)
+    norms = np.sqrt(sq[:, 0, 0]).tolist()
+    return [frob(x) if n == math.inf or n < 1e-150 else n for x, n in zip(m, norms)]
 
 
 def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
@@ -177,8 +202,13 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     NoConvergence
         If LAPACK reports that the eigenvalues did not converge.
     """
+    return _herm_eig(_as_stack(h))
+
+
+def _herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # herm_eig of a complex stack the library built, whose entries must be finite
     try:
-        return np.linalg.eigh(symmetrize(h))
+        return np.linalg.eigh(_symmetrize(_finite(m)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
 
@@ -189,7 +219,7 @@ def _hpd_apply(w: np.ndarray, v: np.ndarray, fn, what: str) -> np.ndarray:
     if np.min(w) <= 0.0:
         raise NotPositiveDefinite(f"{what} needs a positive definite argument "
                                   f"(smallest eigenvalue {np.min(w):.3e})")
-    return symmetrize((v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return _symmetrize(_finite((v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)))
 
 
 def _power(p: float):
@@ -218,9 +248,13 @@ def _item(x):
 
 def op_norm(a):
     """Operator (spectral) norm: largest singular value (of each slice of a stack)."""
-    m = _as_stack(a)
-    w, _ = herm_eig(m.conj().swapaxes(-1, -2) @ m)
-    return _item(np.sqrt(np.maximum(w[..., -1], 0.0)))
+    return _item(_op_norm(_as_stack(a)))
+
+
+def _op_norm(m: np.ndarray) -> np.ndarray:
+    # op_norm of each slice of a validated complex stack, as an array
+    w, _ = _herm_eig(m.conj().swapaxes(-1, -2) @ m)
+    return np.sqrt(np.maximum(w[..., -1], 0.0))
 
 
 @dataclass(frozen=True)
@@ -256,7 +290,7 @@ def loewner_margin(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[b
     ym = symmetrize(y)
     if xm.shape != ym.shape:
         raise DimensionMismatch(f"shape {xm.shape} vs {ym.shape}")
-    w, _ = herm_eig(np.stack([xm - ym, xm, ym]))
+    w, _ = _herm_eig(np.stack([xm - ym, xm, ym]))
     margin = w[0, ..., 0]
     big = np.max(np.abs(w[1:, ..., [0, -1]]), axis=(0, -1))
     holds = margin >= -(tol.absolute + tol.relative * big)
@@ -289,21 +323,9 @@ class AccretiveMatrix:
 
     @classmethod
     def _from_stack(cls, m: np.ndarray) -> list["AccretiveMatrix"]:
-        # The one accretivity rule, on a validated stack (n, d, d): every slice
-        # as a read-only AccretiveMatrix, from one stacked eigh of the real parts,
-        # or NotAccretive for the first slice that fails.
-        if m.shape[-1] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[-1]} exceeds the supported cap {MAX_DIM}")
-        w, _ = herm_eig(real_part(m))
-        lo = w[:, 0]
-        norm = np.maximum(np.abs(lo), np.abs(w[:, -1]))
-        bad = np.flatnonzero((lo <= ACCRETIVE_REL_FLOOR * norm) | (lo <= 0.0))
-        if bad.size:
-            k = bad[0]
-            raise NotAccretive(
-                f"smallest eigenvalue of the real part is {lo[k]:.6e} "
-                f"(needs > {ACCRETIVE_REL_FLOOR:g} * ||Re A|| = {ACCRETIVE_REL_FLOOR * norm[k]:.6e})"
-            )
+        # every slice of a validated stack (n, d, d) as a read-only AccretiveMatrix,
+        # or NotAccretive for the first slice that fails _check_accretive
+        lo = _check_accretive(m)
         m = m.copy()
         m.setflags(write=False)
         return [cls(mat=x, re_min_eig=float(x_lo)) for x, x_lo in zip(m, lo)]
@@ -311,3 +333,22 @@ class AccretiveMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _check_accretive(m: np.ndarray) -> np.ndarray:
+    # The one accretivity rule, on a validated stack (n, d, d): the smallest eigenvalue
+    # of each slice's real part, from one stacked eigh, or NotAccretive for the first
+    # slice that fails.
+    if m.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds the supported cap {MAX_DIM}")
+    w, _ = _herm_eig(_symmetrize(m))
+    lo = w[:, 0]
+    norm = np.maximum(np.abs(lo), np.abs(w[:, -1]))
+    bad = np.flatnonzero((lo <= ACCRETIVE_REL_FLOOR * norm) | (lo <= 0.0))
+    if bad.size:
+        k = bad[0]
+        raise NotAccretive(
+            f"smallest eigenvalue of the real part is {lo[k]:.6e} "
+            f"(needs > {ACCRETIVE_REL_FLOOR:g} * ||Re A|| = {ACCRETIVE_REL_FLOOR * norm[k]:.6e})"
+        )
+    return lo

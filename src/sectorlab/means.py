@@ -30,7 +30,17 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidScalar
-from .linalg import _hpd_apply, _inv, _power, as_matrix, frob, herm_eig, inverse, symmetrize
+from .linalg import (
+    _finite,
+    _herm_eig,
+    _hpd_apply,
+    _inv,
+    _power,
+    _slice_frobs,
+    _symmetrize,
+    as_matrix,
+    frob,
+)
 from .quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
@@ -86,14 +96,14 @@ def _hpd_congruence(a: np.ndarray, b: np.ndarray):
     # hpd_power and hpd_log check theirs.  A failed factorization is not kept.
     @cache
     def factors():
-        w, v = herm_eig(a)
+        w, v = _herm_eig(a)
         root = _hpd_apply(w, v, *_power(0.5))
         iroot = _hpd_apply(w, v, *_power(-0.5))
-        return root, herm_eig(symmetrize(iroot @ b @ iroot))
+        return root, _herm_eig(_symmetrize(_finite(iroot @ b @ iroot)))
 
     def congruence(f) -> np.ndarray:
         root, inner = factors()
-        return symmetrize(root @ _hpd_apply(*inner, *f) @ root)
+        return _symmetrize(_finite(root @ _hpd_apply(*inner, *f) @ root))
 
     return congruence
 
@@ -107,16 +117,17 @@ def geometric_mean_hpd(a, b, lam: float) -> np.ndarray:
 def _convex_inverse_path(x: np.ndarray, y: np.ndarray, x_inv: np.ndarray | None = None):
     # t -> ((1-t) X + t Y)^-1 over a 1-d array of weights t (a scalar is one
     # weight), one batched inverse for all of them.  One pair (d, d) gives
-    # (n, d, d); stacked pairs (jobs, d, d) give (jobs, n, d, d), or the pairs
-    # listed in jobs alone.  X and Y are validated, so the path calls the
-    # inverse core.  x_inv is X^-1 if the caller has it.
+    # (n, d, d) and stacked pairs (jobs, d, d) give (jobs, n, d, d); with rows,
+    # one pair index per weight, the stacked pairs give the rows (n, d, d), weight
+    # t[i] of pair rows[i].  X and Y are validated, so the path calls the inverse
+    # core.  x_inv is X^-1 if the caller has it.
     xs = x[..., None, :, :]
     ys = y[..., None, :, :]
 
-    def path(t, jobs=...) -> np.ndarray:
+    def path(t, rows=None) -> np.ndarray:
         t = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-        s = (1.0 - t) * xs[jobs]
-        s += t * ys[jobs]
+        s = (1.0 - t) * (xs if rows is None else x[rows])
+        s += t * (ys if rows is None else y[rows])
         return _inv(s)
 
     def ratio():
@@ -139,7 +150,8 @@ def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, np.nd
     # Normalizing each argument of each pair to unit Frobenius norm before
     # quadrature makes the computed mean scaling-equivariant to rounding and
     # keeps the integrand's poles where the node count was calibrated.
-    norms = [(frob(x), frob(y)) for x, y in zip(a, b)]
+    # A lone pair takes frob, a stack one pass over each side, bitwise frob per slice.
+    norms = [(frob(a[0]), frob(b[0]))] if len(a) == 1 else zip(_slice_frobs(a), _slice_frobs(b))
     norms = [(sa, sb) if sa > 0.0 and sb > 0.0 else (1.0, 1.0) for sa, sb in norms]
     gauges = [sa ** (1.0 - lam) * sb**lam for (sa, sb), lam in zip(norms, lams)]
     if len(a) == 1:  # a lone pair divides by its two norms, with no (2, 1, 1, 1) array
@@ -188,7 +200,7 @@ def geometric_mean_adaptive(a, b, lam: float, tol: float = 1e-12,
 
 def _drury_finish(value, err, gauge):
     # The mean inverts the integrals; the estimates are the integrals', scaled.
-    return gauge * inverse(value / math.pi), None if err is None else gauge * err / math.pi
+    return gauge * _inv(value / math.pi), None if err is None else gauge * err / math.pi
 
 
 def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig) -> _Integrals:

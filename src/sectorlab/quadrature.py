@@ -27,9 +27,16 @@ config (its fixed count and its cap, checked when the config is built) or of
 One :class:`QuadratureConfig` sets every library integral, and ``_evaluate``
 alone applies it, to stacked pairs with one job each: the exponents of the
 pair's Gauss-Jacobi rule, its factor and the constant K of its error bound.
-It groups the pairs by rule, a node count and exponents, builds each rule
-once and integrates its pairs together, in batches, and returns their values
-as one stack, with each pair's estimate and node count.
+It groups the pairs by rule, a node count and exponents, and builds each rule
+once.  The path then takes one row per node of each pair, with the pair's
+index, so the node rows of all groups are inverted in one LAPACK call per
+batch of whole pairs and at most ``_BATCH_ENTRIES`` entries: one per
+evaluation unless it is large.  Each group's rows are its ``(pairs, n, d, d)``
+block, summed as above, so each sum keeps its bits.  Where a batch raises or a
+sum is not finite, the pairs are integrated again group by group, so the
+error names the node that a lone call names.  ``_evaluate`` returns the values
+as one stack, with each pair's estimate and node count; a lone pair keeps its
+own path, with no rows.
 
 Every library path is t -> ((1-t) X + t Y)^-1 or built on it, with poles at
 t = 1/(1 - mu) over the eigenvalues mu of its ratio X^-1 Y, and the Gauss error
@@ -64,7 +71,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,7 +84,7 @@ from .errors import (
     NoConvergence,
     SectorlabError,
 )
-from .linalg import _check_integer, frob
+from .linalg import _check_integer, _slice_frobs, frob
 
 MAX_NODES = 4096
 
@@ -330,8 +337,8 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureCon
     # The path is built once for all pairs; each pair's count is cfg.rule_nodes or, under
     # "auto", the smallest on _LADDER, up to cfg.max_nodes, with K rho^(-2n) <= cfg.tol (see
     # the module docstring).  The pairs are grouped by rule, a count and exponents, before any
-    # rule is built, so each is built once per evaluation; its pairs are integrated together,
-    # in batches of at most _BATCH_ENTRIES node-stack entries, and all are finished at once.
+    # rule is built, so each is built once per evaluation; the node rows of all groups are
+    # inverted together, in batches (see _integrate_rows), and all pairs are finished at once.
     ladder = None
     if cfg.rule_nodes == "auto":
         ladder = _LADDER[:bisect_right(_LADDER, cfg.max_nodes)]
@@ -345,16 +352,18 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureCon
         # Scalar work per pair: numpy's overhead on arrays this small exceeds it.
         counts, errs = [], []
         log_rho = _log_rho(np.linalg.eigvals(p.ratio())).reshape(len(a), -1).min(axis=1)
-        for k, (r, x, (alpha, beta, factor, bound)) in enumerate(zip(log_rho.tolist(), a, jobs)):
+        norms = [frob(a[0])] if lone else _slice_frobs(a)
+        for k, (r, norm, (alpha, beta, factor, bound)) in enumerate(zip(log_rho.tolist(), norms, jobs)):
             if not r > 0.0:
                 raise NoConvergence(_POLE_ON_INTERVAL)
             i = bisect_left(ladder, math.log(bound / cfg.tol) / 2.0 / r)
             counts.append(ladder[min(i, len(ladder) - 1)])
-            errs.append(bound * math.exp(-2.0 * counts[k] * r) * (frob(x) or 1.0))
+            errs.append(bound * math.exp(-2.0 * counts[k] * r) * (norm or 1.0))
             if i == len(ladder):
                 message = f"tol={cfg.tol:g} needs more than {ladder[-1]} nodes"
                 try:  # the payload, unless it fails or its bound overflows to inf
-                    value = _integrate(gauss_jacobi(counts[k], alpha, beta), partial(p, jobs=[k]))
+                    value = _integrate(gauss_jacobi(counts[k], alpha, beta),
+                                       p if lone else _pairs_path(p, [k], a.shape))
                     payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k], factor),
                                              counts[k])
                 except (SectorlabError, ValueError) as exc:
@@ -365,19 +374,69 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureCon
         alpha, beta, factor, _ = jobs[0]
         value, err = finish(_integrate(gauss_jacobi(counts[0], alpha, beta), p), errs[0], factor)
         return _Integrals(value[None], [err], counts)
-    shared = {}
+    groups = {}
     for k, (n, (alpha, beta, _, _)) in enumerate(zip(counts, jobs)):
-        shared.setdefault((n, alpha, beta), []).append(k)
-    raw = np.empty(a.shape, dtype=np.complex128)
-    for (n, alpha, beta), pairs in shared.items():
-        rule = gauss_jacobi(n, alpha, beta)
-        step = max(1, _BATCH_ENTRIES // (n * a[0].size))
-        for batch in (pairs[k:k + step] for k in range(0, len(pairs), step)):
-            batch = ... if len(batch) == len(a) else batch  # all pairs: no index, which would copy
-            raw[batch] = _integrate(rule, partial(p, jobs=batch))
+        groups.setdefault((n, alpha, beta), []).append(k)
+    raw = _integrate_rows(p, groups, a.shape)
+    if raw is None:
+        raw = _integrate_groups(p, groups, a.shape)
     value, errs = finish(raw, np.array(errs)[:, None, None] if ladder else None,
                          np.array([factor for _, _, factor, _ in jobs])[:, None, None])
     return _Integrals(value, [None] * len(a) if errs is None else errs.ravel().tolist(), counts)
+
+
+def _integrate_rows(p, groups: dict, shape: tuple) -> np.ndarray | None:
+    # The integrals (pairs, d, d) of every group {(count, alpha, beta): pairs} of the
+    # stacked path p, whose node rows are inverted in one call per batch, or None where a
+    # batch raises or a sum is not finite.  A batch holds whole pairs, and at most
+    # _BATCH_ENTRIES complex entries unless one pair alone has more.  Its rows are
+    # group-major, pair-major and node-minor, so each group's rows in it are the
+    # (pairs, n, d, d) block that _integrate would sum, and every sum keeps its bits.
+    size = math.prod(shape[1:])
+    raw = np.empty(shape, dtype=np.complex128)
+    try:
+        batches, room = [], 0
+        for (n, alpha, beta), pairs in groups.items():
+            rule, per_pair = gauss_jacobi(n, alpha, beta), n * size
+            while pairs:
+                if room < per_pair:  # a new batch, which one pair alone may overfill
+                    batches.append([])
+                    room = max(_BATCH_ENTRIES, per_pair)
+                head, pairs = pairs[:room // per_pair], pairs[room // per_pair:]
+                batches[-1].append((rule, head))
+                room -= len(head) * per_pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in batches:
+                vals = p(np.concatenate([np.tile(rule.nodes, len(pairs)) for rule, pairs in batch]),
+                         np.concatenate([np.repeat(pairs, rule.count) for rule, pairs in batch]))
+                start = 0
+                for rule, pairs in batch:
+                    block = vals[start:start + len(pairs) * rule.count]
+                    block = block.reshape(len(pairs), rule.count, *shape[1:])
+                    raw[pairs] = np.sum(block * rule.weights[:, None, None], axis=-3)
+                    start += len(pairs) * rule.count
+    except Exception:
+        return None
+    return raw if np.isfinite(raw).all() else None
+
+
+def _integrate_groups(p, groups: dict, shape: tuple) -> np.ndarray:
+    # _integrate_rows's integrals, one _integrate call per group and batch of at most
+    # _BATCH_ENTRIES entries: where one raises, or a node value is not finite, it names the
+    # first failing node of the first such group and batch.
+    raw = np.empty(shape, dtype=np.complex128)
+    for (n, alpha, beta), pairs in groups.items():
+        rule = gauss_jacobi(n, alpha, beta)
+        step = max(1, _BATCH_ENTRIES // (n * math.prod(shape[1:])))
+        for batch in (pairs[k:k + step] for k in range(0, len(pairs), step)):
+            raw[batch] = _integrate(rule, _pairs_path(p, batch, shape))
+    return raw
+
+
+def _pairs_path(p, pairs: list, shape: tuple) -> StackedIntegrand:
+    # The stacked path p on the listed pairs alone: nodes (n,) -> values (pairs, n, d, d).
+    return lambda t: p(np.tile(t, len(pairs)), np.repeat(pairs, len(t))).reshape(
+        len(pairs), len(t), *shape[1:])
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

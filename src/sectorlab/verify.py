@@ -15,7 +15,9 @@ pass with per-trial seeding (see ``ensemble``), with Re A, Re B, their inverses
 and the HPD closed forms, which factor Re A and (Re A)^-1/2 Re B (Re A)^-1/2
 once and give (Re A) #_lam (Re B) of every weight and S(Re A | Re B).  The
 means: A #_lam B, B #_(1-lam) A and the homogeneity means of every weight and
-trial in one call, which the quadrature engine batches by rule.  A predicate
+trial in one call, whose node rows the quadrature engine inverts in one
+LAPACK call per batch.  The arrays built here go to ``linalg``'s private
+cores, not back through its public validators.  A predicate
 returns whether each comparison holds and its margin as arrays indexed
 [trial, ...], and one reduction makes the report: a trial with a failed
 comparison is a violation, and the worst margin is the first minimum in trial
@@ -36,7 +38,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ensemble import GENERATOR_NAME, _random_accretives, derive_seed, random_unit_vectors
+from .ensemble import (
+    GENERATOR_NAME,
+    _random_accretive_stack,
+    _random_accretives,
+    _random_unit_vectors,
+    derive_seed,
+)
 from .entropy import EntropyConfig, _tsallis_entropy
 from .errors import SectorlabError
 from .linalg import (
@@ -45,11 +53,11 @@ from .linalg import (
     LoewnerTolerance,
     _check_integer,
     _frob_scaled,
+    _inv,
+    _op_norm,
     _power,
-    inverse,
+    _symmetrize,
     loewner_margin,
-    op_norm,
-    real_part,
 )
 from .means import (
     GeometricMeanConfig,
@@ -75,6 +83,11 @@ _TAG_BILIN_X = 13
 _TAG_BILIN_XSTAR = 14
 
 
+def _is_real(x) -> bool:
+    # a real number, not a bool: a string, None or a complex number fails comparison
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Seeded recipe for one verification ensemble."""
@@ -88,12 +101,12 @@ class EnsembleSpec:
     def __post_init__(self):
         for name, low, high in (("dim", 1, MAX_DIM), ("trials", 1, None), ("seed", 0, None)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
-        if not (0.0 <= self.sector_angle < math.pi / 2):
+        if not (_is_real(self.sector_angle) and 0.0 <= self.sector_angle < math.pi / 2):
             raise ValueError(f"sector_angle must lie in [0, pi/2), got {self.sector_angle}")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must not be empty")
         for lam in self.lambda_grid:
-            if not (0.0 < lam < 1.0):
+            if not (_is_real(lam) and 0.0 < lam < 1.0):
                 raise ValueError(f"lambda grid entries must lie in (0, 1), got {lam}")
         object.__setattr__(self, "sector_angle", float(self.sector_angle))
         object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in self.lambda_grid))
@@ -121,11 +134,10 @@ class PropertyReport:
         return {k: v for k, v in out.items() if v is not None}  # status and detail where set
 
 
-def _draw(spec: EnsembleSpec, trials):
+def _draw(spec: EnsembleSpec, trials, draws=_random_accretives):
     # the A of every listed trial, then their B, in one stacked draw
-    return _random_accretives(spec.dim, spec.sector_angle, ENSEMBLE_COND_CAP,
-                              [derive_seed(spec.seed, tag, i)
-                               for tag in (_TAG_PAIR_A, _TAG_PAIR_B) for i in trials])
+    return draws(spec.dim, spec.sector_angle, ENSEMBLE_COND_CAP,
+                 [derive_seed(spec.seed, tag, i) for tag in (_TAG_PAIR_A, _TAG_PAIR_B) for i in trials])
 
 
 def trial_pair(spec: EnsembleSpec, trial: int):
@@ -148,10 +160,10 @@ class _Pairs(NamedTuple):
 
 def _evaluate_pairs(spec: EnsembleSpec) -> _Pairs:
     # every trial pair of the report from one stacked draw, bitwise trial_pair's
-    pairs = np.stack([x.mat for x in _draw(spec, range(spec.trials))])
+    pairs = _draw(spec, range(spec.trials), _random_accretive_stack)
     pairs = pairs.reshape(2, spec.trials, *pairs.shape[1:])
-    re = real_part(pairs)
-    return _Pairs(*pairs, re, inverse(re), _hpd_congruence(*re))
+    re = _symmetrize(pairs)
+    return _Pairs(*pairs, re, _inv(re), _hpd_congruence(*re))
 
 
 class _Means(NamedTuple):
@@ -187,11 +199,11 @@ def _evaluate_means(spec: EnsembleSpec, p: _Pairs, cfg: GeometricMeanConfig,
     # indexed [trial, weight, job of the weight]
     means = np.moveaxis(means.reshape(len(spec.lambda_grid), -1, *p.a.shape), 2, 0)
     sharp = means[:, :, 0]
-    re_sharp = real_part(sharp)
+    re_sharp = _symmetrize(sharp)
     return _Means(
         sharp=sharp,
         re_sharp=re_sharp,
-        inv_re_sharp=inverse(re_sharp),
+        inv_re_sharp=_inv(re_sharp),
         flip=means[:, :, -1] if flip else None,
         scales=scales,
         scaled=means[:, :, [own.index(s) for s in scales]],
@@ -221,8 +233,8 @@ def _relative_margin(dev, norm, tol: LoewnerTolerance):
 
 def _unit_vectors(spec: EnsembleSpec, tag: int, count: int) -> np.ndarray:
     # (trials, count, dim): each trial's vectors from its own seeded stream
-    return np.stack([random_unit_vectors(spec.dim, count, derive_seed(spec.seed, tag, i))
-                     for i in range(spec.trials)])
+    return _random_unit_vectors(spec.dim, count, [derive_seed(spec.seed, tag, i)
+                                                  for i in range(spec.trials)])
 
 
 def _quadratic_forms(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -243,18 +255,18 @@ def _re_geometric(spec, p: _Pairs, m: _Means, tol):
 def _re_harmonic(spec, p: _Pairs, m, tol):
     # A !_lam B and (Re A) !_lam (Re B), indexed [side, trial, weight]
     lhs, rhs = _harmonic_path(np.stack([p.a, p.re[0]]), np.stack([p.b, p.re[1]]))(spec.lambda_grid)
-    return loewner_margin(real_part(lhs), rhs, tol)[::2]
+    return loewner_margin(_symmetrize(lhs), rhs, tol)[::2]
 
 
 def _re_relative_entropy(spec, p: _Pairs, m, tol, cfg: EntropyConfig = EntropyConfig()):
     # relative_entropy_hpd of every trial: the closed form on the stack
-    return loewner_margin(real_part(_tsallis_entropy(p.a, p.b, [0.0] * spec.trials, cfg).value),
+    return loewner_margin(_symmetrize(_tsallis_entropy(p.a, p.b, [0.0] * spec.trials, cfg).value),
                           p.hpd(_LOG), tol)[::2]
 
 
 def _re_tsallis(spec, p: _Pairs, m: _Means, tol):
     lam = np.array(spec.lambda_grid)[:, None, None]
-    return loewner_margin(real_part((m.sharp - p.a[:, None]) / lam),
+    return loewner_margin(_symmetrize((m.sharp - p.a[:, None]) / lam),
                           (m.hpd - p.re[0][:, None]) / lam, tol)[::2]
 
 
@@ -267,9 +279,9 @@ def _vector_family(spec, p: _Pairs, m: _Means, tol, family_size: int = 3):
 
 
 def _norm_inequality(spec, p: _Pairs, m: _Means, tol):
-    norm_a, norm_b = op_norm(p.inv_re)[..., None]
+    norm_a, norm_b = _op_norm(p.inv_re)[..., None]
     lam = np.array(spec.lambda_grid)
-    return _scalar_margin(op_norm(m.inv_re_sharp), norm_a ** (1 - lam) * norm_b**lam, tol)
+    return _scalar_margin(_op_norm(m.inv_re_sharp), norm_a ** (1 - lam) * norm_b**lam, tol)
 
 
 def _bilinear(spec, p: _Pairs, m: _Means, tol, pairs_per_trial: int = 8):
@@ -409,13 +421,13 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     # all weights in one call, indexed [trial, weight]; the arithmetic mean is (1-lam) A + lam B
     sharp = _geometric_mean(np.concatenate([p.a] * len(lams)), np.concatenate([p.b] * len(lams)),
                             [lam for lam in lams for _ in range(spec.trials)], cfg).value
-    re_sharp = real_part(np.moveaxis(sharp.reshape(len(lams), *p.a.shape), 0, 1))
+    re_sharp = _symmetrize(np.moveaxis(sharp.reshape(len(lams), *p.a.shape), 0, 1))
     low = _harmonic_path(p.a, p.b)(lams)
     lam = np.array(lams)[:, None, None]
     high = (1.0 - lam) * p.a[:, None] + lam * p.b[:, None]
     links = ("harmonic<=geometric", "geometric<=arithmetic")
-    holds, _, margins = loewner_margin(np.stack([re_sharp, real_part(high)], axis=2),
-                                       np.stack([real_part(low), re_sharp], axis=2), tol)
+    holds, _, margins = loewner_margin(np.stack([re_sharp, _symmetrize(high)], axis=2),
+                                       np.stack([_symmetrize(low), re_sharp], axis=2), tol)
     broken = np.flatnonzero(~holds)
     detail = None
     if broken.size:

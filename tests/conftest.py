@@ -40,3 +40,43 @@ def accretive_pairs(count, dims, angle, seed, cond_cap=100.0):
                                         seed=seed * 1_000_003 + 2 * i + 1))
         out.append((a.mat, b.mat))
     return out
+
+
+def node_stacks(monkeypatch):
+    """Spy on the integral engine: the list it returns gets the size, in complex
+    entries, of each node stack that a means or entropy evaluation inverts, one
+    per LAPACK call of its path.  The inverses that build a path or its ratio
+    are not node stacks."""
+    from sectorlab import entropy, means
+
+    stacks, inside = [], []
+    inv = means._inv
+
+    def spy_inv(m, *args):
+        if inside:
+            stacks.append(m.size)
+        return inv(m, *args)
+
+    def spying(evaluate):
+        def spy(path, *args, **kwargs):
+            def built(x, y):
+                p = path(x, y)
+
+                def call(*a, **k):
+                    inside.append(p)
+                    try:
+                        return p(*a, **k)
+                    finally:
+                        inside.pop()
+
+                call.ratio = p.ratio
+                return call
+
+            return evaluate(built, *args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(means, "_inv", spy_inv)
+    for module in (means, entropy):
+        monkeypatch.setattr(module, "_evaluate", spying(module._evaluate))
+    return stacks

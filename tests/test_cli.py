@@ -417,6 +417,8 @@ MEAN = ["mean", "--kind", "geom", "--lambda", "0.3"]
     (["rule", "--kind", "legendre", "--lambda", "9", "--nodes", "2"],
      "--lambda does not apply to --kind legendre"),
     (["verify", "--only", ""], "--only must name at least one property id"),
+    (["verify", "--only", "check_symmetry,", "--trials", "1"],
+     "--only holds an empty property id: 'check_symmetry,'"),
 ])
 def test_usage_errors_print_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     # Every usage error takes main's one ValueError path: nothing on stdout, one

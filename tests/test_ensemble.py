@@ -7,7 +7,9 @@ import pytest
 from sectorlab.ensemble import (
     GENERATOR_NAME,
     SectorSpec,
+    _random_accretive_stack,
     _random_accretives,
+    _random_unit_vectors,
     derive_seed,
     random_accretive,
     random_hpd,
@@ -185,9 +187,10 @@ def test_stacked_draw_raises_for_its_first_non_accretive_slice():
     random_accretive(SectorSpec(dim=3, angle=0.3, cond_cap=1e20, seed=0))
     random_accretive(SectorSpec(dim=3, angle=0.3, cond_cap=1e20, seed=1))
     for seeds in ([0, 2, 1], [2, 3], [1, 0, 2]):
-        with pytest.raises(NotAccretive) as stacked:
-            _random_accretives(3, 0.3, 1e20, seeds)
-        assert str(stacked.value) == str(lone.value)
+        for draws in (_random_accretives, _random_accretive_stack):
+            with pytest.raises(NotAccretive) as stacked:
+                draws(3, 0.3, 1e20, seeds)
+            assert str(stacked.value) == str(lone.value)
     # the validator itself: one bad slice among good ones
     good = np.diag([2.0, 1.0]).astype(complex)
     bad = np.diag([1.0, -1.0]).astype(complex)
@@ -218,6 +221,12 @@ def test_unit_vectors_normalized_and_deterministic():
     assert xs.shape == (8, 5)
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), np.ones(8), atol=1e-14)
     assert np.array_equal(xs, random_unit_vectors(5, 8, 42))
+    # a stack of seeds, normalized in one pass, gives each seed's vectors bitwise
+    seeds = [42, 7, 2**40 + 3, 42]
+    for dim, count in ((5, 8), (1, 3), (16, 2)):
+        stacked = _random_unit_vectors(dim, count, seeds)
+        for got, seed in zip(stacked, seeds, strict=True):
+            assert got.tobytes() == random_unit_vectors(dim, count, seed).tobytes()
 
 
 def test_unit_vector_scalar_case():

@@ -114,6 +114,23 @@ def test_stacked_frob_scaled_is_each_slice_alone_bitwise():
             assert [g.tobytes() for g in got] == alone
 
 
+def test_slice_frobs_are_frob_of_each_slice_bitwise():
+    # The one-pass norms of a stack, which the integral engine takes for its
+    # estimates and gauges, are bitwise frob of each slice alone, as Python
+    # floats: ordinary slices of dims 1-64, and a zero, a 1e200- and a
+    # 1e-200-scaled slice, where frob rescales, in C, Fortran and strided stacks.
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5, 8, 16, 64):
+        m = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        slices = [*m[:3], np.zeros((d, d), dtype=complex), 1e200 * m[3], 1e-200 * m[4]]
+        alone = [la.frob(x) for x in slices]
+        stack = np.stack(slices)
+        for view in (stack, np.asfortranarray(stack), np.stack([stack, stack], axis=1)[:, 1]):
+            got = la._slice_frobs(view)
+            assert all(type(g) is float for g in got)
+            assert got == alone
+
+
 # ------------------------------------------------------------------ inverse
 
 
@@ -424,6 +441,21 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
         la.as_matrix(np.array([[1, 0], [complex(0.0, np.inf), 1]]))
     with pytest.raises(DimensionMismatch):
         la.as_matrix(np.ones((2, 3)))
+
+
+def test_overflowing_products_are_refused_as_non_finite():
+    # The private cores take matrices the library built from validated ones, and
+    # check only that these are finite: a Gram matrix, a difference of Loewner
+    # comparands, a spectral power or a real part that overflows raises the
+    # validator's ValueError, as when the public functions validated them.
+    cases = [lambda: la.op_norm(1e300 * np.ones((2, 2))),
+             lambda: la.loewner_geq(1e308 * np.eye(2), -1e308 * np.eye(2)),
+             lambda: la.hpd_power(1e200 * np.eye(2), 2.0),
+             lambda: la.AccretiveMatrix.from_matrix([[1e308, 1.7e308], [1.7e308, 1.0]])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in cases:
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                call()
 
 
 def test_none_entries_are_named():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs, hpd_pairs
+from conftest import PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs, hpd_pairs, node_stacks
 from sectorlab.errors import DimensionMismatch, InvalidScalar, InvalidWeight
 from sectorlab.linalg import (
     AccretiveMatrix,
@@ -217,8 +217,9 @@ def test_geometric_half_line_form_consistency():
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
     # Each integral body (both means, both entropies) takes stacked pairs; a
-    # fixed rule integrates them in batches of bounded size, and the adaptive
-    # count groups them by rule as well.  Every slice is bitwise the result the
+    # fixed rule inverts their node rows in batches of whole pairs and bounded
+    # size, one LAPACK call each, and the adaptive count groups them by rule as
+    # well.  Every slice is bitwise the result the
     # public function gives for that pair alone, with its nodes_used and its
     # error estimate, a Python float or None.
     import sectorlab.quadrature as quadrature
@@ -246,18 +247,18 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
          entropy.relative_entropy, entropy.relative_entropy_adaptive),
     ]
 
-    batches = []
     integrate = quadrature._integrate
-    monkeypatch.setattr(quadrature, "_integrate",
-                        lambda rule, f: batches.append(rule.count) or integrate(rule, f))
+    stacks = node_stacks(monkeypatch)
     monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
     firsts = []
     for body, fixed, adaptive in cases:
         for cfg in (GeometricMeanConfig(rule_nodes=64), GeometricMeanConfig(rule_nodes=32)):
-            batches.clear()
+            stacks.clear()
             got = body(a, b, cfg)
             assert got.value.shape == a.shape
-            assert len(batches) == -(-len(pairs) // max(1, 128 // cfg.rule_nodes))
+            assert len(stacks) == -(-len(pairs) // max(1, 128 // cfg.rule_nodes))
+            assert sum(stacks) == len(pairs) * cfg.rule_nodes * dim * dim
+            assert max(stacks) <= quadrature._BATCH_ENTRIES
             for k, (x, y) in enumerate(pairs):
                 assert got.nodes_used[k] == got[k].nodes_used == cfg.rule_nodes
                 assert got.error_estimates[k] is got[k].error_estimate is None
@@ -292,8 +293,9 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
 @pytest.mark.parametrize("nodes", [64, 32])
 def test_mixed_weights_are_integrated_by_rule(nodes, monkeypatch):
     # One call over pairs of mixed weights: the pairs that share a rule are
-    # integrated together, in batches of at most _BATCH_ENTRIES entries, so
-    # there is one _integrate call per rule and batch, and each mean is
+    # grouped, each rule is built once, and the node rows of all groups are
+    # inverted in batches of whole pairs and at most _BATCH_ENTRIES entries, one
+    # LAPACK call each, so a batch may hold two rules' pairs.  Each mean is
     # bitwise the lone geometric_mean.
     import sectorlab.quadrature as quadrature
     from sectorlab import means
@@ -302,16 +304,17 @@ def test_mixed_weights_are_integrated_by_rule(nodes, monkeypatch):
     pairs = accretive_pairs(5, (dim,), 0.9, seed=43)
     weights = (0.1, 0.5, 0.9, 1.0 - 0.9)
     jobs = [(x, y, lam) for x, y in pairs for lam in weights]  # the weights interleaved
-    rules = []
-    integrate = quadrature._integrate
-    monkeypatch.setattr(quadrature, "_integrate",
-                        lambda rule, f: rules.append((rule.alpha, rule.count)) or integrate(rule, f))
+    built = []
+    jacobi = quadrature.gauss_jacobi
+    monkeypatch.setattr(quadrature, "gauss_jacobi", lambda *args: built.append(args) or jacobi(*args))
+    stacks = node_stacks(monkeypatch)
     monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 2 * 64 * dim * dim)
     cfg = GeometricMeanConfig(rule_nodes=nodes)
     got = means._geometric_mean(np.stack([x for x, _, _ in jobs]), np.stack([y for _, y, _ in jobs]),
                                 [lam for _, _, lam in jobs], cfg)
-    batches = -(-len(pairs) // (128 // nodes))
-    assert rules == [(-lam, nodes) for lam in weights for _ in range(batches)]
+    assert built == [(nodes, -lam, lam - 1.0) for lam in weights]
+    # 20 pairs, 128 // nodes per batch; the 64-node rule's odd groups share batches
+    assert stacks == [128 * dim * dim] * (len(jobs) * nodes // 128)
     assert got.nodes_used == [nodes] * len(jobs)
     for k, (x, y, lam) in enumerate(jobs):
         assert np.array_equal(got.value[k], geometric_mean(x, y, lam, cfg))

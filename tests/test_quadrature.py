@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as scipy_special
 
-from conftest import LADDER, PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs
+from conftest import LADDER, PAIR_A, PAIR_B, PAIR_GEOMETRIC_03, accretive_pairs, node_stacks
 from sectorlab import quadrature
 from sectorlab.errors import (
     EvaluationFailure,
@@ -505,12 +505,15 @@ def _stub_f(t, mu):
 
 
 def _stub_path(x, y):
-    # t -> x f(t) + y over the node array, for the three stacked pairs or those
-    # listed in jobs; f has its poles at t = 1/(1 - mu), mu over the eigenvalues
-    # of the ratio, one diagonal matrix per pair
-    def p(nodes, jobs=...):
-        vals = np.stack([np.stack([_stub_f(float(t), mu) for t in nodes]) for mu in _STUB_MUS])
-        return x[:, None][jobs] * vals[jobs] + y[:, None][jobs]
+    # t -> x f(t) + y over the node array, for the three stacked pairs, or with rows,
+    # one pair index per node, for those rows; f has its poles at t = 1/(1 - mu), mu
+    # over the eigenvalues of the ratio, one diagonal matrix per pair
+    def p(nodes, rows=None):
+        if rows is None:
+            vals = np.stack([np.stack([_stub_f(float(t), mu) for t in nodes]) for mu in _STUB_MUS])
+            return x[:, None] * vals + y[:, None]
+        vals = np.stack([_stub_f(float(t), _STUB_MUS[k]) for t, k in zip(nodes, rows, strict=True)])
+        return x[rows] * vals + y[rows]
 
     p.ratio = lambda: np.eye(2) * _STUB_MUS[:, None, :]
     return p
@@ -1057,6 +1060,34 @@ def test_singular_interior_node_is_reported():
     assert stacked.value.node == t_bad
 
 
+def test_failing_node_in_a_stack_is_the_lone_calls():
+    # A stacked fixed-rule evaluation that holds the pair of
+    # test_singular_interior_node_is_reported among good pairs of two rule groups,
+    # S's Gauss-Legendre and T_1/2's Jacobi rule, raises the lone call's
+    # EvaluationFailure: its node and its message.  So does a pair whose node matrix
+    # there is ill-conditioned, not singular; its message carries the condition
+    # estimate of the lone call.
+    from sectorlab import entropy
+    from sectorlab.entropy import EntropyConfig, relative_entropy
+    from sectorlab.errors import IllConditioned, SingularMatrix
+
+    cfg = EntropyConfig(rule_nodes=64)
+    t_bad = float(gauss_legendre(64).nodes[20])
+    a = np.eye(2, dtype=complex)
+    good = accretive_pairs(4, (2,), 0.5, seed=101)
+    for scale, cause in ((1.0, SingularMatrix), (1.0 + 1e-15, IllConditioned)):
+        b = np.diag([1.0, -scale * t_bad / (1.0 - t_bad)]).astype(complex)
+        with pytest.raises(EvaluationFailure) as lone:
+            relative_entropy(a, b, cfg)
+        pairs = [good[0], good[1], (a, b), good[2], good[3]]
+        with pytest.raises(EvaluationFailure) as stacked:
+            entropy._tsallis_entropy(np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs]),
+                                     [0.5, 0.0, 0.0, 0.5, 0.0], cfg)
+        assert type(lone.value.__cause__) is type(stacked.value.__cause__) is cause
+        assert (stacked.value.node, str(stacked.value)) == (lone.value.node, str(lone.value))
+        assert lone.value.node == t_bad
+
+
 # ------------------------------------------------------- automatic node count
 
 
@@ -1161,9 +1192,10 @@ def test_tol_below_the_rounding_floor_raises(monkeypatch):
 
 def test_auto_stack_is_bitwise_its_lone_calls(monkeypatch):
     # One call over stacked pairs of mixed weights takes every pair's poles from
-    # one eigvals call and integrates the pairs sharing a rule, a family at a
-    # count, together: one _integrate call per rule.  Each result is bitwise
-    # the lone call's, with its node count and its estimate.
+    # one eigvals call, groups the pairs sharing a rule, a family at a count,
+    # builds each rule once and inverts the node rows of all groups in one LAPACK
+    # call.  Each result is bitwise the lone call's, with its node count and its
+    # estimate.
     from sectorlab import entropy, means
     from sectorlab.means import GeometricMeanConfig
 
@@ -1182,14 +1214,16 @@ def test_auto_stack_is_bitwise_its_lone_calls(monkeypatch):
          lambda k: entropy._tsallis_entropy(a[k:k + 1], b[k:k + 1], [0.7], cfg)),
     ]
     rules = []
-    integrate = quadrature._integrate
-    monkeypatch.setattr(quadrature, "_integrate",
-                        lambda rule, f: rules.append((rule.alpha, rule.count)) or integrate(rule, f))
+    jacobi = quadrature.gauss_jacobi
+    monkeypatch.setattr(quadrature, "gauss_jacobi", lambda *args: rules.append(args) or jacobi(*args))
+    stacks = node_stacks(monkeypatch)
     for stacked, lone in bodies:
         rules.clear()
+        stacks.clear()
         got = stacked(a, b)
         assert len(rules) == len(set(rules)) > 1
-        assert {n for _, n in rules} <= set(quadrature._LADDER)
+        assert {n for n, _, _ in rules} <= set(quadrature._LADDER)
+        assert stacks == [sum(got.nodes_used) * 9]
         for k in range(len(pairs)):
             want = lone(k)
             assert np.array_equal(got.value[k], want.value[0])

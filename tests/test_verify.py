@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import node_stacks
 from sectorlab.ensemble import derive_seed, random_unit_vectors
 from sectorlab.entropy import relative_entropy, relative_entropy_hpd
 from sectorlab.linalg import (
@@ -80,6 +81,15 @@ def test_spec_validation():
             EnsembleSpec(dim=bad)
     assert EnsembleSpec(dim=np.int64(2)).dim == 2
     assert type(EnsembleSpec(dim=np.int64(2)).dim) is int
+    # the angle and the weights are real numbers, not bools, strings, None or complex
+    for bad in (True, "0.4", None, 0.4 + 0j):
+        with pytest.raises(ValueError, match=r"^sector_angle must lie in \[0, pi/2\)"):
+            EnsembleSpec(sector_angle=bad)
+    for grid in ((True,), ("0.5",), (0.5, None), (0.5 + 0j,), (0.3, False)):
+        with pytest.raises(ValueError, match=r"^lambda grid entries must lie in \(0, 1\)"):
+            EnsembleSpec(lambda_grid=grid)
+    spec = EnsembleSpec(sector_angle=np.float32(0.5), lambda_grid=(np.float64(0.25), np.float32(0.5)))
+    assert spec.sector_angle == 0.5 and spec.lambda_grid == (0.25, 0.5)
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="family_size"):
             check_vector_family(SMALL, family_size=bad)
@@ -199,26 +209,35 @@ def test_mean_failure_stays_with_the_mean_checks(monkeypatch):
 
 
 def test_default_report_integrates_once_per_rule(monkeypatch):
-    # A report's means are one call, and the quadrature integrates the pairs
-    # of each rule together: the default report makes one _integrate call per
-    # rule, that is per node count of each weight, 0.1, 0.5, 0.9 and the
-    # flipped means' 1 - 0.9, and of the relative entropy, the lam = 0 Tsallis
-    # integral.  Each pair's node count is its own, from the ladder.  Each rule
-    # is built once, just before its pairs are integrated: there are as many
-    # gauss_jacobi calls as _integrate calls.
+    # A report's means are one evaluation and its relative entropies another.
+    # Each groups its pairs by rule, a node count of each weight, 0.1, 0.5, 0.9
+    # and the flipped means' 1 - 0.9, or of the relative entropy, the lam = 0
+    # Tsallis integral, and builds each rule once.  Each pair's node count is
+    # its own, from the ladder.  The node rows of all groups are inverted in
+    # batches of whole pairs and at most _BATCH_ENTRIES entries, one LAPACK call
+    # each: the default report's 1200 means fill a batch to within one pair,
+    # and a 2-trial report's integrals take exactly two inversions.  A pair that
+    # alone exceeds the cap is a batch of its own, and batching changes no bit.
     import sectorlab.quadrature as quadrature
 
-    rules, built = [], []
-    integrate, jacobi = quadrature._integrate, quadrature.gauss_jacobi
-    monkeypatch.setattr(quadrature, "_integrate", lambda rule, f: rules.append(
-        (rule.kind, rule.count, rule.alpha, rule.beta)) or integrate(rule, f))
+    built = []
+    jacobi = quadrature.gauss_jacobi
     monkeypatch.setattr(quadrature, "gauss_jacobi", lambda *args: built.append(args) or jacobi(*args))
+    stacks = node_stacks(monkeypatch)
     run_all(EnsembleSpec())
-    assert len(set(rules)) == len(rules)
-    assert built == [rule[1:] for rule in rules]
-    assert {count for _, count, _, _ in rules} <= set(quadrature._LADDER)
-    assert {rule[2:] for rule in rules} == {(-lam, lam - 1.0) for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)} | {
+    assert len(set(built)) == len(built)
+    assert {n for n, _, _ in built} <= set(quadrature._LADDER)
+    assert {rule[1:] for rule in built} == {(-lam, lam - 1.0) for lam in (0.1, 0.5, 0.9, 1.0 - 0.9)} | {
         (-0.0, 0.0)}
+    assert max(stacks) <= quadrature._BATCH_ENTRIES < stacks[0] + 512 * 9
+    spec = EnsembleSpec(trials=2, seed=4)
+    stacks.clear()
+    want = reports_to_dict(spec, run_all(spec))
+    assert len(stacks) == 2
+    monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", 1)
+    stacks.clear()
+    assert reports_to_dict(spec, run_all(spec)) == want
+    assert len(stacks) == 2 * 3 * 4 + 2  # per trial and weight A #_lam B, two scaled, one flipped; S
 
 
 def test_report_json_schema():
@@ -598,9 +617,9 @@ def test_shared_hpd_forms_are_the_public_closed_forms_bitwise(monkeypatch):
     from sectorlab.linalg import _LOG, _power
     from sectorlab.verify import _evaluate_means, _evaluate_pairs
 
-    herm_eig = means.herm_eig
+    herm_eig = means._herm_eig
     calls = []
-    monkeypatch.setattr(means, "herm_eig", lambda h: calls.append(h.shape) or herm_eig(h))
+    monkeypatch.setattr(means, "_herm_eig", lambda h: calls.append(h.shape) or herm_eig(h))
     for spec in REFERENCE_SPECS:
         calls.clear()
         p = _evaluate_pairs(spec)
