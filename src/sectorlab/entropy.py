@@ -59,11 +59,11 @@ _RELATIVE_BOUND = 1e3
 _TSALLIS_BOUND = 1e5
 
 
-def _entropy_path(a: np.ndarray, b: np.ndarray):
-    # t -> (A !_t B - A)/t over a node array; bounded on (0, 1), limit
-    # A - A B^-1 A at t -> 0.  Stacked pairs (jobs, d, d) give (jobs, n, d, d),
+def _entropy_path(ab: np.ndarray):
+    # t -> (A !_t B - A)/t over a node array, for the pair ab = (A, B); bounded on (0, 1),
+    # limit A - A B^-1 A at t -> 0.  Stacked pairs (2, jobs, d, d) give (jobs, n, d, d),
     # or with rows, one pair index per node, the rows (n, d, d).
-    harmonic = _harmonic_path(a, b)
+    harmonic, a = _harmonic_path(ab), ab[0]
 
     def path(t, rows=None) -> np.ndarray:
         h = harmonic(t, rows)
@@ -106,7 +106,7 @@ def _tsallis_entropy(a: np.ndarray, b: np.ndarray, lams: list, cfg: EntropyConfi
     # T_lam_k(A_k|B_k) for every pair of the stacks (jobs, d, d), one checked weight per pair.
     # lam = 0 gives S(A_k|B_k): Jacobi(-0.0, 0.0) is the Gauss-Legendre rule, and S's factor
     # 1.0 changes no bit of its sums unless an entry is -0 - 0j at every node.
-    return _evaluate(_entropy_path, a, b,
+    return _evaluate(_entropy_path, np.array((a, b)),
                      [(-lam, lam, math.sin(lam * math.pi) / (lam * math.pi), _TSALLIS_BOUND) if lam
                       else (-0.0, 0.0, 1.0, _RELATIVE_BOUND) for lam in lams], cfg)
 

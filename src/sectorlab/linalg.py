@@ -13,8 +13,10 @@ node counts and sizes alike: a Python or numpy integer in range, not
 ``bool``.  The public functions validate their input and then call private
 cores, which the library's own paths call directly on the stacks they have
 already validated or built: ``_inv``, one LAPACK call and a condition
-estimate, under :func:`inverse`; ``_symmetrize`` under :func:`symmetrize`,
-:func:`real_part` and the Hermitian eigensolver ``_herm_eig``, which checks
+estimate per slice, under :func:`inverse`, whose failing stack raises what its
+first failing slice raises alone, with that slice's index; ``_symmetrize``
+under :func:`symmetrize`, :func:`real_part` and the Hermitian eigensolver
+``_herm_eig``, which checks
 only that its matrices are finite, as a product of validated matrices may
 overflow; and ``_op_norm`` under :func:`op_norm`.  ``_slice_frobs`` gives
 :func:`frob` of every slice of a stack in one pass.
@@ -34,6 +36,7 @@ from .errors import (
     NoConvergence,
     NotAccretive,
     NotPositiveDefinite,
+    SectorlabError,
     SingularMatrix,
 )
 
@@ -143,9 +146,9 @@ def inverse(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
     Raises:
         SingularMatrix: LAPACK met an exactly zero pivot in some slice.
         IllConditioned: in some slice the estimate ||A||_F * ||X||_F exceeded
-            ``cond_cap``.
+            ``cond_cap``; the message gives the stack's largest estimate.
     """
-    return _inv(_as_stack(a), cond_cap)
+    return _inv(_as_stack(a), cond_cap, per_slice=False)
 
 
 def _frob_sq(m: np.ndarray) -> np.ndarray:
@@ -165,21 +168,50 @@ def _frob_scaled(m: np.ndarray) -> np.ndarray:
     return s[..., 0, 0] * np.sqrt(np.fmax(np.einsum("...ij,...ij->...", a, a), 1.0))
 
 
-def _inv(m: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
-    # inverse of a validated complex128 stack; see inverse
+def _inv(m: np.ndarray, cond_cap: float = DEFAULT_COND_CAP, per_slice: bool = True) -> np.ndarray:
+    # inverse of a validated complex128 stack, whose slices' estimates must meet cond_cap.
+    # Where slices fail, per_slice raises the error that the first in C order raises alone,
+    # with its flat index as the error's ``slice``; else a singular slice raises and an
+    # estimate names the stack's largest, as inverse does.
+    per_slice = per_slice and m.ndim > 2
     try:
         x = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
+        if per_slice:
+            _first_failure(m, range(math.prod(m.shape[:-2])), cond_cap)
         raise SingularMatrix(f"LAPACK inversion failed: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
+        # sqrt(sum_k ||A_k||^2 sum_k ||X_k||^2), from two dot products, is at least every
+        # slice's estimate: within half the cap, no rounding lets a slice pass that fails
+        flat_m, flat_x = m.reshape(-1).view(np.float64), x.reshape(-1).view(np.float64)
+        bound = math.sqrt(flat_m.dot(flat_m) * flat_x.dot(flat_x))
+        if bound <= 0.5 * cond_cap and bound < math.inf:
+            return x
+        sq = _frob_sq(m) * _frob_sq(x)
         # max propagates a NaN estimate, which then fails the finiteness test.
-        cond_est = math.sqrt((_frob_sq(m) * _frob_sq(x)).max())
-        if not math.isfinite(cond_est) or cond_est > cond_cap:
-            # the squares may have overflowed or underflowed: recompute scale-safely
-            cond_est = float((_frob_scaled(m) * _frob_scaled(x)).max())
+        cond_est = math.sqrt(sq.max())
+        if math.isfinite(cond_est) and cond_est <= cond_cap:
+            return x
+        if per_slice:
+            _first_failure(m, np.flatnonzero(~(np.sqrt(sq) <= cond_cap) | np.isinf(sq)), cond_cap)
+            return x
+        # the squares may have overflowed or underflowed: recompute scale-safely
+        cond_est = float((_frob_scaled(m) * _frob_scaled(x)).max())
     if not math.isfinite(cond_est) or cond_est > cond_cap:
         raise IllConditioned(f"condition estimate {cond_est:.3e} exceeds cap {cond_cap:g}")
     return x
+
+
+def _first_failure(m: np.ndarray, candidates, cond_cap: float) -> None:
+    # raise the error of the first candidate slice of the stack m, by ascending flat index,
+    # that fails alone, with that index as the error's ``slice``
+    slices = m.reshape(-1, *m.shape[-2:])
+    for k in candidates:
+        try:
+            _inv(slices[k], cond_cap)
+        except SectorlabError as exc:
+            exc.slice = int(k)
+            raise
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:

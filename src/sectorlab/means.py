@@ -85,7 +85,7 @@ def arithmetic_mean(a, b, lam: float) -> np.ndarray:
 def harmonic_mean(a, b, lam: float) -> np.ndarray:
     """((1-lam) A^-1 + lam B^-1)^-1."""
     lam = check_weight(lam)
-    return _harmonic_path(*_pair(a, b))(lam)[0]
+    return _harmonic_path(np.array(_pair(a, b)))(lam)[0]
 
 
 def _hpd_congruence(a: np.ndarray, b: np.ndarray):
@@ -139,31 +139,36 @@ def _convex_inverse_path(x: np.ndarray, y: np.ndarray, x_inv: np.ndarray | None 
     return path
 
 
-def _harmonic_path(a: np.ndarray, b: np.ndarray):
-    # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1, with the two fixed inverses
-    # hoisted out of the path, so its ratio is A B^-1; A and B are validated
-    return _convex_inverse_path(_inv(a), _inv(b), a)
+def _harmonic_path(ab: np.ndarray):
+    # t -> A !_t B = ((1-t) A^-1 + t B^-1)^-1 of the validated pair ab = (A, B), (2, ..., d, d),
+    # with the two fixed inverses, from one _inv call, hoisted out of the path, so its ratio is
+    # A B^-1; A's failure comes before B's
+    x, y = _inv(ab)
+    return _convex_inverse_path(x, y, ab[0])
 
 
-def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, np.ndarray, list]:
+def _gauges(a: np.ndarray, b: np.ndarray, lams: list) -> tuple[np.ndarray, list]:
     # The mean is homogeneous: (aA) #_lam (bB) = a^(1-lam) b^lam (A #_lam B).
     # Normalizing each argument of each pair to unit Frobenius norm before
     # quadrature makes the computed mean scaling-equivariant to rounding and
     # keeps the integrand's poles where the node count was calibrated.
     # A lone pair takes frob, a stack one pass over each side, bitwise frob per slice.
+    # The pairs come back divided into one array (A, B), (2, jobs, d, d), with their gauges.
     norms = [(frob(a[0]), frob(b[0]))] if len(a) == 1 else zip(_slice_frobs(a), _slice_frobs(b))
     norms = [(sa, sb) if sa > 0.0 and sb > 0.0 else (1.0, 1.0) for sa, sb in norms]
     gauges = [sa ** (1.0 - lam) * sb**lam for (sa, sb), lam in zip(norms, lams)]
-    if len(a) == 1:  # a lone pair divides by its two norms, with no (2, 1, 1, 1) array
-        return a / norms[0][0], b / norms[0][1], gauges
-    div = np.array(norms).T[..., None, None]
-    return a / div[0], b / div[1], gauges
+    # a lone pair divides by its two norms, with no (2, 1, 1, 1) array
+    div = norms[0] if len(a) == 1 else np.array(norms).T[..., None, None]
+    ab = np.empty((2, *a.shape), dtype=np.complex128)
+    np.divide(a, div[0], out=ab[0])
+    np.divide(b, div[1], out=ab[1])
+    return ab, gauges
 
 
 def _geometric_mean(a: np.ndarray, b: np.ndarray, lams: list, cfg: GeometricMeanConfig) -> _Integrals:
     # A_k #_lam_k B_k for every pair of the stacks (jobs, d, d), one checked weight per pair
-    a, b, gauges = _gauges(a, b, lams)
-    return _evaluate(_harmonic_path, a, b,
+    ab, gauges = _gauges(a, b, lams)
+    return _evaluate(_harmonic_path, ab,
                      [(-lam, lam - 1.0, g * math.sin(lam * math.pi) / math.pi, _MEAN_BOUND)
                       for g, lam in zip(gauges, lams)], cfg)
 
@@ -206,8 +211,8 @@ def _drury_finish(value, err, gauge):
 def _drury_mean(a: np.ndarray, b: np.ndarray, cfg: GeometricMeanConfig) -> _Integrals:
     # A_k # B_k for every pair of the stacks (jobs, d, d); the
     # integrand (uA + (1-u)B)^-1 is the convex path from B to A
-    a, b, gauges = _gauges(a, b, [0.5] * len(a))
-    return _evaluate(lambda x, y: _convex_inverse_path(y, x), a, b,
+    ab, gauges = _gauges(a, b, [0.5] * len(a))
+    return _evaluate(lambda ab: _convex_inverse_path(ab[1], ab[0]), ab,
                      [(-0.5, -0.5, g, _DRURY_BOUND) for g in gauges], cfg, _drury_finish)
 
 

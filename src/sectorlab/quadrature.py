@@ -32,11 +32,11 @@ once.  The path then takes one row per node of each pair, with the pair's
 index, so the node rows of all groups are inverted in one LAPACK call per
 batch of whole pairs and at most ``_BATCH_ENTRIES`` entries: one per
 evaluation unless it is large.  Each group's rows are its ``(pairs, n, d, d)``
-block, summed as above, so each sum keeps its bits.  Where a batch raises or a
-sum is not finite, the pairs are integrated again group by group, so the
-error names the node that a lone call names.  ``_evaluate`` returns the values
-as one stack, with each pair's estimate and node count; a lone pair keeps its
-own path, with no rows.
+block, summed as above, so each sum keeps its bits.  Where pairs fail, the
+first raises what its lone call raises: ``linalg._inv`` names the first node
+row that fails, with the error that row raises alone.  ``_evaluate`` returns
+the values as one stack, with each pair's estimate and node count; a lone pair
+keeps its own path, with no rows.
 
 Every library path is t -> ((1-t) X + t Y)^-1 or built on it, with poles at
 t = 1/(1 - mu) over the eigenvalues mu of its ratio X^-1 Y, and the Gauss error
@@ -267,16 +267,23 @@ def _integrate(rule: QuadratureRule, f: StackedIntegrand) -> np.ndarray:
                 try:
                     f(np.array([t]))
                 except Exception as exc:
-                    raise EvaluationFailure(f"integrand raised at node t={float(t)!r}: {exc}",
-                                            node=float(t)) from exc
+                    raise _raised_at(float(t), exc) from exc
             raise
         total = np.sum(vals * rule.weights[:, None, None], axis=-3)
     if not np.isfinite(total).all():
-        finite = np.isfinite(vals).all(axis=(-2, -1)).reshape(-1, rule.count).all(axis=0)
-        if not finite.all():
-            t = float(rule.nodes[np.argmin(finite)])
-            raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
+        _check_nodes(rule.nodes, np.isfinite(vals).all(axis=(-2, -1)).reshape(-1, rule.count).all(axis=0))
     return total
+
+
+def _raised_at(t: float, exc: Exception) -> EvaluationFailure:
+    return EvaluationFailure(f"integrand raised at node t={t!r}: {exc}", node=t)
+
+
+def _check_nodes(nodes: np.ndarray, finite: np.ndarray) -> None:
+    # raise for the first of the nodes whose value is not finite, by finite, one flag per node
+    if not finite.all():
+        t = float(nodes[np.argmin(finite)])
+        raise EvaluationFailure(f"integrand non-finite at node t={t!r}", node=t)
 
 
 def _log_rho(mu: np.ndarray) -> np.ndarray:
@@ -329,30 +336,31 @@ class _Integrals:
         return IntegralResult(self.value[k], self.error_estimates[k], self.nodes_used[k])
 
 
-def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureConfig,
+def _evaluate(path, ab: np.ndarray, jobs: list, cfg: QuadratureConfig,
               finish=_scaled) -> _Integrals:
-    # path(A_k, B_k) integrated for the stacked pairs, one job per pair: (alpha, beta, factor,
-    # bound), its Gauss-Jacobi exponents, the factor that finish(values, estimates, factors)
-    # -> (values, estimates) applies and K, its bound constant, calibrated per integral kind.
-    # The path is built once for all pairs; each pair's count is cfg.rule_nodes or, under
-    # "auto", the smallest on _LADDER, up to cfg.max_nodes, with K rho^(-2n) <= cfg.tol (see
-    # the module docstring).  The pairs are grouped by rule, a count and exponents, before any
-    # rule is built, so each is built once per evaluation; the node rows of all groups are
-    # inverted together, in batches (see _integrate_rows), and all pairs are finished at once.
+    # path(ab) integrated for the stacked pairs ab = (A, B), (2, jobs, d, d), one job per pair:
+    # (alpha, beta, factor, bound), its Gauss-Jacobi exponents, the factor that
+    # finish(values, estimates, factors) -> (values, estimates) applies and K, its bound
+    # constant, calibrated per integral kind.  The path is built once for all pairs; each
+    # pair's count is cfg.rule_nodes or, under "auto", the smallest on _LADDER, up to
+    # cfg.max_nodes, with K rho^(-2n) <= cfg.tol (see the module docstring).  The pairs are
+    # grouped by rule, a count and exponents, before any rule is built, so each is built once
+    # per evaluation; the node rows of all groups are inverted together, in batches (see
+    # _integrate_rows), and all pairs are finished at once.
     ladder = None
     if cfg.rule_nodes == "auto":
         ladder = _LADDER[:bisect_right(_LADDER, cfg.max_nodes)]
         if not cfg.tol >= _TOL_FLOOR:
             raise NoConvergence(f"tol={cfg.tol:g} is below the rounding floor {_TOL_FLOOR:.1e}")
     # A lone pair skips the job axis, on which numpy's ops cost a few microseconds more.
-    lone = len(a) == 1
-    p = path(a[0], b[0]) if lone else path(a, b)
-    counts, errs = [cfg.rule_nodes] * len(a), [None] * len(a)
+    lone = len(jobs) == 1
+    p = path(ab[:, 0] if lone else ab)
+    counts, errs = [cfg.rule_nodes] * len(jobs), [None] * len(jobs)
     if ladder:
         # Scalar work per pair: numpy's overhead on arrays this small exceeds it.
         counts, errs = [], []
-        log_rho = _log_rho(np.linalg.eigvals(p.ratio())).reshape(len(a), -1).min(axis=1)
-        norms = [frob(a[0])] if lone else _slice_frobs(a)
+        log_rho = _log_rho(np.linalg.eigvals(p.ratio())).reshape(len(jobs), -1).min(axis=1)
+        norms = [frob(ab[0, 0])] if lone else _slice_frobs(ab[0])
         for k, (r, norm, (alpha, beta, factor, bound)) in enumerate(zip(log_rho.tolist(), norms, jobs)):
             if not r > 0.0:
                 raise NoConvergence(_POLE_ON_INTERVAL)
@@ -361,11 +369,11 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureCon
             errs.append(bound * math.exp(-2.0 * counts[k] * r) * (norm or 1.0))
             if i == len(ladder):
                 message = f"tol={cfg.tol:g} needs more than {ladder[-1]} nodes"
+                rule = (counts[k], alpha, beta)
                 try:  # the payload, unless it fails or its bound overflows to inf
-                    value = _integrate(gauss_jacobi(counts[k], alpha, beta),
-                                       p if lone else _pairs_path(p, [k], a.shape))
-                    payload = IntegralResult(*finish(value.reshape(a.shape[1:]), errs[k], factor),
-                                             counts[k])
+                    value = (_integrate(gauss_jacobi(*rule), p) if lone
+                             else _integrate_rows(p, {rule: [k]}, ab.shape[1:])[k])
+                    payload = IntegralResult(*finish(value, errs[k], factor), counts[k])
                 except (SectorlabError, ValueError) as exc:
                     raise NoConvergence(message) from exc
                 raise NoConvergence(message, payload)
@@ -377,66 +385,59 @@ def _evaluate(path, a: np.ndarray, b: np.ndarray, jobs: list, cfg: QuadratureCon
     groups = {}
     for k, (n, (alpha, beta, _, _)) in enumerate(zip(counts, jobs)):
         groups.setdefault((n, alpha, beta), []).append(k)
-    raw = _integrate_rows(p, groups, a.shape)
-    if raw is None:
-        raw = _integrate_groups(p, groups, a.shape)
-    value, errs = finish(raw, np.array(errs)[:, None, None] if ladder else None,
+    value, errs = finish(_integrate_rows(p, groups, ab.shape[1:]),
+                         np.array(errs)[:, None, None] if ladder else None,
                          np.array([factor for _, _, factor, _ in jobs])[:, None, None])
-    return _Integrals(value, [None] * len(a) if errs is None else errs.ravel().tolist(), counts)
+    return _Integrals(value, [None] * len(jobs) if errs is None else errs.ravel().tolist(), counts)
 
 
-def _integrate_rows(p, groups: dict, shape: tuple) -> np.ndarray | None:
-    # The integrals (pairs, d, d) of every group {(count, alpha, beta): pairs} of the
-    # stacked path p, whose node rows are inverted in one call per batch, or None where a
-    # batch raises or a sum is not finite.  A batch holds whole pairs, and at most
-    # _BATCH_ENTRIES complex entries unless one pair alone has more.  Its rows are
-    # group-major, pair-major and node-minor, so each group's rows in it are the
-    # (pairs, n, d, d) block that _integrate would sum, and every sum keeps its bits.
+def _integrate_rows(p, groups: dict, shape: tuple) -> np.ndarray:
+    # The integrals (pairs, d, d) of the listed pairs of every group {(count, alpha, beta):
+    # pairs} of the stacked path p, whose node rows are inverted in one call per batch.  A
+    # batch holds whole pairs, and at most _BATCH_ENTRIES complex entries unless one pair
+    # alone has more.  Its rows are group-major, pair-major and node-minor, so each group's
+    # rows in it are the (pairs, n, d, d) block that _integrate would sum, and every sum
+    # keeps its bits.  A failure is the first failing pair's, as its lone call raises it:
+    # where the path raises, _inv names the first failing row, and where a group's sums are
+    # not finite, the first pair with a non-finite node value names its first such node.
     size = math.prod(shape[1:])
     raw = np.empty(shape, dtype=np.complex128)
-    try:
-        batches, room = [], 0
-        for (n, alpha, beta), pairs in groups.items():
-            rule, per_pair = gauss_jacobi(n, alpha, beta), n * size
-            while pairs:
-                if room < per_pair:  # a new batch, which one pair alone may overfill
-                    batches.append([])
-                    room = max(_BATCH_ENTRIES, per_pair)
-                head, pairs = pairs[:room // per_pair], pairs[room // per_pair:]
-                batches[-1].append((rule, head))
-                room -= len(head) * per_pair
-        with np.errstate(over="ignore", invalid="ignore"):
-            for batch in batches:
-                vals = p(np.concatenate([np.tile(rule.nodes, len(pairs)) for rule, pairs in batch]),
-                         np.concatenate([np.repeat(pairs, rule.count) for rule, pairs in batch]))
-                start = 0
-                for rule, pairs in batch:
-                    block = vals[start:start + len(pairs) * rule.count]
-                    block = block.reshape(len(pairs), rule.count, *shape[1:])
-                    raw[pairs] = np.sum(block * rule.weights[:, None, None], axis=-3)
-                    start += len(pairs) * rule.count
-    except Exception:
-        return None
-    return raw if np.isfinite(raw).all() else None
-
-
-def _integrate_groups(p, groups: dict, shape: tuple) -> np.ndarray:
-    # _integrate_rows's integrals, one _integrate call per group and batch of at most
-    # _BATCH_ENTRIES entries: where one raises, or a node value is not finite, it names the
-    # first failing node of the first such group and batch.
-    raw = np.empty(shape, dtype=np.complex128)
+    batches, room = [], 0
     for (n, alpha, beta), pairs in groups.items():
-        rule = gauss_jacobi(n, alpha, beta)
-        step = max(1, _BATCH_ENTRIES // (n * math.prod(shape[1:])))
-        for batch in (pairs[k:k + step] for k in range(0, len(pairs), step)):
-            raw[batch] = _integrate(rule, _pairs_path(p, batch, shape))
+        rule, per_pair = gauss_jacobi(n, alpha, beta), n * size
+        while pairs:
+            if room < per_pair:  # a new batch, which one pair alone may overfill
+                batches.append([])
+                room = max(_BATCH_ENTRIES, per_pair)
+            head, pairs = pairs[:room // per_pair], pairs[room // per_pair:]
+            batches[-1].append((rule, head))
+            room -= len(head) * per_pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in batches:
+            nodes = np.concatenate([np.tile(rule.nodes, len(pairs)) for rule, pairs in batch])
+            rows = np.concatenate([np.repeat(pairs, rule.count) for rule, pairs in batch])
+            try:
+                vals = p(nodes, rows)
+            except SectorlabError as exc:
+                if not hasattr(exc, "slice"):
+                    raise
+                # the batch's pairs before the failing row's, whose rows pass, fail first
+                # where a value is not finite
+                head = int(np.argmax(rows == rows[exc.slice]))
+                if head:
+                    _check_nodes(nodes[:head], np.isfinite(p(nodes[:head], rows[:head])).all(axis=(-2, -1)))
+                raise _raised_at(float(nodes[exc.slice]), exc) from exc
+            start = 0
+            for rule, pairs in batch:
+                block = vals[start:start + len(pairs) * rule.count]
+                block = block.reshape(len(pairs), rule.count, *shape[1:])
+                sums = np.sum(block * rule.weights[:, None, None], axis=-3)
+                if not np.isfinite(sums).all():
+                    for finite in np.isfinite(block).all(axis=(-2, -1)):
+                        _check_nodes(rule.nodes, finite)
+                raw[pairs] = sums
+                start += len(pairs) * rule.count
     return raw
-
-
-def _pairs_path(p, pairs: list, shape: tuple) -> StackedIntegrand:
-    # The stacked path p on the listed pairs alone: nodes (n,) -> values (pairs, n, d, d).
-    return lambda t: p(np.tile(t, len(pairs)), np.repeat(pairs, len(t))).reshape(
-        len(pairs), len(t), *shape[1:])
 
 
 def _stacked(f: Callable[[float], np.ndarray]) -> StackedIntegrand:

@@ -103,6 +103,8 @@ class EnsembleSpec:
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
         if not (_is_real(self.sector_angle) and 0.0 <= self.sector_angle < math.pi / 2):
             raise ValueError(f"sector_angle must lie in [0, pi/2), got {self.sector_angle}")
+        if not isinstance(self.lambda_grid, (tuple, list)):
+            raise ValueError(f"lambda_grid must be a tuple or list of weights, got {self.lambda_grid!r}")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must not be empty")
         for lam in self.lambda_grid:
@@ -254,7 +256,7 @@ def _re_geometric(spec, p: _Pairs, m: _Means, tol):
 
 def _re_harmonic(spec, p: _Pairs, m, tol):
     # A !_lam B and (Re A) !_lam (Re B), indexed [side, trial, weight]
-    lhs, rhs = _harmonic_path(np.stack([p.a, p.re[0]]), np.stack([p.b, p.re[1]]))(spec.lambda_grid)
+    lhs, rhs = _harmonic_path(np.array([[p.a, p.re[0]], [p.b, p.re[1]]]))(spec.lambda_grid)
     return loewner_margin(_symmetrize(lhs), rhs, tol)[::2]
 
 
@@ -422,7 +424,7 @@ def search_agh_counterexample(spec: EnsembleSpec, tol: LoewnerTolerance = DEFAUL
     sharp = _geometric_mean(np.concatenate([p.a] * len(lams)), np.concatenate([p.b] * len(lams)),
                             [lam for lam in lams for _ in range(spec.trials)], cfg).value
     re_sharp = _symmetrize(np.moveaxis(sharp.reshape(len(lams), *p.a.shape), 0, 1))
-    low = _harmonic_path(p.a, p.b)(lams)
+    low = _harmonic_path(np.array((p.a, p.b)))(lams)
     lam = np.array(lams)[:, None, None]
     high = (1.0 - lam) * p.a[:, None] + lam * p.b[:, None]
     links = ("harmonic<=geometric", "geometric<=arithmetic")

@@ -59,8 +59,8 @@ def node_stacks(monkeypatch):
 
     def spying(evaluate):
         def spy(path, *args, **kwargs):
-            def built(x, y):
-                p = path(x, y)
+            def built(ab):
+                p = path(ab)
 
                 def call(*a, **k):
                     inside.append(p)

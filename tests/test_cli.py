@@ -581,3 +581,72 @@ def test_unwritable_output_exits_2(diag_files, tmp_path, capsys):
 def test_payload_rejects_oversized():
     with pytest.raises(Exception):
         payload_to_matrix({"dim": 65, "entries": [[[0.0, 0.0]] * 65] * 65})
+
+
+def test_documents_are_json_dumps_bytes(tmp_path, monkeypatch, capsys):
+    # to_json writes json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) byte for
+    # byte: on every document of CI's CLI step, as the CLI builds it, and on a table of edge
+    # objects; where json refuses an object, to_json raises json's error.
+    import enum
+    from collections import OrderedDict
+
+    import sectorlab.cli as cli
+
+    def dumps(obj):
+        return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+
+    written = []
+    monkeypatch.setattr(cli, "to_json", lambda obj: written.append(obj) or to_json(obj))
+    a = write_matrix(tmp_path / "a.json", [[2, 1j], [1j, 2]])
+    b = write_matrix(tmp_path / "b.json", [[1, 1], [-1, 1]])
+    runs = [["verify", "--trials", "5", "--seed", "3"], ["verify", "--trials", "5", "--seed", "3", "--angle", "0.95"],
+            ["verify", "--dim", "1", "--trials", "5", "--seed", "2", "--angle", "0"],
+            ["verify", "--only", "search_agh_counterexample,check_symmetry", "--dim", "2", "--trials", "20",
+             "--angle", "0.49", "--lambdas", "0.5"],
+            ["verify", "--only", "check_homogeneity,check_symmetry", "--dim", "4", "--trials", "10", "--seed", "5"],
+            ["verify", "--trials", "50", "--seed", "7", "--angle", "0.97",
+             "--only", "check_re_geometric,check_re_relative_entropy"],
+            ["rule", "--kind", "jacobi", "--lambda", "0.3", "--nodes", "8"],
+            ["rule", "--kind", "jacobi", "--lambda", "0.3", "--nodes", "512"],
+            ["rule", "--kind", "legendre", "--nodes", "256"]]
+    for kind in (["mean", "--kind", "geom", "--lambda", "0.3"], ["entropy", "--kind", "relative"]):
+        for mode in ([], ["--adaptive"]):
+            runs.append(kind + ["--a", a, "--b", b] + mode)
+    for argv in runs:
+        main(argv)
+        assert capsys.readouterr().out == to_json(written[-1]) + "\n"
+    assert len(written) == len(runs)
+    for doc in written:
+        assert to_json(doc) == dumps(doc)
+
+    class Float(float):
+        def __repr__(self):
+            return "not json's"
+
+    class Int(int):
+        def __repr__(self):
+            return "not json's"
+
+    class Key(str):
+        pass
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    edges = [{}, [], (), {"a": []}, {"a": {}}, [[], {}], [(), [[]]], 0, -7, 10**30, 1.5, -0.0, 1e300, 5e-324,
+             2.0, "x", "", None, True, False, {"é": "ü\n\"\\\x00  \ud800"},
+             {1: 2, 2.5: 3, True: 4, None: 5, False: 6, -0.0: 7, Level.HIGH: 8},
+             [Float(1.5), Int(3), Key("s"), Level.HIGH, np.float64(0.1)], {Key("k"): (1, (2, 3))},
+             OrderedDict([("b", 1), ("a", 2)]), {"x": [1, [2.5, [3, {"y": None}]]]}]
+    for obj in edges:
+        assert to_json(obj) == dumps(obj)
+    circular = []
+    circular.append(circular)
+    refused = [math.nan, [math.inf], {"a": -math.inf}, {math.nan: 1}, np.int64(3), [np.int64(3)],
+               {(1, 2): 3}, {"a": np.bool_(True)}, [1j], object(), circular]
+    for obj in refused:
+        with pytest.raises(Exception) as want:
+            dumps(obj)
+        with pytest.raises(type(want.value)) as got:
+            to_json(obj)
+        assert str(got.value) == str(want.value)

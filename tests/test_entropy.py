@@ -54,7 +54,7 @@ def test_relative_entropy_is_the_tsallis_integral_at_zero():
         assert jacobi.weights.tobytes() == legendre.weights.tobytes()
     for a, b in accretive_pairs(4, (1, 2, 3, 6), 0.8, seed=61):
         for n in (16, 24, 64):
-            want = _integrate(gauss_legendre(n), _entropy_path(a, b))
+            want = _integrate(gauss_legendre(n), _entropy_path(np.array((a, b))))
             assert relative_entropy(a, b, EntropyConfig(rule_nodes=n)).tobytes() == want.tobytes()
 
 

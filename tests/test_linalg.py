@@ -12,6 +12,7 @@ from sectorlab.errors import (
     IllConditioned,
     NotAccretive,
     NotPositiveDefinite,
+    SectorlabError,
     SingularMatrix,
 )
 
@@ -224,6 +225,43 @@ def test_inverse_stack_fails_on_one_bad_slice():
     la.inverse(ill)
     with pytest.raises(IllConditioned):
         la.inverse(ill, cond_cap=1e6)
+
+
+def test_inv_core_raises_the_first_failing_slice_alone():
+    # The library's core raises the error of the first slice, in C order, that fails
+    # alone: its type, its message and its flat index as the error's slice.  The public
+    # inverse keeps the stack's message: any singular slice, or the largest estimate.
+    eye = np.eye(2, dtype=complex)
+    ill_15, ill_16 = (np.diag([1.0, s]).astype(complex) for s in (1e-15, 1e-16))
+    singular = np.diag([1.0, 0.0]).astype(complex)
+
+    def lone_error(m):
+        with pytest.raises(SectorlabError) as info:
+            la._inv(m)
+        return type(info.value), str(info.value)
+
+    cases = [((eye, ill_15, ill_16), 1, IllConditioned, "1.000e[+]16"),  # the first of two over the cap
+             ((eye, ill_16, ill_15), 1, IllConditioned, "1.000e[+]16"),
+             ((eye, ill_15, singular), 1, SingularMatrix, None),  # ill-conditioned before singular
+             ((singular, ill_15, eye), 0, SingularMatrix, None)]
+    for slices, first, public, public_estimate in cases:
+        with pytest.raises(SectorlabError) as info:
+            la._inv(np.stack(slices))
+        assert info.value.slice == first
+        assert (type(info.value), str(info.value)) == lone_error(slices[first])
+        with pytest.raises(public, match=public_estimate):
+            la.inverse(np.stack(slices))
+    assert lone_error(ill_15) == (IllConditioned, "condition estimate 1.000e+15 exceeds cap 1e+14")
+    # a stack of stacks counts its slices in C order
+    with pytest.raises(IllConditioned) as info:
+        la._inv(np.stack([np.stack([eye, eye, eye]), np.stack([eye, ill_16, ill_15])]))
+    assert info.value.slice == 4 and "1.000e+16" in str(info.value)
+    # slices whose squares overflow or underflow pass alone, and so in a stack
+    scaled = np.stack([1e160 * eye, 1e-160 * eye, eye, 1e200 * ill_15])
+    with pytest.raises(IllConditioned, match="1.000e[+]15") as info:
+        la._inv(scaled)
+    assert info.value.slice == 3
+    assert np.array_equal(la._inv(scaled[:3]), np.linalg.inv(scaled[:3]))
 
 
 def test_inverse_stack_validation():

@@ -284,7 +284,7 @@ def test_batched_means_equal_single_calls_bitwise(dim, monkeypatch):
         for k, (x, y) in enumerate(pairs):
             sx, sy = np.linalg.norm(x), np.linalg.norm(y)
             scale = sx ** (1.0 - lam) * sy**lam * math.sin(lam * math.pi) / math.pi
-            path = means._harmonic_path(x / sx, y / sy)
+            path = means._harmonic_path(np.array((x / sx, y / sy)))
             want = scale * integrate(gauss_jacobi(64, -lam, lam - 1.0), path)
             assert np.array_equal(got.value[k], want)
             assert np.array_equal(got.value[k], geometric_mean(x, y, lam, cfg))
@@ -371,3 +371,45 @@ def test_scalar_geometric_rejects_nonpositive():
         scalar_geometric(1.0, -2.0, 0.5)
     with pytest.raises(InvalidWeight):
         scalar_geometric(1.0, 2.0, 0.0)
+
+
+def test_a_lone_pair_is_inverted_in_one_call(monkeypatch):
+    # A lone mean or entropy inverts A and B in one call and its node stack in another:
+    # two inversions, the pair's before the nodes'.  Drury's mean inverts B for its ratio,
+    # its nodes and the integral.
+    from sectorlab import entropy, means
+
+    sizes = []
+    inv = means._inv
+    monkeypatch.setattr(means, "_inv", lambda m, *args: sizes.append(m.shape) or inv(m, *args))
+    calls = {"geometric_mean": lambda: geometric_mean(PAIR_A, PAIR_B, 0.3),
+             "geometric_mean_adaptive": lambda: means.geometric_mean_adaptive(PAIR_A, PAIR_B, 0.3),
+             "relative_entropy": lambda: entropy.relative_entropy(PAIR_A, PAIR_B),
+             "tsallis_entropy": lambda: entropy.tsallis_entropy(PAIR_A, PAIR_B, 0.3),
+             "relative_entropy_adaptive": lambda: entropy.relative_entropy_adaptive(PAIR_A, PAIR_B)}
+    for name, call in calls.items():
+        sizes.clear()
+        call()
+        assert len(sizes) == 2, name
+        assert sizes[0] == (2, 2, 2) and sizes[1][1:] == (2, 2), name
+    sizes.clear()
+    drury_mean(PAIR_A, PAIR_B)
+    assert len(sizes) == 3
+
+
+def test_lone_calls_on_an_ill_and_a_singular_matrix_raise_as_before():
+    # A = diag(1, 1e-15) is over the condition cap and B = diag(1, 0) is singular: the
+    # mean and the entropies refuse A's inverse first, as they did with one inversion
+    # each; Drury's mean inverts B first, for its ratio.
+    from sectorlab import entropy
+    from sectorlab.errors import IllConditioned, SingularMatrix
+
+    a, b = np.diag([1.0, 1e-15]), np.diag([1.0, 0.0])
+    ill = (IllConditioned, "condition estimate 1.000e+15 exceeds cap 1e+14")
+    for call, want in ((lambda: geometric_mean(a, b, 0.3), ill),
+                       (lambda: entropy.relative_entropy(a, b), ill),
+                       (lambda: entropy.tsallis_entropy(a, b, 0.3), ill),
+                       (lambda: drury_mean(a, b), (SingularMatrix, "LAPACK inversion failed: Singular matrix"))):
+        with pytest.raises(want[0]) as info:
+            call()
+        assert str(info.value) == want[1]

@@ -504,8 +504,8 @@ def _stub_f(t, mu):
     return np.array([[g[0], g[1]], [t * t, 1.0]], dtype=complex)
 
 
-def _stub_path(x, y):
-    # t -> x f(t) + y over the node array, for the three stacked pairs, or with rows,
+def _stub_path(xy):
+    # t -> x f(t) + y over the node array, for the three stacked pairs xy = (x, y), or with rows,
     # one pair index per node, for those rows; f has its poles at t = 1/(1 - mu), mu
     # over the eigenvalues of the ratio, one diagonal matrix per pair
     def p(nodes, rows=None):
@@ -515,6 +515,7 @@ def _stub_path(x, y):
         vals = np.stack([_stub_f(float(t), _STUB_MUS[k]) for t, k in zip(nodes, rows, strict=True)])
         return x[rows] * vals + y[rows]
 
+    x, y = xy
     p.ratio = lambda: np.eye(2) * _STUB_MUS[:, None, :]
     return p
 
@@ -534,16 +535,17 @@ def test_evaluate_takes_the_rule_from_the_config():
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
     mus, f, path = _STUB_MUS, _stub_f, _stub_path
-    a, b = _stub_pairs()
+    ab = _stub_pairs()
+    a, b = ab
     scale = [2.0, 3.0, 0.5]
-    fixed = _evaluate(path, a, b, [(0.0, 0.0, s, 1.0) for s in scale], QuadratureConfig(rule_nodes=8))
+    fixed = _evaluate(path, ab, [(0.0, 0.0, s, 1.0) for s in scale], QuadratureConfig(rule_nodes=8))
     for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
         assert fixed.nodes_used[k] == fixed[k].nodes_used == 8
         assert fixed.error_estimates[k] is fixed[k].error_estimate is None
         assert np.array_equal(fixed.value[k],
                               s * integrate_matrix(gauss_legendre(8), lambda t: x * f(t, mus[k]) + y))
     for cfg in (QuadratureConfig(tol=1e-13, max_nodes=256), QuadratureConfig(tol=1e-13)):
-        got = _evaluate(path, a, b, [(0.0, 0.0, s, 10.0) for s in scale], cfg)
+        got = _evaluate(path, ab, [(0.0, 0.0, s, 10.0) for s in scale], cfg)
         for k, (x, y, s) in enumerate(zip(a, b, scale, strict=True)):
             n, decay = _pole_count(mus[k], 10.0, 1e-13, cfg.max_nodes)
             assert got.nodes_used[k] == got[k].nodes_used == n
@@ -552,7 +554,7 @@ def test_evaluate_takes_the_rule_from_the_config():
             assert np.array_equal(got.value[k],
                                   s * integrate_matrix(gauss_legendre(n), lambda t: x * f(t, mus[k]) + y))
     # the factor 1.0: the raw integrals
-    raw = _evaluate(path, a, b, [(0.0, 0.0, 1.0, 1.0)] * 3, QuadratureConfig(rule_nodes=8))
+    raw = _evaluate(path, ab, [(0.0, 0.0, 1.0, 1.0)] * 3, QuadratureConfig(rule_nodes=8))
     assert np.array_equal(raw.value[1], integrate_matrix(gauss_legendre(8), lambda t: a[1] * f(t, mus[1]) + b[1]))
 
 
@@ -561,24 +563,25 @@ def test_evaluate_takes_a_bound_per_pair():
     # gives it alone, as the bound of every pair's job.
     from sectorlab.quadrature import QuadratureConfig, _evaluate
 
-    a, b = _stub_pairs()
+    ab = _stub_pairs()
+    a, b = ab
     scale, cfg = [2.0, 3.0, 0.5], QuadratureConfig(tol=1e-13)
 
     def jobs(bounds):
         return [(0.0, 0.0, s, bound) for s, bound in zip(scale, bounds, strict=True)]
 
     bounds = [1e5, 1.0, 10.0]
-    got = _evaluate(_stub_path, a, b, jobs(bounds), cfg)
+    got = _evaluate(_stub_path, ab, jobs(bounds), cfg)
     for k, bound in enumerate(bounds):
-        alone = _evaluate(_stub_path, a, b, jobs([bound] * 3), cfg)
+        alone = _evaluate(_stub_path, ab, jobs([bound] * 3), cfg)
         assert got.nodes_used[k] == alone.nodes_used[k] == _pole_count(_STUB_MUS[k], bound, 1e-13, 512)[0]
         assert got.error_estimates[k] == alone.error_estimates[k]
         assert got.value[k].tobytes() == alone.value[k].tobytes()
-        same = _evaluate(_stub_path, a, b, jobs([bound] * 3), cfg)
+        same = _evaluate(_stub_path, ab, jobs([bound] * 3), cfg)
         assert (same.value.tobytes(), same.error_estimates, same.nodes_used) == \
             (alone.value.tobytes(), alone.error_estimates, alone.nodes_used)
     # the bounds chose counts that no one bound gives all three pairs
-    assert got.nodes_used != _evaluate(_stub_path, a, b, jobs([10.0] * 3), cfg).nodes_used
+    assert got.nodes_used != _evaluate(_stub_path, ab, jobs([10.0] * 3), cfg).nodes_used
 
 
 def test_doubling_error_decreases_monotonically():
@@ -596,7 +599,7 @@ def test_entropy_kernel_split_is_bounded_near_zero():
     from sectorlab.entropy import _entropy_path
     from sectorlab.linalg import inverse
 
-    path = _entropy_path(PAIR_A, PAIR_B)
+    path = _entropy_path(np.array((PAIR_A, PAIR_B)))
     val = path(1e-8)
     limit = PAIR_A - PAIR_A @ inverse(PAIR_B) @ PAIR_A
     assert np.all(np.isfinite(val.real)) and np.all(np.isfinite(val.imag))
@@ -1086,6 +1089,37 @@ def test_failing_node_in_a_stack_is_the_lone_calls():
         assert type(lone.value.__cause__) is type(stacked.value.__cause__) is cause
         assert (stacked.value.node, str(stacked.value)) == (lone.value.node, str(lone.value))
         assert lone.value.node == t_bad
+
+
+def test_first_failing_pair_of_a_stack_raises_its_lone_error():
+    # Where several pairs of a stacked evaluation fail, the first in pair order raises what
+    # its lone call raises, whichever node the others fail at: pairs singular or
+    # ill-conditioned at interior nodes, and a pair whose S overflows at its first nodes.
+    from sectorlab import entropy
+    from sectorlab.entropy import EntropyConfig, relative_entropy
+
+    cfg = EntropyConfig(rule_nodes=64)
+    nodes = gauss_legendre(64).nodes
+
+    def failing_at(k, scale=1.0):
+        t = float(nodes[k])
+        return np.eye(2, dtype=complex), np.diag([1.0, -scale * t / (1.0 - t)]).astype(complex)
+
+    good = accretive_pairs(2, (2,), 0.5, seed=101)
+    overflow = (2e306 * np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+    ill = 1.0 + 1e-15
+    cases = [([good[0], failing_at(20), good[1], failing_at(10)], 1),
+             ([failing_at(20, ill), failing_at(10)], 0),
+             ([failing_at(40), failing_at(10, ill), good[0]], 0),
+             ([good[0], overflow, good[1], failing_at(30)], 1)]
+    for pairs, first in cases:
+        with pytest.raises(EvaluationFailure) as lone:
+            relative_entropy(*pairs[first], cfg)
+        with pytest.raises(EvaluationFailure) as stacked:
+            entropy._tsallis_entropy(np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs]),
+                                     [0.0] * len(pairs), cfg)
+        assert (stacked.value.node, str(stacked.value)) == (lone.value.node, str(lone.value))
+        assert type(stacked.value.__cause__) is type(lone.value.__cause__)
 
 
 # ------------------------------------------------------- automatic node count

@@ -88,6 +88,10 @@ def test_spec_validation():
     for grid in ((True,), ("0.5",), (0.5, None), (0.5 + 0j,), (0.3, False)):
         with pytest.raises(ValueError, match=r"^lambda grid entries must lie in \(0, 1\)"):
             EnsembleSpec(lambda_grid=grid)
+    # the grid itself is a tuple or list: a number or a string is refused, by its value
+    for grid, shown in ((0.5, "0.5"), ("0.5", "'0.5'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^lambda_grid must be a tuple or list of weights, got {shown}$"):
+            EnsembleSpec(lambda_grid=grid)
     spec = EnsembleSpec(sector_angle=np.float32(0.5), lambda_grid=(np.float64(0.25), np.float32(0.5)))
     assert spec.sector_angle == 0.5 and spec.lambda_grid == (0.25, 0.5)
     for bad in (0, 2.5, True):
@@ -193,7 +197,7 @@ def test_mean_failure_stays_with_the_mean_checks(monkeypatch):
     spec = EnsembleSpec(dim=3, trials=3, seed=5)
     clean = {r.property_id: r for r in run_all(spec)}
 
-    def broken(a, b):
+    def broken(ab):
         raise SingularMatrix("injected")
 
     monkeypatch.setattr(means, "_harmonic_path", broken)
