@@ -10,16 +10,16 @@ every input: ``None`` entries raise ``TypeError``, non-square or empty input
 raises ``DimensionMismatch``, and non-finite entries raise ``ValueError``.
 One rule, ``_check_integer``, checks every integer argument of the package,
 node counts and sizes alike: a Python or numpy integer in range, not
-``bool``.  The public functions validate their input and then call private
-cores, which the library's own paths call directly on the stacks they have
-already validated or built: ``_inv``, one LAPACK call and a condition
-estimate per slice, under :func:`inverse`, whose failing stack raises what its
-first failing slice raises alone, with that slice's index; ``_symmetrize``
-under :func:`symmetrize`, :func:`real_part` and the Hermitian eigensolver
-``_herm_eig``, which checks
-only that its matrices are finite, as a product of validated matrices may
-overflow; and ``_op_norm`` under :func:`op_norm`.  ``_slice_frobs`` gives
-:func:`frob` of every slice of a stack in one pass.
+``bool``; ``_is_real`` is the one test of a real one.  The public functions
+validate their input and then call private cores, which the library's own
+paths call directly on the stacks they have already validated or built:
+``_inv``, one LAPACK call and a condition estimate per slice, under
+:func:`inverse`, whose failing stack raises what its first failing slice
+raises alone, with that slice's index; ``_symmetrize`` under
+:func:`symmetrize`, :func:`real_part` and the Hermitian eigensolver
+``_herm_eig``, which checks only that its matrices are finite, as a product
+of validated matrices may overflow; and ``_op_norm`` under :func:`op_norm`.
+``_slice_frobs`` gives :func:`frob` of every slice of a stack in one pass.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ def _finite(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _check_integer(name: str, value, low: int, high: int | None = None, error=ValueError) -> int:
@@ -237,10 +241,11 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return _herm_eig(_as_stack(h))
 
 
-def _herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # herm_eig of a complex stack the library built, whose entries must be finite
+def _herm_eig(m: np.ndarray, vectors: bool = True):
+    # herm_eig of a complex stack the library built, whose entries must be finite;
+    # unless vectors, its eigenvalues alone, from eigvalsh, which forms no eigenvectors
     try:
-        return np.linalg.eigh(_symmetrize(_finite(m)))
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(_symmetrize(_finite(m)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
 
@@ -316,13 +321,15 @@ def loewner_margin(x, y, tol: LoewnerTolerance = DEFAULT_LOEWNER_TOL) -> tuple[b
     eigenvalue of X - Y and ``normalized`` is margin over the larger operator
     norm of X and Y; the comparison passes when
     ``margin >= -(tol.absolute + tol.relative * max(||X||, ||Y||))``.  For
-    stacks ``(..., d, d)`` each of the three is an array over the stack.
+    stacks ``(..., d, d)`` each of the three is an array over the stack.  The
+    eigenvalues come from one ``np.linalg.eigvalsh`` call, so ``margin`` is
+    bitwise ``eigvalsh(X - Y)[..., 0]`` of the symmetrized X and Y.
     """
     xm = symmetrize(x)
     ym = symmetrize(y)
     if xm.shape != ym.shape:
         raise DimensionMismatch(f"shape {xm.shape} vs {ym.shape}")
-    w, _ = _herm_eig(np.stack([xm - ym, xm, ym]))
+    w = _herm_eig(np.stack([xm - ym, xm, ym]), vectors=False)
     margin = w[0, ..., 0]
     big = np.max(np.abs(w[1:, ..., [0, -1]]), axis=(0, -1))
     holds = margin >= -(tol.absolute + tol.relative * big)

@@ -23,7 +23,7 @@ integrand and stack its values node by node onto the same engine.
 Rules are cached as validated objects.  Every node count, of a rule, of a
 config (its fixed count and its cap, checked when the config is built) or of
 ``integrate_adaptive``'s cap, obeys the package's one integer rule,
-``linalg._check_integer``, and every mean weight obeys ``check_weight``.
+``linalg._check_integer``, every mean weight ``check_weight`` and every tol ``_check_tol``.
 One :class:`QuadratureConfig` sets every library integral, and ``_evaluate``
 alone applies it, to stacked pairs with one job each: the exponents of the
 pair's Gauss-Jacobi rule, its factor and the constant K of its error bound.
@@ -68,7 +68,7 @@ estimate.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,7 +84,7 @@ from .errors import (
     NoConvergence,
     SectorlabError,
 )
-from .linalg import _check_integer, _slice_frobs, frob
+from .linalg import _check_integer, _is_real, _slice_frobs, frob
 
 MAX_NODES = 4096
 
@@ -207,7 +207,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
 def check_weight(lam: float) -> float:
     """Validate a mean weight, a real number but not a bool; the endpoints 0
     and 1 are rejected."""
-    if not isinstance(lam, numbers.Real) or isinstance(lam, bool):
+    if not _is_real(lam):
         raise InvalidWeight(f"weight must be a real number, got {lam!r}")
     lam = float(lam)
     if not (math.isfinite(lam) and 0.0 < lam < 1.0):
@@ -296,6 +296,14 @@ def _log_rho(mu: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(4.0 * s.real / r / r)
 
 
+def _check_tol(tol) -> float:
+    if not _is_real(tol):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
+    if not 0.0 < tol <= sys.float_info.max:
+        raise ValueError(f"tol must be {'finite' if tol > 0.0 else '> 0'}, got {tol}")
+    return float(tol)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Quadrature of every integral.  With ``rule_nodes="auto"``, each pair's
@@ -303,7 +311,7 @@ class QuadratureConfig:
     error bound from the poles of the pair's path meets ``tol``; an integer
     gives a fixed rule of that many nodes.  ``max_nodes``, in [32, 4096], is
     512 by default, so an automatic rule never loads scipy; 4096 is the
-    ``*_adaptive`` functions' default.  The tolerance, finite and > 0, is
+    ``*_adaptive`` functions' default.  The tolerance, a finite real > 0, is
     relative to ||A||_F of the pair being integrated; one below four rounding
     units raises ``NoConvergence`` wherever the bound chooses the count.
     ``GeometricMeanConfig`` and ``EntropyConfig`` are this class.
@@ -317,8 +325,7 @@ class QuadratureConfig:
         if not (isinstance(self.rule_nodes, str) and self.rule_nodes == "auto"):
             nodes = _check_integer("rule_nodes", self.rule_nodes, 1, MAX_NODES)
             object.__setattr__(self, "rule_nodes", nodes)  # a Python int, so nodes_used serializes
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be {'finite' if self.tol == math.inf else '> 0'}, got {self.tol}")
+        object.__setattr__(self, "tol", _check_tol(self.tol))
         object.__setattr__(self, "max_nodes", _check_integer("max_nodes", self.max_nodes, 32, MAX_NODES))
 
 
@@ -467,8 +474,7 @@ def integrate_adaptive(
     results drops to ``tol``.  Raises :class:`NoConvergence` if ``max_nodes``
     is reached first; the best result rides along as the error's ``payload``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    tol = _check_tol(tol)
     _check_integer("max_nodes", max_nodes, 32, MAX_NODES)  # 32 allows one doubling
     f = _stacked(f)
     n = 16

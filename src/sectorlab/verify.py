@@ -32,7 +32,6 @@ order, and the tests' per-trial reference pins that no report depends on the sta
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -53,6 +52,7 @@ from .linalg import (
     LoewnerTolerance,
     _check_integer,
     _frob_scaled,
+    _is_real,
     _inv,
     _op_norm,
     _power,
@@ -81,11 +81,6 @@ _TAG_PAIR_B = 11
 _TAG_FAMILY = 12
 _TAG_BILIN_X = 13
 _TAG_BILIN_XSTAR = 14
-
-
-def _is_real(x) -> bool:
-    # a real number, not a bool: a string, None or a complex number fails comparison
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -397,8 +392,7 @@ def check_homogeneity(spec: EnsembleSpec, scales=HOMOGENEITY_SCALES,
         raise ValueError("scales must not be empty")
     for entry in scales:
         if not (isinstance(entry, (tuple, list, np.ndarray)) and len(entry) == 2
-                and all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
-                        for v in entry)):
+                and all(_is_real(v) and 0.0 < v < math.inf for v in entry)):
             raise ValueError("scales must be (alpha, beta) pairs of positive finite reals, "
                              f"got {entry!r}")
     return _alone("check_homogeneity", _homogeneity, spec, means_cfg=cfg, scales=scales)

@@ -419,6 +419,8 @@ MEAN = ["mean", "--kind", "geom", "--lambda", "0.3"]
     (["verify", "--only", ""], "--only must name at least one property id"),
     (["verify", "--only", "check_symmetry,", "--trials", "1"],
      "--only holds an empty property id: 'check_symmetry,'"),
+    ([*MEAN, *PAIR, "--tol=-inf"], "tol must be > 0, got -inf"),
+    ([*MEAN, *PAIR, "--adaptive", "--tol", "nan"], "tol must be > 0, got nan"),
 ])
 def test_usage_errors_print_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     # Every usage error takes main's one ValueError path: nothing on stdout, one

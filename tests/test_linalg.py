@@ -440,6 +440,24 @@ def test_stacked_margins_and_hpd_maps_equal_each_slice_bitwise():
         la.hpd_log(np.stack([np.eye(2), np.diag([-1.0, 1.0]), np.diag([-2.0, 1.0])]))
 
 
+def test_loewner_margin_is_numpy_eigvalsh_bitwise():
+    # The margin of each slice of a stack is bitwise np.linalg.eigvalsh of the
+    # difference of the symmetrized comparands, the normalization the larger
+    # |eigenvalue| of either side by the same call; comparands that overflow there
+    # raise the validator's ValueError.
+    rng = np.random.default_rng(52)
+    for d in (1, 2, 3, 6):
+        x = la.symmetrize(rng.standard_normal((5, 4, d, d)) + 1j * rng.standard_normal((5, 4, d, d)))
+        y = la.symmetrize(rng.standard_normal((5, 4, d, d)) + 1j * rng.standard_normal((5, 4, d, d)))
+        _, margin, normalized = la.loewner_margin(x, y)
+        assert margin.tobytes() == np.linalg.eigvalsh(x - y)[..., 0].tobytes()
+        big = np.maximum(np.abs(np.linalg.eigvalsh(x)).max(axis=-1), np.abs(np.linalg.eigvalsh(y)).max(axis=-1))
+        assert normalized.tobytes() == (margin / big).tobytes()
+    stack = np.stack([np.eye(2), 1e308 * np.eye(2)])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        la.loewner_margin(stack, -stack)
+
+
 def test_lone_margins_are_python_scalars():
     holds, margin, normalized = la.loewner_margin(np.diag([2.0, 1.0]), np.eye(2))
     assert type(holds) is bool and type(margin) is float and type(normalized) is float

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from functools import partial
 from math import exp, lgamma
 
@@ -1346,19 +1347,31 @@ def test_max_nodes_is_checked_when_the_config_is_built():
 
 
 def test_tol_is_checked_when_the_config_is_built():
-    # A tolerance must be finite and > 0 when the config is built: an infinite
-    # one would reach log(bound / tol) in the automatic count as a math domain
-    # error.  The *_adaptive functions build the same config.
+    # A tolerance must be a real number, not a bool, finite and > 0 when the
+    # config is built: an infinite one would reach log(bound / tol) in the
+    # automatic count as a math domain error.  The *_adaptive functions build the
+    # same config, and integrate_adaptive takes the same rule.
     from sectorlab.means import geometric_mean, geometric_mean_adaptive
     from sectorlab.quadrature import QuadratureConfig
 
     for tol, message in ((0.0, "tol must be > 0, got 0.0"), (-1e-12, "tol must be > 0, got -1e-12"),
-                         (math.nan, "tol must be > 0, got nan"), (math.inf, "tol must be finite, got inf")):
+                         (math.nan, "tol must be > 0, got nan"), (math.inf, "tol must be finite, got inf"),
+                         (-math.inf, "tol must be > 0, got -inf"), (0, "tol must be > 0, got 0"),
+                         (10**400, f"tol must be finite, got {10**400}"),
+                         (True, "tol must be a real number, got True"),
+                         ("1e-3", "tol must be a real number, got '1e-3'"),
+                         (None, "tol must be a real number, got None"),
+                         (1e-3j, "tol must be a real number, got 0.001j")):
         for build in (partial(QuadratureConfig, tol=tol),
-                      partial(geometric_mean_adaptive, PAIR_A, PAIR_B, 0.3, tol=tol)):
+                      partial(geometric_mean_adaptive, PAIR_A, PAIR_B, 0.3, tol=tol),
+                      partial(integrate_adaptive, lambda t: np.eye(1), gauss_legendre, tol)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build()
     assert geometric_mean(PAIR_A, PAIR_B, 0.3, QuadratureConfig(tol=1e300)).shape == (2, 2)
+    # a real tolerance of any type is stored as a float
+    for tol in (1, np.float64(1e-3), Fraction(1, 1000)):
+        assert type(QuadratureConfig(tol=tol).tol) is float
+    assert QuadratureConfig(tol=1).tol == 1.0 and QuadratureConfig(tol=Fraction(1, 1000)).tol == 1e-3
 
 
 def test_a_config_capped_at_4096_is_the_adaptive_functions_bitwise():

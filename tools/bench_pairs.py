@@ -9,10 +9,17 @@ Every run's end-to-end metrics come from the JSON summary on its last line.
 The file holds, per workload, the medians and inclusive quartiles of each
 metric on both sides, every run's value under ``per_seed``, ``change_wins``
 (pairs where the change is better; ties count for neither), and the runs'
-``correct_all``, ``failed`` and ``attempted``.  A claimed metric is met when the
-change wins at least 9 of 10 pairs and its median beats the parent's by more
-than the parent's interquartile range.  Set-ups compile the package's source,
-as ``PYTHONDONTWRITEBYTECODE=1`` is set for every run.
+``correct_all``, ``failed`` and ``attempted``.  Each metric also gets a
+``regression`` verdict against its ``BENCHMARK.json`` bound, a fraction of the
+parent's median: ``worse`` where the change's median is worse than the parent's
+by more than the bound; ``unresolved`` where the parent's interquartile range
+exceeds the bound, unless every run of the change is better than every run of the
+parent; ``held`` otherwise.
+A change that claims no gain reads its acceptance from these verdicts.  A
+claimed metric is met when the change wins at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's interquartile range.
+Set-ups compile the package's source, as ``PYTHONDONTWRITEBYTECODE=1`` is set
+for every run.
 """
 
 from __future__ import annotations
@@ -40,8 +47,27 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # one run is its own median and quartiles; statistics.quantiles wants two before Python 3.13
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def regression(m: dict, bound: float) -> str:
+    # the verdict on one metric's summary m against its bound (see the module docstring)
+    parent, change = m["parent"], m["change"]
+    loss = change["median"] - parent["median"]
+    runs = m["per_seed"]
+    if m["better"] == "higher":
+        loss = -loss
+        clear = min(runs["change"]) > max(runs["parent"])
+    else:
+        clear = max(runs["change"]) < min(runs["parent"])
+    scale = bound * abs(parent["median"])
+    if loss > scale:
+        return "worse"
+    if parent["q3"] - parent["q1"] > scale and not clear:
+        return "unresolved"
+    return "held"
 
 
 def workload_summary(seeds: list, runs: dict, metrics: dict) -> dict:
@@ -55,10 +81,11 @@ def workload_summary(seeds: list, runs: dict, metrics: dict) -> dict:
         better = (lambda c, p: c > p) if spec["better"] == "higher" else (lambda c, p: c < p)
         wins = sum(better(c, p) for p, c in zip(values["parent"], values["change"]))
         stats = {side: summarize(values[side]) for side in SIDES}
-        out["metrics"][name] = {"unit": spec["unit"], "better": spec["better"], **stats,
-                                "change_wins": f"{wins}/{len(seeds)}",
-                                "ratio_of_medians": stats["change"]["median"] / stats["parent"]["median"],
-                                "per_seed": values}
+        m = out["metrics"][name] = {"unit": spec["unit"], "better": spec["better"], **stats,
+                                    "change_wins": f"{wins}/{len(seeds)}",
+                                    "ratio_of_medians": stats["change"]["median"] / stats["parent"]["median"],
+                                    "per_seed": values}
+        m["regression"] = regression(m, spec["bound"])
     return out
 
 
